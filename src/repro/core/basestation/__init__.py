@@ -9,7 +9,12 @@ from .query_table import (
     SyntheticStatus,
     UserQueryRecord,
 )
-from .result_mapper import MappedAggregates, MappedRow, ResultMapper
+from .result_mapper import (
+    DeliveryCursor,
+    MappedAggregates,
+    MappedRow,
+    ResultMapper,
+)
 from .rewriter import BenefitAssessment, beneficial, integrate, update_count
 from .root import (
     RegionExtent,
@@ -24,6 +29,7 @@ __all__ = [
     "BenefitAssessment",
     "CostModel",
     "DEFAULT_ALPHA",
+    "DeliveryCursor",
     "MappedAggregates",
     "MappedRow",
     "NetworkActions",

@@ -19,6 +19,7 @@ from typing import Callable, Dict, List, Optional
 from ..core.basestation import (
     BaseStationOptimizer,
     CostModel,
+    DeliveryCursor,
     NetworkProfile,
     ResultMapper,
 )
@@ -265,15 +266,10 @@ class Deployment:
             raise KeyError(f"unknown or terminated user query {user_qid}")
         if self.optimizer is None:
             return self.results.rows(user_qid)
-        mapper = self.mapper()
-        seen = set()
-        merged = []
-        for synthetic in self.optimizer.synthetic_history(user_qid):
-            for row in mapper.acquisition_rows(user, synthetic):
-                key = (row.epoch_time, row.origin)
-                if key not in seen:
-                    seen.add(key)
-                    merged.append(row)
+        if not user.is_acquisition:
+            raise ValueError(f"query {user_qid} is not an acquisition query")
+        merged = self.mapper().unseen(
+            user, self.optimizer.synthetic_history(user_qid), DeliveryCursor())
         merged.sort(key=lambda r: (r.epoch_time, r.origin))
         return merged
 

@@ -33,7 +33,6 @@ class PendingAdmission:
     query: Query
     key: CanonicalKey
     submitted_ms: float
-    cancelled: bool = False
 
 
 class AdmissionBatcher:
@@ -67,10 +66,18 @@ class AdmissionBatcher:
         return now_ms - self._window_opened_ms >= self.window_ms
 
     def cancel(self, ticket_id: int) -> bool:
-        """Drop a not-yet-admitted submission (session closed mid-window)."""
-        for pending in self._pending:
-            if pending.ticket_id == ticket_id and not pending.cancelled:
-                pending.cancelled = True
+        """Drop a not-yet-admitted submission (session closed mid-window).
+
+        The entry is removed, not tombstoned, and the window closes with
+        its last entry: a snapshot keeps only live entries, so a tombstone
+        would make :meth:`due` (and with it what ``tick`` journals) differ
+        between a live batcher and one restored from a snapshot.
+        """
+        for index, pending in enumerate(self._pending):
+            if pending.ticket_id == ticket_id:
+                del self._pending[index]
+                if not self._pending:
+                    self._window_opened_ms = None
                 return True
         return False
 
@@ -78,8 +85,8 @@ class AdmissionBatcher:
     # Flush
     # ------------------------------------------------------------------
     def drain(self) -> List[PendingAdmission]:
-        """Take the whole batch (cancelled submissions filtered out)."""
-        batch = [p for p in self._pending if not p.cancelled]
+        """Take the whole batch."""
+        batch = list(self._pending)
         self._pending.clear()
         self._window_opened_ms = None
         if batch:
@@ -88,14 +95,14 @@ class AdmissionBatcher:
         return batch
 
     def __len__(self) -> int:
-        return sum(1 for p in self._pending if not p.cancelled)
+        return len(self._pending)
 
     # ------------------------------------------------------------------
     # Durability (repro.service.durability snapshots)
     # ------------------------------------------------------------------
     def pending(self) -> List[PendingAdmission]:
-        """The open window's live (non-cancelled) submissions, in order."""
-        return [p for p in self._pending if not p.cancelled]
+        """The open window's submissions, in order."""
+        return list(self._pending)
 
     @property
     def window_opened_ms(self) -> Optional[float]:
@@ -104,7 +111,7 @@ class AdmissionBatcher:
     def restore_window(self, window_opened_ms: Optional[float],
                        batches_flushed: int, max_batch_size: int) -> None:
         """Restore snapshot bookkeeping (pending entries re-``add``-ed
-        first; cancelled ones were filtered out and stay gone)."""
+        first)."""
         self._window_opened_ms = window_opened_ms
         self.batches_flushed = batches_flushed
         self.max_batch_size = max_batch_size

@@ -21,10 +21,11 @@ All counters live in the metrics registry current at construction time
 :class:`ServiceStats` snapshot API is a typed view over those same
 series, so ``stats()`` and ``python -m repro obs`` can never disagree.
 
-Results flow back through :meth:`pump`: for every live, subscribed ticket
-the service maps the anchor's synthetic-query results (via
-:class:`ResultMapper`, across the whole re-optimization history) and
-fans new rows/aggregates out to per-subscriber queues.
+Results flow back through :meth:`pump`: every live, subscribed ticket
+keeps a :class:`DeliveryCursor` into the append-only result log, and a pump
+maps only what the anchor's synthetic queries (across the whole
+re-optimization history, via :class:`ResultMapper`) gained since the last
+one, fanning new rows/aggregates out to per-subscriber queues.
 """
 
 from __future__ import annotations
@@ -39,7 +40,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
-from ..core.basestation import BaseStationOptimizer, ResultMapper
+from ..core.basestation import (
+    BaseStationOptimizer,
+    DeliveryCursor,
+    ResultMapper,
+)
 from ..core.qos import QoSClass
 from ..obs import Histogram, get_registry, scoped
 from ..queries.ast import (
@@ -317,7 +322,9 @@ class QueryService:
         self._next_ticket = 0
         self._ticket_qos: Dict[int, QoSClass] = {}
         self._subs: Dict[int, List["queue.Queue"]] = {}
-        self._delivered: Dict[int, set] = {}
+        #: ticket id -> how far its subscribers have read (in-memory only:
+        #: a recovered service re-delivers from an empty cursor).
+        self._cursors: Dict[int, DeliveryCursor] = {}
         #: Planner pricing every submission (EXPLAIN, quotas, cost-aware
         #: shedding).  Defaults to an uncalibrated planner over the
         #: backend's own cost model, so prices are always available.
@@ -398,6 +405,11 @@ class QueryService:
         self._m_delivered = registry.counter(
             "service.results_delivered_total",
             help="mapped result items fanned out to subscribers",
+            instance=instance)
+        self._m_mapped = registry.counter(
+            "service.pump_items_mapped_total",
+            help="items the result mapper produced for pump, before the "
+                 "already-delivered filter",
             instance=instance)
         self._m_latency = registry.histogram(
             "service.admission_latency_ms",
@@ -1408,7 +1420,7 @@ class QueryService:
 
     def _session_drop(self, ticket: Ticket) -> None:
         self._subs.pop(ticket.ticket_id, None)
-        self._delivered.pop(ticket.ticket_id, None)
+        self._cursors.pop(ticket.ticket_id, None)
         self._ticket_qos.pop(ticket.ticket_id, None)
         price = self._ticket_price.pop(ticket.ticket_id, None)
         client = self._ticket_client.pop(ticket.ticket_id, None)
@@ -1451,17 +1463,19 @@ class QueryService:
                      if maxsize is None else maxsize)
             subscriber: "queue.Queue" = queue.Queue(maxsize=bound)
             self._subs.setdefault(ticket_id, []).append(subscriber)
-            self._delivered.setdefault(ticket_id, set())
+            self._cursors.setdefault(ticket_id, DeliveryCursor())
             return subscriber
 
     def pump(self, now_ms: Optional[float] = None) -> int:
         """Fan new mapped results out to subscribers; returns items pushed.
 
-        Maps across the anchor's whole synthetic-query history, so results
-        survive re-optimization remaps mid-flight.  Schedule this against
-        the sim runtime (e.g. once per smallest epoch) or call it after a
-        run to drain everything at once.  Also sweeps expired leases, so a
-        deployment that only ever pumps still enforces TTLs.
+        Maps what arrived since the ticket's last pump, across the anchor's
+        whole synthetic-query history, so results survive re-optimization
+        remaps mid-flight and a pump costs O(new rows), not O(log).
+        Schedule this against the sim runtime (e.g. once per smallest
+        epoch) or call it after a run to drain everything at once.  Also
+        sweeps expired leases, so a deployment that only ever pumps still
+        enforces TTLs.
         """
         with self._lock:
             self._ensure_alive()
@@ -1481,34 +1495,16 @@ class QueryService:
                     continue
                 anchor = ticket.anchor
                 assert anchor is not None
-                seen = self._delivered[ticket_id]
-                for synthetic in self.optimizer.synthetic_history(anchor.qid):
-                    if anchor.is_acquisition:
-                        items = mapper.acquisition_rows(anchor, synthetic)
-                        keyed = [((r.epoch_time, r.origin), r) for r in items]
-                    else:
-                        items = mapper.aggregation_results(anchor, synthetic)
-                        if synthetic.is_acquisition:
-                            # Derived aggregates are recomputed from raw
-                            # rows that pipeline in for up to a full epoch
-                            # after sampling.  Emitting an epoch on first
-                            # sight would freeze a partial answer (the
-                            # delivered-set below never re-emits a key), so
-                            # hold each epoch until the watermark passes it.
-                            items = [a for a in items
-                                     if a.epoch_time + anchor.epoch_ms <= now]
-                        keyed = [((a.epoch_time, a.group_key), a)
-                                 for a in items]
-                    for key, item in keyed:
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        for subscriber in subscribers:
-                            try:
-                                subscriber.put_nowait(item)
-                                pushed += 1
-                            except queue.Full:
-                                dropped += 1
+                for item in mapper.unseen(
+                        anchor, self.optimizer.synthetic_history(anchor.qid),
+                        self._cursors[ticket_id], now):
+                    for subscriber in subscribers:
+                        try:
+                            subscriber.put_nowait(item)
+                            pushed += 1
+                        except queue.Full:
+                            dropped += 1
+            self._m_mapped.inc(mapper.items_mapped)
             self._m_delivered.inc(pushed)
             if dropped:
                 self._m_res["subscriber_drops"].inc(dropped)

@@ -41,14 +41,22 @@ class ResultLog:
         # qid -> callbacks fired on every *new* (non-duplicate) arrival.
         self._row_subscribers: Dict[int, List] = {}
         self._aggregate_subscribers: Dict[int, List] = {}
+        # The log is append-only: per query, rows and first-seen
+        # (epoch, group) partial entries keep their arrival order forever,
+        # so a reader that remembers how many it has consumed can ask for
+        # just the rest (:meth:`rows_since`, :meth:`partial_keys_since`).
         self._rows: Dict[int, List[ResultRow]] = {}
+        # (qid, epoch) -> origin -> row, in arrival order: the duplicate
+        # check and the per-epoch read are both one lookup.
+        self._epoch_rows: Dict[Tuple[int, float], Dict[int, ResultRow]] = {}
         # (qid, epoch) -> group key -> keyed partial map.  Ungrouped
         # queries live entirely under the empty group key ().
         self._partials: Dict[
             Tuple[int, float],
             Dict[Tuple[float, ...], Dict[tuple, PartialAggregate]],
         ] = {}
-        self._agg_epochs: Dict[int, List[float]] = {}
+        self._partial_keys: Dict[
+            int, List[Tuple[float, Tuple[float, ...]]]] = {}
 
     # ------------------------------------------------------------------
     # Recording
@@ -61,12 +69,12 @@ class ResultLog:
         row along two DAG branches or QoS multipath duplicates it — are
         dropped so answers stay exact (the first arrival defines latency).
         """
-        rows = self._rows.setdefault(qid, [])
-        for existing in rows:
-            if existing.epoch_time == epoch_time and existing.origin == origin:
-                return
+        epoch_rows = self._epoch_rows.setdefault((qid, epoch_time), {})
+        if origin in epoch_rows:
+            return
         row = ResultRow(epoch_time, origin, dict(values), received_at)
-        rows.append(row)
+        epoch_rows[origin] = row
+        self._rows.setdefault(qid, []).append(row)
         for callback in self._row_subscribers.get(qid, ()):
             callback(row)
 
@@ -85,14 +93,13 @@ class ResultLog:
         """Merge received partial aggregates for (query, epoch, group)."""
         key = (qid, epoch_time)
         incoming = {p.key: p for p in partials}
-        groups = self._partials.get(key)
-        if groups is None:
-            self._partials[key] = {group_key: incoming}
-            self._agg_epochs.setdefault(qid, []).append(epoch_time)
-        elif group_key in groups:
+        groups = self._partials.setdefault(key, {})
+        if group_key in groups:
             groups[group_key] = merge_partial_maps(groups[group_key], incoming)
         else:
             groups[group_key] = incoming
+            self._partial_keys.setdefault(qid, []).append(
+                (epoch_time, group_key))
         for callback in self._aggregate_subscribers.get(qid, ()):
             callback(epoch_time, group_key,
                      dict(self._partials[key][group_key]))
@@ -102,10 +109,13 @@ class ResultLog:
     # ------------------------------------------------------------------
     def rows(self, qid: int, epoch_time: Optional[float] = None) -> List[ResultRow]:
         """All rows for a query, optionally restricted to one epoch."""
-        rows = self._rows.get(qid, [])
         if epoch_time is None:
-            return list(rows)
-        return [r for r in rows if r.epoch_time == epoch_time]
+            return list(self._rows.get(qid, ()))
+        return list(self._epoch_rows.get((qid, epoch_time), {}).values())
+
+    def rows_since(self, qid: int, start: int) -> List[ResultRow]:
+        """Rows recorded for a query after its first ``start``, in order."""
+        return self._rows.get(qid, [])[start:]
 
     def row_epochs(self, qid: int) -> List[float]:
         """Distinct epoch times with at least one row, ascending."""
@@ -113,7 +123,14 @@ class ResultLog:
 
     def aggregate_epochs(self, qid: int) -> List[float]:
         """Epoch times with at least one partial aggregate, ascending."""
-        return sorted(self._agg_epochs.get(qid, ()))
+        return sorted({epoch for epoch, _ in self._partial_keys.get(qid, ())})
+
+    def partial_keys_since(
+            self, qid: int,
+            start: int) -> List[Tuple[float, Tuple[float, ...]]]:
+        """``(epoch, group key)`` buckets of a query in first-arrival
+        order, skipping the first ``start``."""
+        return self._partial_keys.get(qid, [])[start:]
 
     def aggregate(self, qid: int, epoch_time: float, aggregate: Aggregate,
                   group_key: Tuple[float, ...] = ()) -> Optional[float]:

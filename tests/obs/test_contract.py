@@ -199,6 +199,15 @@ def test_every_exported_family_is_documented(exported_families):
         f"CHANGES.md)")
 
 
+def test_read_path_has_an_attempts_and_a_useful_counter(exported_families):
+    """`pump`'s mapped-vs-delivered ratio needs both series, by name."""
+    doc = CONTRACT_DOC.read_text(encoding="utf-8")
+    for name in ("service.pump_items_mapped_total",
+                 "service.results_delivered_total"):
+        assert name in exported_families
+        assert f"`{name}` | C | `instance`" in doc
+
+
 def test_documented_span_names_exported():
     doc = CONTRACT_DOC.read_text(encoding="utf-8")
     assert "radio.tx" in doc

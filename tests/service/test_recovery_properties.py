@@ -12,7 +12,7 @@ cache, optimizer table) as never crashing at all.
 import shutil
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.basestation import BaseStationOptimizer
@@ -148,6 +148,12 @@ class TestPrefixCrashParity:
     @given(ops=st.lists(_op, min_size=1, max_size=24),
            crash_frac=st.floats(0.0, 1.0),
            snapshot_every_ops=st.sampled_from([0, 3]))
+    # A cancelled submission must not leave a tombstone in the batcher: the
+    # snapshot at op 3 has none, so only the live service saw a due window
+    # and journaled the final tick.
+    @example(ops=[("open", 0), ("submit", 0, 0, False), ("close", 0),
+                  ("open", 0), ("tick", 0)],
+             crash_frac=0.75, snapshot_every_ops=3)
     def test_any_prefix_crash_recovers_to_uncrashed_state(
             self, ops, crash_frac, snapshot_every_ops):
         crash_at = round(crash_frac * len(ops))
