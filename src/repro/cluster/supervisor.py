@@ -326,4 +326,7 @@ class ShardSupervisor:
             return
         self._stop.set()
         self._thread.join(timeout=5.0)
+        if self._thread.is_alive():
+            raise RuntimeError(
+                "shard-supervisor thread still running 5 s after stop()")
         self._thread = None

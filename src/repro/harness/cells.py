@@ -148,12 +148,6 @@ class CellSpec:
     #: Explicit seed; ``None`` derives one from the stable cell hash.
     seed: Optional[int] = None
     drain_ms: float = DEFAULT_DRAIN_MS
-    #: Execute on the vectorized fast path (:mod:`repro.sim.fastpath`)?
-    #: Both paths produce bit-identical results, so this knob is
-    #: **excluded** from the canonical encoding — a cell's cache identity
-    #: and derived seed never depend on how it was executed.  ``None``
-    #: defers to the ``REPRO_FASTPATH`` environment variable (default on).
-    fastpath: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.config is None:
@@ -174,8 +168,7 @@ class CellSpec:
         with fresh_qids():
             workload = self.workload.build()
             return run_workload(self.strategy, workload,
-                                self.resolved_config(), self.drain_ms,
-                                fastpath=self.fastpath)
+                                self.resolved_config(), self.drain_ms)
 
 
 @dataclass(frozen=True, eq=True)
@@ -236,10 +229,6 @@ def canonical_cell_dict(spec: AnyCell) -> Dict[str, object]:
     # asdict flattens nested dataclasses to dicts already; re-sort via
     # _canonical_value above.  Tag the cell kind so a packet cell and a
     # tier-1 cell that happened to share field values can never collide.
-    # Execution knobs that cannot change the result (the fastpath toggle
-    # is bit-identical by contract) are excluded: what a cell computes is
-    # its identity, how it was computed is not.
-    payload.pop("fastpath", None)
     payload["__cell__"] = type(spec).__name__
     payload["__canonical_version__"] = CANONICAL_VERSION
     return payload

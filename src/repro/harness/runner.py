@@ -114,15 +114,9 @@ def run_workload(
     workload: Workload,
     config: Optional[DeploymentConfig] = None,
     drain_ms: float = DEFAULT_DRAIN_MS,
-    fastpath: Optional[bool] = None,
 ) -> RunResult:
-    """Simulate ``workload`` under ``strategy`` and return the measurements.
-
-    ``fastpath`` selects the vectorized execution path (default on, see
-    :mod:`repro.sim.fastpath`); results are bit-identical either way.
-    """
-    return run_workload_live(strategy, workload, config, drain_ms,
-                             fastpath=fastpath).result
+    """Simulate ``workload`` under ``strategy`` and return the measurements."""
+    return run_workload_live(strategy, workload, config, drain_ms).result
 
 
 def run_workload_live(
@@ -130,11 +124,10 @@ def run_workload_live(
     workload: Workload,
     config: Optional[DeploymentConfig] = None,
     drain_ms: float = DEFAULT_DRAIN_MS,
-    fastpath: Optional[bool] = None,
 ) -> LiveRun:
     """Like :func:`run_workload` but also hand back the live deployment."""
     config = config or DeploymentConfig()
-    deployment = Deployment(strategy, config, fastpath=fastpath)
+    deployment = Deployment(strategy, config)
     sim = deployment.sim
 
     for event in workload.events:
@@ -209,13 +202,11 @@ def run_all_strategies(
     config: Optional[DeploymentConfig] = None,
     strategies: Optional[tuple] = None,
     drain_ms: float = DEFAULT_DRAIN_MS,
-    fastpath: Optional[bool] = None,
 ) -> Dict[Strategy, RunResult]:
     """Run the same workload under several strategies (Figure 3's matrix)."""
     chosen = strategies or (Strategy.BASELINE, Strategy.BS_ONLY,
                             Strategy.INNET_ONLY, Strategy.TTMQO)
-    return {s: run_workload(s, workload, config, drain_ms, fastpath=fastpath)
-            for s in chosen}
+    return {s: run_workload(s, workload, config, drain_ms) for s in chosen}
 
 
 def run_all_strategies_live(
@@ -223,11 +214,9 @@ def run_all_strategies_live(
     config: Optional[DeploymentConfig] = None,
     strategies: Optional[tuple] = None,
     drain_ms: float = DEFAULT_DRAIN_MS,
-    fastpath: Optional[bool] = None,
 ) -> Dict[Strategy, LiveRun]:
     """Like :func:`run_all_strategies`, keeping each live deployment."""
     chosen = strategies or (Strategy.BASELINE, Strategy.BS_ONLY,
                             Strategy.INNET_ONLY, Strategy.TTMQO)
-    return {s: run_workload_live(s, workload, config, drain_ms,
-                                 fastpath=fastpath)
+    return {s: run_workload_live(s, workload, config, drain_ms)
             for s in chosen}

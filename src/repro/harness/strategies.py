@@ -85,8 +85,7 @@ class Deployment:
     """One assembled simulation with a strategy-specific control plane."""
 
     def __init__(self, strategy: Strategy, config: DeploymentConfig,
-                 topology: Optional[Topology] = None,
-                 fastpath: Optional[bool] = None) -> None:
+                 topology: Optional[Topology] = None) -> None:
         self.strategy = strategy
         self.config = config
         #: An explicit topology overrides the default grid — the cluster
@@ -96,13 +95,9 @@ class Deployment:
                                             quality_seed=config.seed))
         self.world = config.build_world(self.topology)
         self.tree = RoutingTree.build(self.topology)
-        # ``fastpath`` is deliberately *not* a DeploymentConfig field:
-        # both execution paths produce bit-identical results, so the knob
-        # must never leak into canonical cell hashes or derived seeds.
         self.sim = Simulation(self.topology, world=self.world,
                               radio_params=config.radio_params,
-                              mac_params=config.mac_params, seed=config.seed,
-                              fastpath=fastpath)
+                              mac_params=config.mac_params, seed=config.seed)
         self.user_queries: Dict[int, Query] = {}
         self.optimizer: Optional[BaseStationOptimizer] = None
 

@@ -104,6 +104,15 @@ class ReplicationConfig:
 _Item = Tuple[int, str, dict]
 
 
+def _join(thread: threading.Thread, timeout_s: float) -> None:
+    """Join ``thread``; one that is still running has leaked, so say so."""
+    thread.join(timeout=timeout_s)
+    if thread.is_alive():
+        raise RuntimeError(
+            f"thread {thread.name!r} still running {timeout_s} s after "
+            f"it was told to stop")
+
+
 class PrimaryReplicator:
     """Ships the primary's WAL records and snapshots to one standby.
 
@@ -206,7 +215,7 @@ class PrimaryReplicator:
                 flush_timeout_s)
             self._stopping = True
             self._cond.notify_all()
-        self._thread.join(timeout=flush_timeout_s)
+        _join(self._thread, flush_timeout_s)
 
     def kill(self) -> None:
         """Die without flushing (chaos hook: the primary's node is gone)."""
@@ -214,7 +223,7 @@ class PrimaryReplicator:
             self._stopping = True
             self._queue.clear()
             self._cond.notify_all()
-        self._thread.join(timeout=5.0)
+        _join(self._thread, 5.0)
 
     # -- shipper thread --------------------------------------------------
     def _connect(self) -> Optional[socket.socket]:
@@ -446,8 +455,14 @@ class StandbyServer:
             except OSError:
                 pass
             conn.close()
+        # close() alone does not wake a thread blocked in accept() on
+        # Linux, and the port would keep accepting; shutdown() does.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._listener.close()
-        self._thread.join(timeout=5.0)
+        _join(self._thread, 5.0)
 
     def promote(self, backend, **recover_kwargs):
         """Stop following and bring the directory up as a live service.

@@ -31,9 +31,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, TYPE_CHECKING
+from typing import Callable, Dict, Optional, Set, Tuple, TYPE_CHECKING
 
-from . import fastpath as _fastpath
 from .engine import EventQueue
 from .messages import Message
 
@@ -130,17 +129,26 @@ class RadioParams:
         return self.c_start + self.c_trans * length_bytes
 
 
+def ge_link_seed(seed: int, src: int, dst: int) -> int:
+    """The deterministic RNG seed of one directed link's loss chain.
+
+    Each link owns an independent stream so loss patterns never depend on
+    global transmission order.
+    """
+    return (seed << 16) ^ (src * 0x1F123BB5) ^ (dst * 0x9E3779B1) ^ 0x6E110B
+
+
 @dataclass
 class _Transmission:
     src: int
     msg: Message
-    start: float
     end: float
-    #: Fastpath-only fields: the sender's topology row, plus the bitsets
-    #: accumulated incrementally while the frame is on the air — the
-    #: union of overlapping transmitters (``overlap_self``) and of their
-    #: adjacency rows (``overlap_adj``).  See ``Channel.transmit``.
-    row: int = -1
+    #: The sender's own bit and the bits of the nodes in range of it.
+    bit: int
+    adj: int
+    #: Bitsets accumulated while the frame is on the air: the union of the
+    #: overlapping transmitters' ``bit`` (``overlap_self``) and of their
+    #: ``adj`` (``overlap_adj``).  See ``Channel.transmit``.
     overlap_adj: int = 0
     overlap_self: int = 0
 
@@ -165,51 +173,71 @@ class Channel:
 
     Nodes register receive hooks; the MAC layer calls :meth:`transmit` after
     carrier sensing via :meth:`is_busy_at`.
+
+    The topology is frozen at construction into Python-int bitsets, one bit
+    per node: carrier sensing and collision classification are then single
+    integer ANDs, and which frames overlap is accumulated while they are on
+    the air instead of being searched for when one completes.
+    ``docs/performance.md`` gives the invariants and the measurements
+    behind the representation.
     """
 
     def __init__(self, engine: EventQueue, topology: "Topology",
                  params: Optional[RadioParams] = None,
                  trace: Optional["TraceCollector"] = None,
-                 seed: int = 0, obs: Optional["SimObs"] = None,
-                 fastpath: Optional[bool] = None) -> None:
+                 seed: int = 0, obs: Optional["SimObs"] = None) -> None:
         self._engine = engine
-        self._topology = topology
         self.params = params or RadioParams()
         self._trace = trace
         self._obs = obs
-        self._history: List[_Transmission] = []
         self._active: Dict[int, _Transmission] = {}
         # node id -> (receive hook, radio-on query)
         self._receivers: Dict[int, Callable[[Message], None]] = {}
         self._radio_on: Dict[int, Callable[[], bool]] = {}
         self._loss_rng = random.Random((seed << 8) ^ 0x10551)
         self._seed = seed
-        # Gilbert–Elliott state, lazily created per *directed* link.  Each
-        # link owns its RNG (seeded from (seed, src, dst)) so loss patterns
-        # are independent of global transmission order — the same link sees
-        # the same fade sequence regardless of what other nodes do.
-        self._link_bad: Dict["tuple[int, int]", bool] = {}
-        self._link_rngs: Dict["tuple[int, int]", random.Random] = {}
+        # Frozen topology.  ``_bit[u]`` is node u's own bit (ids ranked in
+        # ascending order), ``_adj_bits[u]`` the bits of the nodes in range
+        # of u (symmetric, own bit clear), ``_cover_bits[u]`` their union:
+        # the senders u's carrier sense hears, itself included.
+        ids = topology.node_ids
+        neighbors = {u: tuple(sorted(topology.neighbors[u])) for u in ids}
+        bit = self._bit = {u: 1 << i for i, u in enumerate(ids)}
+        self._adj_bits: Dict[int, int] = {
+            u: sum(bit[v] for v in neighbors[u]) for u in ids}
+        self._cover_bits: Dict[int, int] = {
+            u: self._adj_bits[u] | bit[u] for u in ids}
+        # Per sender, (receiver id, receiver bit) in ascending receiver id:
+        # the delivery fan-out order, which the loss models' RNG
+        # consumption and every receive log depend on.
+        self._neighbor_pairs: Dict[int, Tuple[Tuple[int, int], ...]] = {
+            u: tuple((v, bit[v]) for v in neighbors[u]) for u in ids}
+        # Bit u set iff node u has a frame on the air right now (a node
+        # never has two at once, so one bit per node suffices).
+        self._active_bits = 0
+        # Gilbert–Elliott state per *directed* in-range link, enumerated in
+        # (src, dst) ascending order; 1 = bad.  Each link owns its RNG
+        # (seeded by ``ge_link_seed``, created on first use) so loss
+        # patterns are independent of global transmission order — the same
+        # link sees the same fade sequence regardless of what other nodes
+        # do.
+        self._edge_index: Dict[Tuple[int, int], int] = {
+            link: edge for edge, link in enumerate(
+                (u, v) for u in ids for v in neighbors[u])}
+        self._ge_bad = bytearray(len(self._edge_index))
+        self._link_rngs: Dict[Tuple[int, int], random.Random] = {}
         # True while neither loss model can consume RNG state: lets the
-        # fast path skip the per-receiver loss probe entirely.
+        # fan-out skip the per-receiver loss probe entirely.
         self._lossless = (self.params.loss_rate <= 0.0
                           and self.params.burst is None)
-        # Vectorized fast path (bit-identical to the object path; see
-        # repro.sim.fastpath).  Built when requested and numpy is present,
-        # otherwise every hot method falls back to the object code.
-        self._fast: Optional[_fastpath.ChannelState] = None
-        if _fastpath.resolve_enabled(fastpath) and _fastpath.HAVE_NUMPY:
-            arrays = _fastpath.build_arrays(topology, seed=seed)
-            if arrays is not None:
-                self._fast = _fastpath.ChannelState(arrays)
         # Per-frame-length airtime cache: frame lengths cluster on a few
         # payload shapes, so this avoids two float ops per transmission.
         self._airtime_cache: Dict[int, float] = {}
-        # Fastpath fan-out tables: per sender row, a tuple of
-        # (receiver id, receiver row bit, radio_on callable, receive
-        # hook) resolved once instead of two dict lookups per delivery.
-        # Rebuilt lazily whenever a node (re-)attaches.
-        self._fanout_tables: Optional[tuple] = None
+        # Fan-out tables: per sender, a tuple of (receiver id, receiver
+        # bit, radio_on callable, receive hook) resolved once instead of
+        # two dict lookups per delivery.  Rebuilt lazily whenever a node
+        # (re-)attaches.
+        self._fanout_tables: Optional[Dict[int, tuple]] = None
 
     # ------------------------------------------------------------------
     # Registration
@@ -225,15 +253,8 @@ class Channel:
     # Carrier sensing / transmission
     # ------------------------------------------------------------------
     def is_busy_at(self, node_id: int) -> bool:
-        """Carrier sense: is any in-range node currently transmitting?"""
-        if self._fast is not None:
-            return self._fast.is_busy(node_id)
-        if node_id in self._active:
-            return True
-        for src in self._active:
-            if self._topology.in_range(node_id, src):
-                return True
-        return False
+        """Carrier sense: is this node or any in-range node transmitting?"""
+        return bool(self._active_bits & self._cover_bits[node_id])
 
     def is_transmitting(self, node_id: int) -> bool:
         """Is this node's own frame currently on the air?"""
@@ -255,32 +276,24 @@ class Channel:
             duration = self._airtime_cache[length] = \
                 self.params.airtime_ms(length)
         now = self._engine.now
-        record = _Transmission(src=src, msg=msg, start=now, end=now + duration)
-        fast = self._fast
-        if fast is not None:
-            # Incremental overlap tracking: two frames overlap iff the
-            # earlier one is still on the air when the later starts, so
-            # accumulating bitsets at transmit time sees exactly the
-            # pairs the object path finds by scanning history at
-            # completion time.  Records whose ``end == now`` do not
-            # overlap (the predicate is strict) and are skipped.
-            arrays = fast.arrays
-            adj_bits = arrays.adj_bits
-            row_bit = arrays.row_bit
-            row = record.row = arrays.index[src]
-            my_adj = adj_bits[row]
-            my_bit = row_bit[row]
-            for other in self._active.values():
-                if other.end <= now:
-                    continue
-                other.overlap_adj |= my_adj
-                other.overlap_self |= my_bit
-                record.overlap_adj |= adj_bits[other.row]
-                record.overlap_self |= row_bit[other.row]
-            fast.begin_tx(row)
-        else:
-            self._history.append(record)
+        bit = self._bit[src]
+        adj = self._adj_bits[src]
+        record = _Transmission(src=src, msg=msg, end=now + duration,
+                               bit=bit, adj=adj)
+        # Two frames overlap iff the earlier one is still on the air when
+        # the later starts, so updating both records here sees exactly the
+        # pairs whose intervals intersect.  A record whose ``end == now``
+        # is still in ``_active`` only because its completion event has
+        # not run yet; it does not overlap (the predicate is strict).
+        for other in self._active.values():
+            if other.end <= now:
+                continue
+            other.overlap_adj |= adj
+            other.overlap_self |= bit
+            record.overlap_adj |= other.adj
+            record.overlap_self |= other.bit
         self._active[src] = record
+        self._active_bits |= bit
         if self._trace is not None:
             self._trace.record_transmission(src, msg, duration)
         if self._obs is not None:
@@ -293,72 +306,18 @@ class Channel:
     # ------------------------------------------------------------------
     def _complete(self, record: _Transmission,
                   on_complete: Callable[[DeliveryReport], None]) -> None:
-        del self._active[record.src]
-        fast = self._fast
-        report = DeliveryReport(msg=record.msg)
-        destinations = record.msg.destinations()
+        """Take the frame off the air and classify every candidate receiver.
 
-        delivery_hooks: "list[Callable[[Message], None]]" = []
-        delivery_order: "list[int]" = []
-        if fast is not None:
-            fast.end_tx(record.row)
-            self._fanout_fast(record, report, delivery_hooks)
-        else:
-            for receiver in sorted(self._topology.neighbors[record.src]):
-                ok, collided = self._receives(receiver, record)
-                if ok:
-                    model = self._channel_loss(record.src, receiver)
-                    if model is not None:
-                        ok = False
-                        report.lost.add(receiver)
-                        if self._obs is not None:
-                            self._obs.on_link_loss(record.src, receiver, model)
-                if ok:
-                    report.received.add(receiver)
-                    delivery_order.append(receiver)
-                elif collided:
-                    report.collided.add(receiver)
-
-        if destinations is not None:
-            report.failed_destinations = set(destinations) - report.received
-        if self._trace is not None and report.collided:
-            self._trace.record_collision(record.msg, report.collided)
-        if self._obs is not None and report.collided:
-            self._obs.on_collision(len(report.collided))
-
-        # Deliver after the report is fully built so the sender's MAC and the
-        # receivers observe a consistent ordering.  Both fan-out paths
-        # deliver in ascending receiver id — the same order the original
-        # ``sorted(report.received)`` produced (the fastpath resolves the
-        # hooks up front, the object path looks them up here).
-        msg = record.msg
-        if fast is not None:
-            for hook in delivery_hooks:
-                hook(msg)
-        else:
-            receivers = self._receivers
-            for receiver in delivery_order:
-                hook = receivers.get(receiver)
-                if hook is not None:
-                    hook(msg)
-        on_complete(report)
-        if fast is None:
-            self._prune_history()
-
-    def _fanout_fast(self, record: _Transmission, report: DeliveryReport,
-                     delivery_hooks: "list[Callable[[Message], None]]",
-                     ) -> None:
-        """Bitset delivery fan-out (bit-identical to the object path).
-
-        The object path probes ``Topology.in_range`` once per (receiver,
-        overlapping transmission) pair.  Here the overlapping-transmitter
-        bitsets were accumulated while the frame was on the air (see
-        :meth:`transmit`), so each sorted candidate receiver classifies
-        with two single int ANDs: against the overlapping transmitters
-        themselves (half-duplex) and against the union of their adjacency
-        rows (collision).  Receiver power callables and delivery hooks
-        come pre-resolved from the fan-out table.
+        The candidates are the sender's neighbours in ascending id.  The
+        bitsets accumulated in :meth:`transmit` classify each with two int
+        ANDs: against the overlapping transmitters themselves
+        (half-duplex) and against the union of their adjacency rows
+        (collision).
         """
+        del self._active[record.src]
+        self._active_bits &= ~record.bit
+        msg = record.msg
+        report = DeliveryReport(msg=msg)
         tables = self._fanout_tables
         if tables is None:
             tables = self._build_fanout_tables()
@@ -367,8 +326,9 @@ class Channel:
         lossless = self._lossless
         received = report.received
         collided = report.collided
+        delivery_hooks: "list[Callable[[Message], None]]" = []
         deliver = delivery_hooks.append
-        for receiver, rbit, on, hook in tables[record.row]:
+        for receiver, rbit, on, hook in tables[record.src]:
             if rbit & self_bits:
                 continue  # half-duplex: was transmitting itself
             if on is not None and not on():
@@ -387,21 +347,35 @@ class Channel:
             if hook is not None:
                 deliver(hook)
 
-    def _build_fanout_tables(self) -> tuple:
-        """Resolve per-sender-row delivery tables against attached nodes.
+        destinations = msg.destinations()
+        if destinations is not None:
+            report.failed_destinations = set(destinations) - received
+        if self._trace is not None and collided:
+            self._trace.record_collision(msg, collided)
+        if self._obs is not None and collided:
+            self._obs.on_collision(len(collided))
 
-        Row ``i`` holds ``(receiver id, receiver row bit, radio_on
-        callable or None, receive hook or None)`` for each neighbor in
+        # Deliver after the report is fully built so the sender's MAC and the
+        # receivers observe a consistent ordering: ascending receiver id.
+        for hook in delivery_hooks:
+            hook(msg)
+        on_complete(report)
+
+    def _build_fanout_tables(self) -> Dict[int, tuple]:
+        """Resolve per-sender delivery tables against attached nodes.
+
+        Entry ``u`` holds ``(receiver id, receiver bit, radio_on callable
+        or None, receive hook or None)`` for each neighbor of ``u`` in
         ascending id order.  The callables a node registers via
         :meth:`attach` are stable for its lifetime, and :meth:`attach`
         invalidates the tables, so resolving them once is safe.
         """
         receivers = self._receivers
         radio_on = self._radio_on
-        self._fanout_tables = tables = tuple(
-            tuple((v, bit, radio_on.get(v), receivers.get(v))
-                  for v, bit in pairs)
-            for pairs in self._fast.arrays.neighbor_pairs)
+        self._fanout_tables = tables = {
+            u: tuple((v, bit, radio_on.get(v), receivers.get(v))
+                     for v, bit in pairs)
+            for u, pairs in self._neighbor_pairs.items()}
         return tables
 
     def _channel_loss(self, src: int, receiver: int) -> Optional[str]:
@@ -418,54 +392,19 @@ class Channel:
         return None
 
     def _burst_loss(self, src: int, receiver: int) -> bool:
-        """Advance the link's Gilbert–Elliott chain one frame; lost?
-
-        Both paths seed each directed link identically
-        (:func:`repro.sim.fastpath.ge_link_seed`); the fast path keeps the
-        chain state in the precomputed edge-table array instead of a dict.
-        """
+        """Advance the link's Gilbert–Elliott chain one frame; lost?"""
         burst = self.params.burst
         link = (src, receiver)
         rng = self._link_rngs.get(link)
         if rng is None:
             rng = self._link_rngs[link] = random.Random(
-                _fastpath.ge_link_seed(self._seed, src, receiver))
-        fast = self._fast
-        edge = fast.arrays.edge_index[link] if fast is not None else None
-        if edge is not None:
-            bad = bool(fast.ge_bad[edge])
-        else:
-            bad = self._link_bad.get(link, False)
+                ge_link_seed(self._seed, src, receiver))
+        edge = self._edge_index[link]
+        bad = self._ge_bad[edge]
         if bad:
             if rng.random() < burst.p_bad_to_good:
-                bad = False
+                bad = 0
         elif rng.random() < burst.p_good_to_bad:
-            bad = True
-        if edge is not None:
-            fast.ge_bad[edge] = bad
-        else:
-            self._link_bad[link] = bad
+            bad = 1
+        self._ge_bad[edge] = bad
         return rng.random() < (burst.loss_bad if bad else burst.loss_good)
-
-    def _receives(self, receiver: int, record: _Transmission) -> "tuple[bool, bool]":
-        """(received?, lost-to-collision?) for one candidate receiver."""
-        radio_on = self._radio_on.get(receiver)
-        if radio_on is not None and not radio_on():
-            return False, False  # radio powered down (sleep mode)
-        collided = False
-        for other in self._history:
-            if other is record or other.src == record.src:
-                continue
-            if other.end <= record.start or other.start >= record.end:
-                continue  # no temporal overlap
-            if other.src == receiver:
-                return False, False  # half-duplex: was transmitting itself
-            if self._topology.in_range(receiver, other.src):
-                collided = True
-        return not collided, collided
-
-    def _prune_history(self) -> None:
-        """Drop finished transmissions that can no longer overlap anything."""
-        horizon = min((t.start for t in self._active.values()),
-                      default=self._engine.now)
-        self._history = [t for t in self._history if t.end > horizon]

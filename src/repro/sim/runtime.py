@@ -37,7 +37,6 @@ class Simulation:
         radio_params: Optional[RadioParams] = None,
         mac_params: Optional[MacParams] = None,
         seed: int = 0,
-        fastpath: Optional[bool] = None,
     ) -> None:
         self.topology = topology
         self.world = world
@@ -49,12 +48,8 @@ class Simulation:
         #: time on the engine's virtual clock (never the wall clock, so
         #: instrumented runs stay bit-identically deterministic).
         self.obs = SimObs(clock=lambda: self.engine.now)
-        #: ``fastpath`` selects the vectorized channel path (default on;
-        #: ``None`` defers to ``REPRO_FASTPATH``).  Results are
-        #: bit-identical either way, so it is an execution knob, not part
-        #: of any cell's cache identity.
         self.channel = Channel(self.engine, topology, radio_params, self.trace,
-                               seed=seed, obs=self.obs, fastpath=fastpath)
+                               seed=seed, obs=self.obs)
         self.nodes: Dict[int, SensorNode] = {
             node_id: SensorNode(node_id, self.engine, self.channel, topology,
                                 self.trace, mac_params, seed=seed,

@@ -54,6 +54,12 @@ class TestDetection:
                 assert supervisor.poll() == []
             assert supervisor.incidents == []
             assert not coordinator.down_shards
+            # The wall-clock thread is that loop on a timer; stop() ends it.
+            supervisor.start()
+            thread = supervisor._thread
+            supervisor.stop()
+            assert not thread.is_alive()
+            assert supervisor.incidents == []
 
     def test_detects_only_after_the_deadline(self, tmp_path):
         clock = {"t": 0.0}

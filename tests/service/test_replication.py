@@ -45,6 +45,14 @@ def make_pair(tmp_path, sync=True, **config_kwargs):
     return service, replicator, standby
 
 
+def stop_pair(replicator, standby):
+    """Stop both ends; a thread that outlives stop() has leaked."""
+    replicator.stop()
+    standby.stop()
+    assert not replicator._thread.is_alive()
+    assert not standby._thread.is_alive()
+
+
 def wait_for(predicate, timeout_s=10.0, interval_s=0.01):
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
@@ -61,8 +69,7 @@ class TestShipping:
             assert replicator.wait_acked(replicator.last_seq, timeout=10.0)
             assert standby.snapshot_path.exists()
         finally:
-            replicator.stop()
-            standby.stop()
+            stop_pair(replicator, standby)
             service.shutdown()
 
     def test_every_op_reaches_the_standby_wal(self, tmp_path):
@@ -77,8 +84,7 @@ class TestShipping:
             ops = [record["op"] for record in records]
             assert ops == ["open", "submit", "submit"]
         finally:
-            replicator.stop()
-            standby.stop()
+            stop_pair(replicator, standby)
             service.shutdown()
 
     def test_snapshot_rotation_rotates_the_standby_wal(self, tmp_path):
@@ -92,8 +98,7 @@ class TestShipping:
             assert records == []  # rotated away under the shipped snapshot
             assert standby.snapshot_path.exists()
         finally:
-            replicator.stop()
-            standby.stop()
+            stop_pair(replicator, standby)
             service.shutdown()
 
     def test_ack_listener_fires_with_monotonic_seqs(self, tmp_path):
@@ -108,8 +113,7 @@ class TestShipping:
             assert wait_for(lambda: seen and seen[-1] >= replicator.last_seq)
             assert seen == sorted(seen)
         finally:
-            replicator.stop()
-            standby.stop()
+            stop_pair(replicator, standby)
             service.shutdown()
 
     def test_lag_metrics_converge_to_zero(self, tmp_path):
@@ -122,8 +126,7 @@ class TestShipping:
             assert replicator.acked_seq == replicator.last_seq
             assert standby.applied_seq == replicator.last_seq
         finally:
-            replicator.stop()
-            standby.stop()
+            stop_pair(replicator, standby)
             service.shutdown()
 
 
@@ -149,8 +152,7 @@ class TestReconnect:
             records, _ = WriteAheadLog.load(standby.wal_path)
             assert [r["op"] for r in records] == ["open", "submit"]
         finally:
-            replicator.stop()
-            standby.stop()
+            stop_pair(replicator, standby)
             service.shutdown()
 
     def test_dropped_connection_resends_without_double_apply(self, tmp_path):
@@ -173,8 +175,7 @@ class TestReconnect:
             # kept the resent suffix from double-applying.
             assert ops == ["open", "submit", "submit"]
         finally:
-            replicator.stop()
-            standby.stop()
+            stop_pair(replicator, standby)
             service.shutdown()
 
 
@@ -187,6 +188,7 @@ class TestPromotion:
         service.terminate(sid, tickets[1].ticket_id)
         assert replicator.wait_acked(replicator.last_seq, timeout=10.0)
         replicator.kill()
+        assert not replicator._thread.is_alive()
         service.simulate_crash()
 
         promoted = standby.promote(make_backend())
@@ -213,6 +215,7 @@ class TestPromotion:
         service.submit(sid, Q_LIGHT)
         assert replicator.wait_acked(replicator.last_seq, timeout=10.0)
         replicator.kill()
+        assert not replicator._thread.is_alive()
         service.simulate_crash()
 
         promoted = standby.promote(make_backend())
@@ -227,9 +230,11 @@ class TestPromotion:
         service, replicator, standby = make_pair(tmp_path)
         assert replicator.wait_acked(replicator.last_seq, timeout=10.0)
         replicator.kill()
+        assert not replicator._thread.is_alive()
         service.simulate_crash()
         promoted = standby.promote(make_backend())
         try:
+            assert not standby._thread.is_alive()
             # The listener is gone: a second promote would re-recover the
             # directory, which stays valid, but following has stopped.
             import socket as socket_module
@@ -265,6 +270,5 @@ class TestSemiSyncOrdering:
             assert not failures
             assert replicator.acked_seq == replicator.last_seq
         finally:
-            replicator.stop()
-            standby.stop()
+            stop_pair(replicator, standby)
             service.shutdown()

@@ -1,164 +1,101 @@
-"""Unit tests for the fastpath acceleration structures.
+"""Structural invariants of the channel's frozen topology bitsets.
 
-The fastpath's contract is *bit-identical results* — these tests pin the
-structural invariants that contract rests on: the bitsets agree with the
-numpy adjacency matrix, carrier sensing matches the object path's
-active-table scan, the Gilbert–Elliott seed table matches the object
-path's lazy seeding, and everything degrades gracefully without numpy.
+``Channel`` freezes the topology at construction into per-node Python-int
+bitsets (``sim/radio.py``).  Its results are pinned end to end by the
+golden traces and by the interval-overlap oracle in
+``test_fastpath_property.py``; these tests pin the structure those results
+rest on: the adjacency bits are ``Topology.in_range``, cover bits add the
+node itself, fan-out is in ascending receiver id, the Gilbert–Elliott edge
+table enumerates exactly the directed in-range links (the oracle replays
+each link's ``ge_link_seed`` stream), and carrier sensing is "this node or
+an in-range node is on the air".
 """
 
 import random
 
-import pytest
-
-from repro.sim import fastpath
 from repro.sim.engine import EventQueue
 from repro.sim.messages import BROADCAST, Message, MessageKind
 from repro.sim.network import Topology
-from repro.sim.radio import Channel
-
-pytestmark = pytest.mark.skipif(not fastpath.HAVE_NUMPY,
-                                reason="numpy not installed")
+from repro.sim.radio import Channel, ge_link_seed
 
 
 def _random_topology(seed: int, n: int = 12) -> Topology:
     return Topology.random(n, area_ft=120.0, seed=seed)
 
 
+def _channel(topo: Topology, **kwargs) -> Channel:
+    return Channel(EventQueue(), topo, **kwargs)
+
+
 class TestTopologyArrays:
     def test_adjacency_matrix_mirrors_topology(self):
         topo = Topology.grid(4)
-        arrays = fastpath.build_arrays(topo)
+        channel = _channel(topo)
         for u in topo.node_ids:
             for v in topo.node_ids:
                 expected = u != v and topo.in_range(u, v)
-                assert bool(arrays.adj[arrays.index[u], arrays.index[v]]) \
+                assert bool(channel._adj_bits[u] & channel._bit[v]) \
                     == expected
 
     def test_bitsets_agree_with_adjacency_matrix(self):
-        """The cross-representation invariant: adj_bits is adj, row-wise."""
+        """One distinct bit per node, ranked by id; cover = adjacency + self."""
         topo = _random_topology(seed=7)
-        arrays = fastpath.build_arrays(topo)
-        for i in range(arrays.size):
-            expected = sum(1 << j for j in range(arrays.size)
-                           if arrays.adj[i, j])
-            assert arrays.adj_bits[i] == expected
-            assert arrays.cover_bits[i] == expected | (1 << i)
-            assert arrays.row_bit[i] == 1 << i
+        channel = _channel(topo)
+        for rank, node in enumerate(topo.node_ids):
+            assert channel._bit[node] == 1 << rank
+            assert channel._adj_bits[node] == sum(
+                channel._bit[v] for v in topo.neighbors[node])
+            assert channel._cover_bits[node] \
+                == channel._adj_bits[node] | channel._bit[node]
 
     def test_neighbor_ids_are_sorted_fanout_order(self):
         topo = _random_topology(seed=3)
-        arrays = fastpath.build_arrays(topo)
+        channel = _channel(topo)
         for node in topo.node_ids:
-            row = arrays.index[node]
-            assert list(arrays.neighbor_ids[row]) \
+            pairs = channel._neighbor_pairs[node]
+            assert [v for v, _ in pairs] == sorted(topo.neighbors[node])
+            for v, bit in pairs:
+                assert bit == channel._bit[v]
+        # The resolved delivery tables keep that order.
+        for node, table in channel._build_fanout_tables().items():
+            assert [entry[0] for entry in table] \
                 == sorted(topo.neighbors[node])
-            assert [v for v, _ in arrays.neighbor_pairs[row]] \
-                == list(arrays.neighbor_ids[row])
-            for v, bit in arrays.neighbor_pairs[row]:
-                assert bit == arrays.row_bit[arrays.index[v]]
 
-    def test_hop_vector_is_bfs_levels(self):
-        topo = Topology.grid(4)
-        arrays = fastpath.build_arrays(topo)
-        for node in topo.node_ids:
-            assert arrays.hops[arrays.index[node]] == topo.levels[node]
-
-    def test_collision_bits_agrees_with_collision_mask(self):
-        topo = _random_topology(seed=11)
-        arrays = fastpath.build_arrays(topo)
-        rng = random.Random(0)
-        for _ in range(20):
-            rows = rng.sample(range(arrays.size), rng.randint(1, 4))
-            mask = arrays.collision_mask(rows)
-            bits = arrays.collision_bits(rows)
-            for j in range(arrays.size):
-                assert bool(bits >> j & 1) == bool(mask[j])
-
-    def test_ge_seed_table_matches_object_path_seeding(self):
+    def test_edge_index_enumerates_directed_links_with_distinct_seeds(self):
+        """One Gilbert–Elliott slot and one RNG stream per directed link."""
         topo = _random_topology(seed=5)
-        seed = 42
-        arrays = fastpath.build_arrays(topo, seed=seed)
-        for (u, v), edge in arrays.edge_index.items():
-            assert arrays.ge_seeds[edge] == fastpath.ge_link_seed(seed, u, v)
-            assert topo.in_range(u, v)
+        channel = _channel(topo, seed=42)
+        links = [(u, v) for u in topo.node_ids
+                 for v in sorted(topo.neighbors[u])]
+        assert list(channel._edge_index) == links
+        assert list(channel._edge_index.values()) == list(range(len(links)))
+        assert len({ge_link_seed(42, u, v) for u, v in links}) == len(links)
 
 
 class TestChannelState:
-    def test_carrier_sense_matches_object_path(self):
-        """active_bits + cover_bits reproduce the active-table scan."""
+    def test_carrier_sense_is_self_or_in_range_sender_on_air(self):
         topo = _random_topology(seed=9)
-        arrays = fastpath.build_arrays(topo)
-        state = fastpath.ChannelState(arrays)
+        engine = EventQueue()
+        channel = Channel(engine, topo)
         rng = random.Random(1)
-        on_air = set()
-        for _ in range(100):
-            candidates = [n for n in topo.node_ids if n not in on_air]
-            if on_air and (not candidates or rng.random() < 0.5):
-                src = rng.choice(sorted(on_air))
-                on_air.discard(src)
-                state.end_tx(arrays.index[src])
-            else:
-                src = rng.choice(candidates)
-                on_air.add(src)
-                state.begin_tx(arrays.index[src])
+        for step in range(100):
+            engine.run_until(step * 3.0)
+            idle = [n for n in topo.node_ids
+                    if not channel.is_transmitting(n)]
+            if idle and rng.random() < 0.6:
+                src = rng.choice(idle)
+                channel.transmit(
+                    src, Message(MessageKind.RESULT, src, BROADCAST, None,
+                                 rng.randint(1, 40)), lambda report: None)
+            on_air = set(channel._active)
             for node in topo.node_ids:
                 expected = node in on_air or any(
                     topo.in_range(node, src) for src in on_air)
-                assert state.is_busy(node) == expected
+                assert channel.is_busy_at(node) == expected
+        engine.run_until(10_000.0)
+        assert channel._active_bits == 0
 
     def test_ge_state_starts_all_good(self):
-        arrays = fastpath.build_arrays(_random_topology(seed=2))
-        state = fastpath.ChannelState(arrays)
-        assert not any(state.ge_bad)
-        assert len(state.ge_bad) == len(arrays.ge_seeds)
-
-
-class TestGracefulFallback:
-    def test_build_arrays_returns_none_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(fastpath, "_np", None)
-        assert fastpath.build_arrays(Topology.grid(2)) is None
-
-    def test_channel_falls_back_to_object_path_without_numpy(
-            self, monkeypatch):
-        """No numpy -> the channel silently runs the object path."""
-        monkeypatch.setattr(fastpath, "HAVE_NUMPY", False)
-        engine = EventQueue()
-        topo = Topology.grid(2)
-        channel = Channel(engine, topo, fastpath=True)
-        assert channel._fast is None
-        got = []
-        for node in topo.node_ids:
-            channel.attach(node, got.append, lambda: True)
-        src = topo.node_ids[0]
-        msg = Message(MessageKind.RESULT, src, BROADCAST, None, 4)
-        reports = []
-        channel.transmit(src, msg, reports.append)
-        engine.run_until(1000.0)
-        assert reports and reports[0].received \
-            == set(topo.neighbors[src])
-
-    def test_topology_arrays_refuses_construction_without_numpy(
-            self, monkeypatch):
-        monkeypatch.setattr(fastpath, "_np", None)
-        with pytest.raises(RuntimeError):
-            fastpath.TopologyArrays(Topology.grid(2))
-
-
-class TestResolveEnabled:
-    def test_explicit_flag_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FASTPATH", "0")
-        assert fastpath.resolve_enabled(True) is True
-        monkeypatch.setenv("REPRO_FASTPATH", "1")
-        assert fastpath.resolve_enabled(False) is False
-
-    def test_env_disables_default(self, monkeypatch):
-        for value in ("0", "false", "OFF", "no"):
-            monkeypatch.setenv("REPRO_FASTPATH", value)
-            assert fastpath.resolve_enabled(None) is False
-
-    def test_default_is_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FASTPATH", raising=False)
-        assert fastpath.resolve_enabled(None) is True
-        monkeypatch.setenv("REPRO_FASTPATH", "1")
-        assert fastpath.resolve_enabled(None) is True
+        channel = _channel(_random_topology(seed=2))
+        assert not any(channel._ge_bad)
+        assert len(channel._ge_bad) == len(channel._edge_index)

@@ -1,31 +1,34 @@
-"""Hypothesis property: fastpath and object-path deliveries agree.
+"""Hypothesis property: the channel agrees with a brute-force oracle.
 
-The differential suite (``tests/harness/test_fastpath_differential``)
-compares whole harness runs on the fixed experiment grids; this module
-attacks the same contract from below with randomized *channel-level*
-schedules hypothesis can shrink: random topologies, random transmission
-timings (including deliberate same-instant cohorts that collide), random
-addressing modes, sleeping nodes, and randomized Bernoulli/Gilbert–Elliott
-loss parameters.  For every generated scenario the two paths must produce
-the same delivery reports and the same per-node receive logs — sets,
-order, and timestamps all equal.
+The golden traces (``tests/harness/test_golden_trace``) pin whole harness
+runs on fixed cells; this module attacks the same contract from below with
+randomized *channel-level* schedules hypothesis can shrink: random
+topologies, random transmission timings (including deliberate same-instant
+cohorts that collide), random addressing modes, sleeping nodes, and
+randomized Bernoulli/Gilbert–Elliott loss parameters.
+
+The reference is :func:`_oracle`, written here and sharing no state with
+``Channel``: it sees only the list of frames that went on the air and
+decides every delivery by comparing intervals pairwise.  For every
+generated scenario the channel must produce the oracle's delivery reports
+and per-node receive logs — sets, order, and timestamps all equal.
 """
 
 from __future__ import annotations
 
+import random
+from typing import NamedTuple
+
 import pytest
 
-from repro.sim import fastpath
 from repro.sim.engine import EventQueue
 from repro.sim.messages import BROADCAST, Message, MessageKind
 from repro.sim.network import Topology
-from repro.sim.radio import Channel, GilbertElliottParams, RadioParams
+from repro.sim.radio import (Channel, GilbertElliottParams, RadioParams,
+                             ge_link_seed)
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
-
-pytestmark = pytest.mark.skipif(not fastpath.HAVE_NUMPY,
-                                reason="numpy not installed")
 
 # -- strategies --------------------------------------------------------
 probabilities = st.floats(min_value=0.0, max_value=0.95,
@@ -65,15 +68,80 @@ scenarios = st.fixed_dictionaries({
 })
 
 
-def _run(scenario, use_fastpath: bool):
-    """Execute one scenario on the chosen path; return its observable log."""
+class _Frame(NamedTuple):
+    """One frame that actually went on the air."""
+
+    src: int
+    msg: Message
+    start: float
+    end: float
+
+
+def _oracle(topo, asleep, params, seed, frames):
+    """Expected (receive log, delivery reports) by pairwise interval overlap.
+
+    A frame reaches the neighbours of its sender, minus radios that are
+    off, minus nodes that transmitted during an overlapping interval
+    (half-duplex), minus nodes in range of any other overlapping sender
+    (collision), minus what the loss models then eat.  Frames complete in
+    ``end`` order with FIFO ties (``frames`` is in transmit order and the
+    sort is stable); receivers are probed in ascending id, which fixes
+    the order both loss models consume their seeded streams in.
+    """
+    loss_rng = random.Random((seed << 8) ^ 0x10551)
+    link_rngs, link_bad = {}, {}
+
+    def lost(src, node):
+        if params.loss_rate > 0.0 and loss_rng.random() < params.loss_rate:
+            return True
+        burst = params.burst
+        if burst is None:
+            return False
+        link = (src, node)
+        rng = link_rngs.get(link)
+        if rng is None:
+            rng = link_rngs[link] = random.Random(
+                ge_link_seed(seed, src, node))
+        if link_bad.get(link, False):
+            bad = not rng.random() < burst.p_bad_to_good
+        else:
+            bad = rng.random() < burst.p_good_to_bad
+        link_bad[link] = bad
+        return rng.random() < (burst.loss_bad if bad else burst.loss_good)
+
+    received, reports = [], []
+    for frame in sorted(frames, key=lambda f: f.end):
+        others = [o for o in frames if o is not frame
+                  and o.start < frame.end and frame.start < o.end]
+        got, collided, eaten = [], [], []
+        for node in sorted(topo.neighbors[frame.src]):
+            if node in asleep or any(o.src == node for o in others):
+                continue
+            if any(topo.in_range(node, o.src) for o in others):
+                collided.append(node)
+            elif lost(frame.src, node):
+                eaten.append(node)
+            else:
+                got.append(node)
+        destinations = frame.msg.destinations()
+        failed = sorted(set(destinations) - set(got)) \
+            if destinations is not None else []
+        received.extend((frame.end, node, frame.src, frame.msg.payload)
+                        for node in got)
+        reports.append((frame.end, frame.msg.payload, tuple(got),
+                        tuple(failed), tuple(collided), tuple(eaten)))
+    return received, reports
+
+
+def _run(scenario):
+    """Execute one scenario; return what went on the air and what came of it."""
     topo = Topology.random(scenario["n_nodes"], area_ft=120.0,
                            seed=scenario["topo_seed"])
     engine = EventQueue()
     channel = Channel(engine, topo, params=scenario["params"],
-                      seed=scenario["channel_seed"], fastpath=use_fastpath)
-    assert (channel._fast is not None) == use_fastpath
+                      seed=scenario["channel_seed"])
 
+    frames = []
     received = []
     reports = []
     asleep = {topo.node_ids[i % len(topo.node_ids)]
@@ -86,7 +154,7 @@ def _run(scenario, use_fastpath: bool):
 
     def fire(src, dst_draw, payload_bytes, tag):
         if channel.is_transmitting(src):
-            return  # identical guard on both paths: a dict lookup
+            return
         # Destination draw: ~half broadcast, ~quarter unicast to a random
         # node, ~quarter multicast to a small id set.
         mode = dst_draw % 4
@@ -106,7 +174,8 @@ def _run(scenario, use_fastpath: bool):
                             tuple(sorted(report.failed_destinations)),
                             tuple(sorted(report.collided)),
                             tuple(sorted(report.lost))))
-        channel.transmit(src, msg, on_complete)
+        airtime = channel.transmit(src, msg, on_complete)
+        frames.append(_Frame(src, msg, engine.now, engine.now + airtime))
 
     for tag, (slot, src_draw, dst_draw, payload_bytes) in \
             enumerate(scenario["schedule"]):
@@ -114,41 +183,40 @@ def _run(scenario, use_fastpath: bool):
         engine.schedule(slot * 5.0, fire, src, dst_draw, payload_bytes, tag)
     engine.run_until(10_000.0)
     assert not channel._active
-    return received, reports
+    return topo, asleep, frames, received, reports
 
 
 @given(scenario=scenarios)
 @settings(max_examples=60, deadline=None)
 def test_paths_deliver_identically(scenario):
-    assert _run(scenario, use_fastpath=False) \
-        == _run(scenario, use_fastpath=True)
+    """Channel and oracle: two paths to the same reports and receive logs."""
+    topo, asleep, frames, received, reports = _run(scenario)
+    assert (received, reports) == _oracle(
+        topo, asleep, scenario["params"], scenario["channel_seed"], frames)
 
 
 @given(scenario=scenarios)
 @settings(max_examples=25, deadline=None)
 def test_carrier_sense_agrees_under_load(scenario):
-    """is_busy_at must agree at every node while traffic is in flight."""
+    """is_busy_at == this node or an in-range node has a frame on the air."""
     topo = Topology.random(scenario["n_nodes"], area_ft=120.0,
                            seed=scenario["topo_seed"])
-
-    def build(use_fastpath):
-        engine = EventQueue()
-        channel = Channel(engine, topo, params=scenario["params"],
-                          seed=scenario["channel_seed"],
-                          fastpath=use_fastpath)
-        for node in topo.node_ids:
-            channel.attach(node, lambda msg: None, lambda: True)
-        return engine, channel
-
-    eng_obj, chan_obj = build(False)
-    eng_fast, chan_fast = build(True)
-    for slot, src_draw, _, payload_bytes in scenario["schedule"]:
+    engine = EventQueue()
+    channel = Channel(engine, topo, params=scenario["params"],
+                      seed=scenario["channel_seed"])
+    for node in topo.node_ids:
+        channel.attach(node, lambda msg: None, lambda: True)
+    frames = []
+    for slot, src_draw, _, payload_bytes in sorted(scenario["schedule"]):
         src = topo.node_ids[src_draw % len(topo.node_ids)]
-        for engine, channel in ((eng_obj, chan_obj), (eng_fast, chan_fast)):
-            engine.run_until(slot * 5.0)
-            if not channel.is_transmitting(src):
-                msg = Message(MessageKind.RESULT, src, BROADCAST, None,
-                              payload_bytes)
-                channel.transmit(src, msg, lambda report: None)
-        assert [chan_obj.is_busy_at(n) for n in topo.node_ids] \
-            == [chan_fast.is_busy_at(n) for n in topo.node_ids]
+        engine.run_until(slot * 5.0)
+        now = engine.now
+        if not channel.is_transmitting(src):
+            msg = Message(MessageKind.RESULT, src, BROADCAST, None,
+                          payload_bytes)
+            airtime = channel.transmit(src, msg, lambda report: None)
+            frames.append(_Frame(src, msg, now, now + airtime))
+        on_air = {f.src for f in frames if f.start <= now < f.end}
+        assert [channel.is_busy_at(n) for n in topo.node_ids] \
+            == [n in on_air or any(topo.in_range(n, s) for s in on_air)
+                for n in topo.node_ids]

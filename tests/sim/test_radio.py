@@ -129,6 +129,19 @@ class TestCollisions:
         h.engine.run_until(100.0)
         assert len(h.received[1]) == 2
 
+    def test_frame_starting_the_instant_another_ends_does_not_collide(self):
+        # The second send is queued first, so it runs while the first frame
+        # is still in the active table with end == now: touching intervals
+        # do not overlap.
+        h = _Harness(_line_topology(3))
+        first_end = h.channel.params.airtime_ms(
+            Message(MessageKind.RESULT, 0, BROADCAST, None, 10).length_bytes)
+        h.engine.schedule(first_end, h.send, 2)
+        h.send(0)
+        h.engine.run_until(100.0)
+        assert len(h.received[1]) == 2
+        assert h.trace.collisions == 0
+
     def test_out_of_range_concurrent_transmissions_ok(self):
         # 0-1-2-3: 0->1 and 3->2 overlap but interferers are out of range.
         h = _Harness(_line_topology(4))
