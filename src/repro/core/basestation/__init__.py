@@ -4,6 +4,7 @@ from .cost_model import CostModel, NetworkProfile
 from .insertion import insert_query
 from .optimizer import BaseStationOptimizer, DEFAULT_ALPHA, NetworkActions
 from .query_table import (
+    CountFields,
     QueryTable,
     SyntheticQueryRecord,
     SyntheticStatus,
@@ -28,6 +29,7 @@ __all__ = [
     "BaseStationOptimizer",
     "BenefitAssessment",
     "CostModel",
+    "CountFields",
     "DEFAULT_ALPHA",
     "DeliveryCursor",
     "MappedAggregates",

@@ -86,6 +86,11 @@ class CostModel:
         self.profile = profile
         self.distributions = distributions
 
+    @property
+    def version(self) -> int:
+        """Statistics version: a stored ``cost(q)`` holds while it stands."""
+        return self.distributions.version
+
     # ------------------------------------------------------------------
     # Eq. (1)
     # ------------------------------------------------------------------

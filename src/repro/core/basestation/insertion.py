@@ -64,9 +64,7 @@ def insert_query(query: Query, from_map: Dict[int, Query], table: QueryTable,
     if best_assessment.is_cover:
         for user_query in from_map.values():
             update_count(best_record, user_query, increment=True)
-            user = table.user.get(user_query.qid)
-            if user is not None:
-                user.synthetic_qid = best_record.qid
+            table.assign(user_query.qid, best_record.qid)
         return best_record
 
     # 0 < rate < 1: Integrate, then recursively re-insert the merged query.

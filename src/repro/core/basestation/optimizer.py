@@ -208,14 +208,15 @@ class BaseStationOptimizer:
     def total_synthetic_cost(self) -> float:
         """Modelled per-ms transmission cost of the running synthetic set."""
         with self.lock:
-            return sum(self.cost_model.cost(q)
-                       for q in self.synthetic_queries())
+            return sum(record.cost(self.cost_model)
+                       for _, record in sorted(self.table.synthetic.items()))
 
     def total_user_cost(self) -> float:
         """Modelled cost had every user query run unoptimized."""
         with self.lock:
-            return sum(self.cost_model.cost(r.query)
-                       for r in self.table.user.values())
+            return sum(
+                self.table.synthetic_for(qid).member_costs(self.cost_model)[qid]
+                for qid in self.table.user)
 
     def total_benefit(self) -> float:
         """Current modelled saving: sum of per-synthetic-query benefits."""
@@ -299,15 +300,15 @@ class BaseStationOptimizer:
         return set(self.table.synthetic)
 
     def _record_mappings(self) -> None:
-        for user_qid, user in self.table.user.items():
-            if user.synthetic_qid is None:
+        for user_qid in self.table.take_remapped():
+            synthetic_qid = self.table.user[user_qid].synthetic_qid
+            if synthetic_qid is None:
                 continue
             history = self._mapping_history.setdefault(user_qid, [])
-            if not history or history[-1] != user.synthetic_qid:
-                history.append(user.synthetic_qid)
+            if not history or history[-1] != synthetic_qid:
+                history.append(synthetic_qid)
             self._synthetic_snapshots.setdefault(
-                user.synthetic_qid,
-                self.table.synthetic[user.synthetic_qid].query)
+                synthetic_qid, self.table.synthetic[synthetic_qid].query)
 
     def _diff(self, before: Set[int]) -> NetworkActions:
         after = set(self.table.synthetic)

@@ -11,8 +11,7 @@ terms of (Section 3.1.3):
 * ``Integrate(q_id, q_i)`` — builds the merged synthetic query and its
   combined from_list;
 * ``UpdateCount(q, sqid, flag)`` — adds/removes a user query's
-  contribution to a synthetic query's count fields (counts here are derived
-  from the from_list, so updating membership *is* the count update).
+  contribution to a synthetic query's from_list and count fields.
 """
 
 from __future__ import annotations
@@ -80,8 +79,8 @@ def update_count(record: SyntheticQueryRecord, user_query: Query,
                  increment: bool) -> None:
     """The paper's ``UpdateCount``: adjust a user query's contribution.
 
-    Counts are derived from from_list membership, so incrementing means
-    adding the query to the from_list and decrementing means removing it.
+    Incrementing adds the query to the from_list and decrementing removes
+    it; the record moves its count fields along.
     """
     if increment:
         record.add_user_query(user_query)

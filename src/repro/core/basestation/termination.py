@@ -28,9 +28,15 @@ from .rewriter import update_count
 
 
 def synthetic_benefit(record: SyntheticQueryRecord, cost_model: CostModel) -> float:
-    """The record's *benefit* field: gain vs running its user queries alone."""
-    individual = sum(cost_model.cost(q) for q in record.from_list.values())
-    return individual - cost_model.cost(record.query)
+    """The record's *benefit* field: gain vs running its user queries alone.
+
+    Summed over the stored member costs in from_list order on every call: a
+    running sum would drift by an ulp per add/subtract and flip near-tie
+    alpha decisions.
+    """
+    costs = record.member_costs(cost_model)
+    individual = sum(map(costs.__getitem__, record.from_list))
+    return individual - record.cost(cost_model)
 
 
 def terminate_query(user_qid: int, table: QueryTable, cost_model: CostModel,
@@ -46,6 +52,7 @@ def terminate_query(user_qid: int, table: QueryTable, cost_model: CostModel,
     # sq_old.benefit, evaluated while q still contributes (the algorithm
     # compares cost(q) against the benefit of the *old* synthetic query).
     old_benefit = synthetic_benefit(record, cost_model)
+    user_cost = record.member_costs(cost_model)[user_qid]
 
     update_count(record, user.query, increment=False)
 
@@ -59,7 +66,7 @@ def terminate_query(user_qid: int, table: QueryTable, cost_model: CostModel,
         # everything sq_old requests.  Nothing changes in the network.
         return
 
-    if cost_model.cost(user.query) <= old_benefit * alpha:
+    if user_cost <= old_benefit * alpha:
         # Keep sq_old unchanged: the over-requested data costs less than
         # alpha times the benefit the synthetic query still provides.
         return
@@ -68,6 +75,6 @@ def terminate_query(user_qid: int, table: QueryTable, cost_model: CostModel,
     table.remove_synthetic(record.qid)
     survivors: List[Query] = sorted(record.from_list.values(), key=lambda q: q.qid)
     for query in survivors:
-        table.user[query.qid].synthetic_qid = None
+        table.assign(query.qid, None)
     for query in survivors:
         insert_query(query, {query.qid: query}, table, cost_model)

@@ -50,33 +50,49 @@ class QoSRegistry:
 
     Tier-1 keeps user-query classes and derives each synthetic query's
     class as the strongest among its members, re-deriving whenever the
-    membership changes.
+    membership changes.  Every user query is BEST_EFFORT unless it is in
+    the RELIABLE set, so a synthetic query is reliable exactly when its
+    members meet that set — no best-effort member is ever looked at.
     """
 
     def __init__(self) -> None:
-        self._user: Dict[int, QoSClass] = {}
+        self._reliable_users: Set[int] = set()
         self._synthetic: Dict[int, QoSClass] = {}
 
     # ------------------------------------------------------------------
     # User queries
     # ------------------------------------------------------------------
     def register_user(self, qid: int, qos: QoSClass) -> None:
-        self._user[qid] = qos
+        if qos is QoSClass.RELIABLE:
+            self._reliable_users.add(qid)
+        else:
+            self._reliable_users.discard(qid)
 
     def forget_user(self, qid: int) -> None:
-        self._user.pop(qid, None)
+        self._reliable_users.discard(qid)
 
     def user_class(self, qid: int) -> QoSClass:
-        return self._user.get(qid, QoSClass.BEST_EFFORT)
+        return (QoSClass.RELIABLE if qid in self._reliable_users
+                else QoSClass.BEST_EFFORT)
 
     # ------------------------------------------------------------------
     # Synthetic queries
     # ------------------------------------------------------------------
     def derive_synthetic(self, synthetic_qid: int,
                          member_qids: Iterable[int]) -> QoSClass:
-        qos = strongest(self.user_class(qid) for qid in member_qids)
+        qos = self._strongest_among(frozenset(member_qids))
         self._synthetic[synthetic_qid] = qos
         return qos
+
+    def _strongest_among(self, member_qids) -> QoSClass:
+        """RELIABLE iff the set-like ``member_qids`` holds a RELIABLE user.
+
+        A set or key view walks the smaller side, so a from_list costs
+        O(reliable users) — O(1) while nobody is RELIABLE.
+        """
+        if member_qids.isdisjoint(self._reliable_users):
+            return QoSClass.BEST_EFFORT
+        return QoSClass.RELIABLE
 
     def forget_synthetic(self, qid: int) -> None:
         self._synthetic.pop(qid, None)
@@ -97,15 +113,13 @@ class QoSRegistry:
         optimizer and the base-station app; swapping the object would
         leave the network flooding stale classes.
         """
-        self._user.clear()
+        self._reliable_users.clear()
         self._synthetic.clear()
-        self._user.update(user_classes or {})
+        for qid, qos in (user_classes or {}).items():
+            self.register_user(qid, qos)
 
     def sync_with_table(self, table) -> None:
         """Re-derive every synthetic class from a tier-1 query table."""
-        current = set(table.synthetic)
-        for qid in list(self._synthetic):
-            if qid not in current:
-                self.forget_synthetic(qid)
-        for qid, record in table.synthetic.items():
-            self.derive_synthetic(qid, record.from_list.keys())
+        self._synthetic = {
+            qid: self._strongest_among(record.from_list.keys())
+            for qid, record in table.synthetic.items()}

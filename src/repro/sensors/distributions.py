@@ -30,8 +30,12 @@ class Distribution:
     def probability(self, lo: float, hi: float) -> float:
         raise NotImplementedError
 
-    def observe(self, value: float) -> None:
-        """Feed an observed reading (no-op for analytic distributions)."""
+    def observe(self, value: float) -> bool:
+        """Feed an observed reading; True if estimates may have changed.
+
+        Analytic distributions learn nothing and return False.
+        """
+        return False
 
 
 @dataclass(frozen=True)
@@ -48,9 +52,6 @@ class UniformDistribution(Distribution):
         if clipped_hi <= clipped_lo:
             return 0.0
         return (clipped_hi - clipped_lo) / self.spec.span
-
-    def observe(self, value: float) -> None:  # analytic: nothing to learn
-        pass
 
 
 class HistogramDistribution(Distribution):
@@ -72,10 +73,11 @@ class HistogramDistribution(Distribution):
     def n_buckets(self) -> int:
         return len(self._counts)
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float) -> bool:
         idx = self._bucket(value)
         self._counts[idx] += 1.0
         self._total += 1.0
+        return True
 
     def probability(self, lo: float, hi: float) -> float:
         clipped_lo = max(lo, self.spec.lo)
@@ -108,6 +110,11 @@ class DistributionSet:
 
     def __init__(self, distributions: Mapping[str, Distribution]) -> None:
         self._distributions: Dict[str, Distribution] = dict(distributions)
+        #: Bumped whenever an observation changed some estimate, so a cost
+        #: derived from these statistics can be stored and told stale.
+        #: Readings must therefore arrive through :meth:`observe` here, not
+        #: through a member distribution.
+        self.version = 0
 
     @classmethod
     def uniform(cls, specs: Mapping[str, AttributeSpec]) -> "DistributionSet":
@@ -127,8 +134,8 @@ class DistributionSet:
 
     def observe(self, attribute: str, value: float) -> None:
         dist = self._distributions.get(attribute)
-        if dist is not None:
-            dist.observe(value)
+        if dist is not None and dist.observe(value):
+            self.version += 1
 
     def __contains__(self, attribute: str) -> bool:
         return attribute in self._distributions

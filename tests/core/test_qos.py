@@ -44,6 +44,25 @@ class TestRegistry:
         registry.forget_user(1)
         assert registry.reliable_qids() == set()
 
+    def test_re_registering_best_effort_downgrades_the_user(self):
+        registry = QoSRegistry()
+        registry.register_user(1, QoSClass.RELIABLE)
+        registry.register_user(1, QoSClass.BEST_EFFORT)
+        assert registry.user_class(1) is QoSClass.BEST_EFFORT
+        assert registry.derive_synthetic(100, [1]) is QoSClass.BEST_EFFORT
+
+    def test_reset_rebuilds_the_reliable_set(self):
+        registry = QoSRegistry()
+        registry.register_user(1, QoSClass.RELIABLE)
+        registry.derive_synthetic(100, [1])
+        registry.reset({2: QoSClass.RELIABLE, 3: QoSClass.BEST_EFFORT})
+        assert registry.reliable_qids() == set()
+        assert registry.user_class(1) is QoSClass.BEST_EFFORT
+        assert registry.user_class(2) is QoSClass.RELIABLE
+        assert registry.user_class(3) is QoSClass.BEST_EFFORT
+        assert registry.derive_synthetic(101, [1, 3]) is QoSClass.BEST_EFFORT
+        assert registry.derive_synthetic(102, [2, 3]) is QoSClass.RELIABLE
+
 
 class TestOptimizerIntegration:
     def test_reliability_propagates_through_merges(self, paper_cost_model):
@@ -73,6 +92,28 @@ class TestOptimizerIntegration:
         remaining = optimizer.synthetic_queries()[0]
         assert optimizer.qos_registry.synthetic_class(
             remaining.qid) is QoSClass.BEST_EFFORT
+
+    def test_only_the_last_reliable_member_leaving_downgrades(
+            self, paper_cost_model):
+        from repro.core.basestation import BaseStationOptimizer
+        from repro.queries.ast import Query
+
+        optimizer = BaseStationOptimizer(paper_cost_model, alpha=0.6)
+        registry = optimizer.qos_registry
+        members = [Query.acquisition(["light"], epoch_ms=4096)
+                   for _ in range(4)]
+        for query, qos in zip(members, [QoSClass.BEST_EFFORT,
+                                        QoSClass.RELIABLE,
+                                        QoSClass.RELIABLE,
+                                        QoSClass.BEST_EFFORT]):
+            optimizer.register(query, qos=qos)
+        (synthetic,) = optimizer.synthetic_queries()
+        assert registry.reliable_qids() == {synthetic.qid}
+        optimizer.terminate(members[1].qid)
+        assert registry.reliable_qids() == {synthetic.qid}
+        optimizer.terminate(members[2].qid)
+        assert registry.reliable_qids() == set()
+        assert optimizer.synthetic_count() == 1
 
 
 class TestMultipathDelivery:

@@ -5,7 +5,6 @@ import pytest
 from repro.core.basestation.query_table import (
     QueryTable,
     SyntheticQueryRecord,
-    SyntheticStatus,
 )
 from repro.queries.ast import Aggregate, AggregateOp, Query
 from repro.queries.predicates import Interval, PredicateSet
@@ -138,11 +137,3 @@ class TestTableInvariants:
     def test_remove_synthetic_unknown_raises(self):
         with pytest.raises(KeyError):
             QueryTable().remove_synthetic(7)
-
-    def test_running_synthetic_excludes_aborted(self):
-        table = QueryTable()
-        record = SyntheticQueryRecord(_acq(0, 100, 4096))
-        table.add_synthetic(record)
-        assert table.running_synthetic() == [record]
-        record.flag = SyntheticStatus.ABORTED
-        assert table.running_synthetic() == []
