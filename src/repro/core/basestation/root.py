@@ -67,10 +67,6 @@ class RootPlan:
     #: Shards ruled out by region pruning, ascending.
     pruned: Tuple[int, ...]
 
-    @property
-    def spans_shards(self) -> bool:
-        return len(self.targets) > 1
-
 
 def decompose_for_fan_out(canonical: Query) -> Query:
     """The mergeable form of an aggregation query for multi-shard fan-out.
@@ -108,10 +104,6 @@ class RootRewriter:
         if not extents:
             raise ValueError("root rewriter needs at least one region")
         self._extents = tuple(sorted(extents, key=lambda e: e.shard_id))
-
-    @property
-    def n_regions(self) -> int:
-        return len(self._extents)
 
     def plan(self, query: Query) -> RootPlan:
         """Canonicalize, prune regions, and pick the fan-out form."""

@@ -28,10 +28,6 @@ class LevelBreakdown:
     sleep_ms: float
 
     @property
-    def frames_per_node(self) -> float:
-        return self.frames / self.node_count if self.node_count else 0.0
-
-    @property
     def tx_time_per_node_ms(self) -> float:
         return self.tx_time_ms / self.node_count if self.node_count else 0.0
 

@@ -3,30 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, Iterable, List, Mapping
 
+from ..obs.registry import percentile
 from .runner import RunResult
 from .strategies import Strategy
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """The ``q``-th percentile (0..100) by linear interpolation.
-
-    Used for the service layer's admission-latency p50/p95 and usable on
-    any latency/size sample.  Returns 0.0 for an empty sample.
-    """
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile must be in [0, 100] (got {q})")
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (q / 100.0) * (len(ordered) - 1)
-    lower = int(rank)
-    upper = min(lower + 1, len(ordered) - 1)
-    fraction = rank - lower
-    return ordered[lower] + (ordered[upper] - ordered[lower]) * fraction
 
 
 def percent_savings(baseline: float, optimized: float) -> float:

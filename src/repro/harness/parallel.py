@@ -214,13 +214,6 @@ class SweepReport:
         """The per-cell results, in the sweep's canonical cell order."""
         return [cell.result for cell in self.cells]
 
-    def result_for(self, spec: AnyCell) -> AnyResult:
-        """The result of the (first) cell equal to ``spec``."""
-        for cell in self.cells:
-            if cell.spec == spec:
-                return cell.result
-        raise KeyError(f"no cell matching {spec!r}")
-
 
 ProgressCallback = Callable[[CellResult, SweepTelemetry], None]
 

@@ -15,10 +15,11 @@ the result and the :class:`Deployment` handle.
 
 At the end of every run the measured scalars are also published to the
 current metrics registry: each :class:`RunResult` field becomes a
-``run.*`` gauge (labelled by strategy and workload), the radio
-accountant's energy gauges are finalised, and per-query mean row
-latencies are exported — all bit-identical to the ``RunResult`` itself
-(see ``docs/observability.md``).
+``run.*`` gauge (labelled by strategy and workload), the radio ledger
+sets the ``sim.energy.*`` gauges as it computes
+``RunResult.average_energy_mj``, and per-query mean row latencies are
+exported — all the very values the ``RunResult`` carries (see
+``docs/observability.md``).
 """
 
 from __future__ import annotations
@@ -170,18 +171,9 @@ def _export_run_metrics(result: RunResult, deployment: Deployment) -> None:
     """Publish the finished run into the current metrics registry.
 
     Every numeric :class:`RunResult` field becomes a ``run.*`` gauge with
-    the exact value the result carries; the radio accountant's energy
-    gauges are finalised with the same model and elapsed time the trace
-    collector used, so ``sim.energy.avg_node_mj`` equals
-    ``RunResult.average_energy_mj`` bit-for-bit.
+    the exact value the result carries.
     """
-    obs = getattr(deployment.sim, "obs", None)
-    if obs is None:
-        return
-    sim = deployment.sim
-    obs.radio.finalize_energy(
-        sim.topology.node_ids, EnergyModel(), sim.trace.elapsed_ms,
-        include_base_station=sim.topology.base_station)
+    obs = deployment.sim.obs
     labels = {"strategy": result.strategy.name,
               "workload": result.workload_description}
     for name, value in sorted(result.to_dict().items()):

@@ -1,12 +1,12 @@
 """repro.obs — the unified observability layer (S10).
 
 One process-wide metrics registry (counters, gauges, histograms with
-p50/p95), a structured span/trace API on injected clocks, and
-energy/latency accountants that translate simulator radio events into the
-paper's cost-model units.  Every other layer records here:
+p50/p95), a structured span/trace API on injected clocks, and the
+end-to-end latency accountant.  Every other layer records here:
 
-* ``repro.sim`` (radio, MAC, nodes) — frames, airtime, collisions,
-  retransmissions, drops, sleep, per-frame ``radio.tx`` spans;
+* ``repro.sim`` — its radio ledger (``sim.trace.TraceCollector``) emits
+  frames, airtime, collisions, retransmissions, drops, sleep and energy
+  in the paper's cost-model units, plus per-frame ``radio.tx`` spans;
 * ``repro.tinydb`` (base station) — control floods, delivered results,
   per-query end-to-end latency;
 * ``repro.core`` (tier-1 optimizer) — registrations, terminations,
@@ -24,7 +24,7 @@ randomness, so instrumentation never perturbs the repository's
 bit-identical determinism guarantees.
 """
 
-from .accounting import LatencyAccountant, RadioAccountant, SimObs
+from .accounting import LatencyAccountant, SimObs
 from .export import render_json, render_prometheus, render_text
 from .registry import (
     Counter,
@@ -46,7 +46,6 @@ __all__ = [
     "Histogram",
     "LatencyAccountant",
     "MetricsRegistry",
-    "RadioAccountant",
     "SimObs",
     "Span",
     "Tracer",

@@ -1,176 +1,21 @@
-"""Energy/latency accounting: map radio events to the paper's cost units.
+"""Latency accounting and the simulation's observability bundle.
 
-The paper's cost model prices one hop at ``C_start + C_trans * len`` ms of
-radio time (Eq. 3) and its evaluation charges every transmitted frame to
-the sending node.  :class:`RadioAccountant` consumes exactly the events
-the simulator's radio/MAC/node stack emits — frame on air, collision,
-retransmission, drop, sleep — and turns them into registry metrics in
-those units: frames, bytes, airtime milliseconds, and (through a supplied
-energy model) per-node millijoules.
-
-The arithmetic deliberately mirrors :class:`repro.sim.trace.TraceCollector`
-operation-for-operation — same accumulation order, same float additions —
-so the exported energy gauges are **bit-identical** to the values
-``RunResult`` reports.  The energy model is injected (anything with an
-``energy_mj(tx_ms, sleep_ms, elapsed_ms)`` method, normally
-:class:`repro.sim.trace.EnergyModel`); this module never imports the
-simulator, keeping ``repro.obs`` a dependency-free leaf layer.
-
-:class:`LatencyAccountant` does the same for end-to-end result latency:
-the base station observes ``arrival_time - epoch_time`` per delivered row
-or aggregate, labelled by query id.
+:class:`LatencyAccountant` records end-to-end result latency: the base
+station observes ``arrival_time - epoch_time`` per delivered row or
+aggregate, labelled by query id.  :class:`SimObs` bundles it with the
+registry and a virtual-clock tracer for one simulation.  Radio events are
+not accounted here: the simulation's one radio ledger is
+:class:`repro.sim.trace.TraceCollector`, which increments the ``sim.*``
+series itself.  This module never imports the simulator, keeping
+``repro.obs`` a dependency-free leaf layer.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from .registry import Counter, Histogram, MetricsRegistry, get_registry
+from .registry import Histogram, MetricsRegistry, get_registry
 from .spans import Tracer
-
-
-class RadioAccountant:
-    """Accumulates radio activity into cost-model-unit metrics.
-
-    Per-node accumulators back the energy computation; aggregate counters
-    (``sim.radio.*``, ``sim.mac.*``) back the exported totals.  Counter
-    handles are cached per (node, kind) so the per-frame hot path is a
-    dict lookup, not a registry lookup.
-    """
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else get_registry()
-        self.tx_ms: Dict[int, float] = {}
-        self.sleep_ms: Dict[int, float] = {}
-        self._frame_counters: Dict[str, Counter] = {}
-        self._byte_counters: Dict[str, Counter] = {}
-        self._airtime_counters: Dict[str, Counter] = {}
-        self._node_tx: Dict[int, Counter] = {}
-        self._node_sleep: Dict[int, Counter] = {}
-        self._collisions = self.registry.counter(
-            "sim.radio.collisions_total",
-            help="receivers that lost a frame to a collision")
-        self._retx = self.registry.counter(
-            "sim.mac.retransmissions_total",
-            help="link-layer retransmissions of acknowledged frames")
-        self._link_losses: Dict[str, Counter] = {}
-
-    # -- event hooks (called by the sim layers) ------------------------
-    def record_tx(self, node_id: int, kind: str, length_bytes: int,
-                  airtime_ms: float) -> None:
-        """One frame on the air: Eq. 3 charges it ``airtime_ms`` of radio."""
-        self.tx_ms[node_id] = self.tx_ms.get(node_id, 0.0) + airtime_ms
-        frames = self._frame_counters.get(kind)
-        if frames is None:
-            frames = self._frame_counters[kind] = self.registry.counter(
-                "sim.radio.tx_frames_total",
-                help="frames put on air (retransmissions count again)",
-                kind=kind)
-            self._byte_counters[kind] = self.registry.counter(
-                "sim.radio.tx_bytes_total", help="frame bytes put on air",
-                unit="bytes", kind=kind)
-            self._airtime_counters[kind] = self.registry.counter(
-                "sim.radio.airtime_ms_total",
-                help="channel time C_start + C_trans*len (Eq. 3)",
-                unit="ms", kind=kind)
-        frames.inc()
-        self._byte_counters[kind].inc(length_bytes)
-        self._airtime_counters[kind].inc(airtime_ms)
-        node_tx = self._node_tx.get(node_id)
-        if node_tx is None:
-            node_tx = self._node_tx[node_id] = self.registry.counter(
-                "sim.node.tx_ms_total", help="per-node radio transmit time",
-                unit="ms", node=node_id)
-        node_tx.inc(airtime_ms)
-
-    def frames_by_kind(self) -> Dict[str, int]:
-        """Frames transmitted per wire kind (``query``/``result``/...).
-
-        Read-only view over the ``sim.radio.frames_total`` counters; the
-        planner's statistics collector samples it to measure the control
-        overhead riding on top of result traffic.
-        """
-        return {kind: int(counter.value)
-                for kind, counter in self._frame_counters.items()}
-
-    def airtime_by_kind(self) -> Dict[str, float]:
-        """Radio airtime (ms) per wire kind — companion to
-        :meth:`frames_by_kind`, backing ``sim.radio.airtime_ms_total``."""
-        return {kind: counter.value
-                for kind, counter in self._airtime_counters.items()}
-
-    def record_collision(self, receivers: int) -> None:
-        self._collisions.inc(receivers)
-
-    def record_link_loss(self, model: str) -> None:
-        counter = self._link_losses.get(model)
-        if counter is None:
-            counter = self._link_losses[model] = self.registry.counter(
-                "sim.radio.link_losses_total",
-                help="frames eaten by the channel loss models",
-                model=model)
-        counter.inc()
-
-    def record_retransmission(self, node_id: int) -> None:
-        self._retx.inc()
-
-    def record_drop(self, node_id: int, reason: str) -> None:
-        self.registry.counter(
-            "sim.mac.dropped_frames_total",
-            help="frames abandoned by the MAC", reason=reason).inc()
-
-    def record_sleep(self, node_id: int, duration_ms: float) -> None:
-        self.sleep_ms[node_id] = self.sleep_ms.get(node_id, 0.0) + duration_ms
-        node_sleep = self._node_sleep.get(node_id)
-        if node_sleep is None:
-            node_sleep = self._node_sleep[node_id] = self.registry.counter(
-                "sim.node.sleep_ms_total", help="per-node radio-off time",
-                unit="ms", node=node_id)
-        node_sleep.inc(duration_ms)
-
-    # -- energy (end of run) -------------------------------------------
-    def average_energy_mj(self, node_ids, model, elapsed_ms: float,
-                          include_base_station: Optional[int] = None) -> float:
-        """Mean per-node energy, same arithmetic as the trace collector.
-
-        The loop shape (iteration order, ``min`` clamp, accumulate-then-
-        divide) replicates ``TraceCollector.average_energy_mj`` so both
-        paths produce the same float.
-        """
-        ids = [n for n in node_ids if n != include_base_station]
-        if not ids or elapsed_ms <= 0:
-            return 0.0
-        total = 0.0
-        for node_id in ids:
-            tx = self.tx_ms.get(node_id, 0.0)
-            sleep = self.sleep_ms.get(node_id, 0.0)
-            total += model.energy_mj(tx, min(sleep, elapsed_ms), elapsed_ms)
-        return total / len(ids)
-
-    def finalize_energy(self, node_ids, model, elapsed_ms: float,
-                        include_base_station: Optional[int] = None) -> float:
-        """Set the run's energy gauges; returns the mean per-node mJ."""
-        ids = [n for n in node_ids if n != include_base_station]
-        total = 0.0
-        for node_id in ids:
-            tx = self.tx_ms.get(node_id, 0.0)
-            sleep = self.sleep_ms.get(node_id, 0.0)
-            mj = model.energy_mj(tx, min(sleep, elapsed_ms), elapsed_ms) \
-                if elapsed_ms > 0 else 0.0
-            self.registry.gauge("sim.energy.node_mj",
-                                help="per-node energy under the energy model",
-                                unit="mJ", node=node_id).set(mj)
-            total += mj
-        average = self.average_energy_mj(node_ids, model, elapsed_ms,
-                                         include_base_station)
-        self.registry.gauge("sim.energy.total_mj",
-                            help="summed node energy (base station excluded)",
-                            unit="mJ").set(total)
-        self.registry.gauge("sim.energy.avg_node_mj",
-                            help="mean per-node energy (matches "
-                                 "RunResult.average_energy_mj)",
-                            unit="mJ").set(average)
-        return average
 
 
 class LatencyAccountant:
@@ -203,53 +48,14 @@ class LatencyAccountant:
 class SimObs:
     """The observability bundle one simulation carries.
 
-    Wired by :class:`repro.sim.runtime.Simulation` and handed down to the
-    channel, MAC layers, nodes, and node applications.  Bundles the
-    current registry, a virtual-clock tracer, and the two accountants, so
-    instrumented layers take exactly one optional dependency.
+    Wired by :class:`repro.sim.runtime.Simulation` and handed to the
+    radio ledger, the nodes and the node applications.  Bundles the
+    current registry, a virtual-clock tracer, and the latency accountant,
+    so instrumented layers take exactly one optional dependency.
     """
 
     def __init__(self, clock: Callable[[], float],
-                 registry: Optional[MetricsRegistry] = None,
-                 span_cap: Optional[int] = None) -> None:
+                 registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else get_registry()
-        kwargs = {} if span_cap is None else {"cap": span_cap}
-        self.tracer = Tracer(self.registry, clock=clock, **kwargs)
-        self.radio = RadioAccountant(self.registry)
+        self.tracer = Tracer(self.registry, clock=clock)
         self.latency = LatencyAccountant(self.registry)
-        # Cached per-(node, kind) span label dicts for the per-frame hot
-        # path; handed to Tracer.start_with by reference (never mutated).
-        self._tx_labels: Dict["tuple[int, str]", Dict[str, str]] = {}
-
-    # -- radio/MAC/node hooks ------------------------------------------
-    def on_transmit(self, node_id: int, kind: str, length_bytes: int,
-                    airtime_ms: float) -> None:
-        """A frame went on air: count it and record its airtime span."""
-        self.radio.record_tx(node_id, kind, length_bytes, airtime_ms)
-        key = (node_id, kind)
-        labels = self._tx_labels.get(key)
-        if labels is None:
-            labels = self._tx_labels[key] = {"node": str(node_id),
-                                             "kind": kind}
-        span = self.tracer.start_with("radio.tx", labels)
-        self.tracer.finish(span, end_ms=span.start_ms + airtime_ms)
-
-    def on_collision(self, receivers: int) -> None:
-        self.radio.record_collision(receivers)
-
-    def on_link_loss(self, src: int, dst: int, model: str) -> None:
-        """The channel loss model (Bernoulli/burst) ate a frame copy."""
-        self.radio.record_link_loss(model)
-
-    def on_retransmission(self, node_id: int) -> None:
-        self.radio.record_retransmission(node_id)
-
-    def on_drop(self, node_id: int, reason: str) -> None:
-        self.radio.record_drop(node_id, reason)
-
-    def on_sleep(self, node_id: int, duration_ms: float) -> None:
-        self.radio.record_sleep(node_id, duration_ms)
-
-    def on_failure(self, node_id: int, duration_ms: float) -> None:
-        self.registry.counter("sim.node.failures_total",
-                              help="injected fail-stop outages").inc()

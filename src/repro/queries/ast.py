@@ -38,11 +38,6 @@ class AggregateOp(enum.Enum):
     COUNT = "COUNT"
     AVG = "AVG"
 
-    @property
-    def is_decomposable(self) -> bool:
-        """All five ops admit partial in-network aggregation (AVG via SUM+COUNT)."""
-        return True
-
 
 @dataclass(frozen=True)
 class Aggregate:

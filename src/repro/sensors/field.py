@@ -195,9 +195,6 @@ class SensorWorld:
         """The deployment this world is sampled over."""
         return self._topology
 
-    def attribute_names(self) -> Iterable[str]:
-        return self.specs.keys()
-
     def spec(self, attribute: str) -> AttributeSpec:
         spec = self.specs.get(attribute)
         if spec is None:

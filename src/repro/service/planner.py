@@ -333,12 +333,12 @@ def collect_statistics(deployment, *, n_buckets: int = DEFAULT_BUCKETS,
                        samples_per_node: int = 4) -> StatisticsStore:
     """Sample a (finished or running) deployment into a statistics store.
 
-    Reads the topology's level sizes, the radio accountant's per-kind
-    frame/airtime and sleep accumulators (``repro.obs``), and samples the
-    sensor world at ``samples_per_node`` evenly spaced virtual times per
-    node to populate the attribute histograms — the Section 3.1.2
-    "statistics maintenance" loop, done from observability data instead
-    of extra network traffic.
+    Reads the topology's level sizes, this simulation's radio ledger
+    (``deployment.sim.trace``: per-kind frames and airtime, per-node
+    radio-off time), and samples the sensor world at ``samples_per_node``
+    evenly spaced virtual times per node to populate the attribute
+    histograms — the Section 3.1.2 "statistics maintenance" loop, done
+    from the simulator's own accounting instead of extra network traffic.
     """
     topology = deployment.topology
     world = deployment.world
@@ -350,14 +350,12 @@ def collect_statistics(deployment, *, n_buckets: int = DEFAULT_BUCKETS,
     trace = deployment.sim.trace
     elapsed_ms = max(trace.elapsed_ms, 0.0)
     store.node_time_us = store.nodes * _us(elapsed_ms)
-    radio = deployment.sim.obs.radio
     store.sleep_us = sum(
-        _us(min(ms, elapsed_ms))
-        for node, ms in sorted(radio.sleep_ms.items())
-        if node != topology.base_station)
-    for kind, frames in sorted(radio.frames_by_kind().items()):
-        store.observe_frames(kind, frames,
-                             radio.airtime_by_kind().get(kind, 0.0))
+        _us(min(trace.node_stats(node).sleep_ms, elapsed_ms))
+        for node in topology.node_ids if node != topology.base_station)
+    airtime_ms = trace.airtime_by_kind()
+    for kind, frames in trace.messages_by_kind().items():
+        store.observe_frames(kind.value, frames, airtime_ms[kind])
     times = ([elapsed_ms * (i + 1) / (samples_per_node + 1)
               for i in range(samples_per_node)]
              if elapsed_ms > 0 else [0.0])

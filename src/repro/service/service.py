@@ -586,11 +586,6 @@ class QueryService:
             self._replicator = replicator
             self._snapshot_locked(self._clock())
 
-    def detach_replicator(self) -> None:
-        """Stop mirroring WAL records (the follower keeps what it has)."""
-        with self._lock:
-            self._replicator = None
-
     def _pending_cost_radio_s(self) -> float:
         """Summed price of the admission backlog (priced-backlog gauge)."""
         return sum(self._ticket_price.get(p.ticket_id, 0.0)

@@ -28,7 +28,7 @@ from .messages import Message
 from .radio import Channel, DeliveryReport
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..obs import SimObs
+    from .trace import TraceCollector
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class MacLayer:
         params: Optional[MacParams] = None,
         seed: int = 0,
         on_drop: Optional[Callable[[Message, Set[int]], None]] = None,
-        obs: Optional["SimObs"] = None,
+        trace: Optional["TraceCollector"] = None,
     ) -> None:
         self.node_id = node_id
         self._engine = engine
@@ -73,9 +73,7 @@ class MacLayer:
         self._pending_event: Optional[Event] = None
         self._enabled = True
         self._on_drop = on_drop
-        self._obs = obs
-        #: Frames dropped due to queue overflow or retry exhaustion.
-        self.dropped = 0
+        self._trace = trace
 
     # ------------------------------------------------------------------
     # Public interface
@@ -85,19 +83,10 @@ class MacLayer:
         """True when nothing is queued or in flight."""
         return self._current is None and not self._queue
 
-    @property
-    def queue_length(self) -> int:
-        """Frames waiting or in flight on this MAC (send-queue depth)."""
-        return len(self._queue) + (1 if self._current is not None else 0)
-
     def enqueue(self, msg: Message) -> bool:
         """Queue a frame for transmission.  Returns False if dropped (full)."""
         if len(self._queue) >= self.params.queue_capacity:
-            self.dropped += 1
-            if self._obs is not None:
-                self._obs.on_drop(self.node_id, "queue_full")
-            if self._on_drop is not None:
-                self._on_drop(msg, set(msg.destinations() or ()))
+            self._give_up(msg, set(msg.destinations() or ()), "queue_full")
             return False
         self._queue.append(msg)
         self._maybe_start()
@@ -106,14 +95,20 @@ class MacLayer:
     def set_enabled(self, enabled: bool) -> None:
         """Power the radio up/down.  A sleeping node neither sends nor senses.
 
-        Frames already queued stay queued and are sent on wake-up.
+        Frames already queued stay queued and are sent on wake-up; so is
+        the frame a power-down interrupted between attempts, which resumes
+        after a congestion backoff with the retries it had left.
         """
         self._enabled = enabled
-        if enabled:
+        if not enabled:
+            if self._pending_event is not None:
+                self._pending_event.cancel()
+                self._pending_event = None
+        elif self._current is None:
             self._maybe_start()
-        elif self._pending_event is not None:
-            self._pending_event.cancel()
-            self._pending_event = None
+        elif self._pending_event is None \
+                and not self._channel.is_transmitting(self.node_id):
+            self._schedule_attempt(self._congestion_backoff())
 
     # ------------------------------------------------------------------
     # Internals
@@ -137,6 +132,9 @@ class MacLayer:
         if self._channel.is_busy_at(self.node_id):
             self._schedule_attempt(self._congestion_backoff())
             return
+        if self._trace is not None \
+                and self._retries_left < self.params.max_retries:
+            self._trace.record_retransmission()
         self._channel.transmit(self.node_id, self._current, self._on_complete)
 
     def _on_complete(self, report: DeliveryReport) -> None:
@@ -146,18 +144,19 @@ class MacLayer:
         if needs_ack and report.failed_destinations and self._retries_left > 0:
             self._retries_left -= 1
             msg.retransmissions += 1
-            if self._obs is not None:
-                self._obs.on_retransmission(self.node_id)
             self._schedule_attempt(self._congestion_backoff())
             return
         if needs_ack and report.failed_destinations:
-            self.dropped += 1
-            if self._obs is not None:
-                self._obs.on_drop(self.node_id, "retry_exhausted")
-            if self._on_drop is not None:
-                self._on_drop(msg, set(report.failed_destinations))
+            self._give_up(msg, set(report.failed_destinations),
+                          "retry_exhausted")
         self._current = None
         self._maybe_start()
+
+    def _give_up(self, msg: Message, failed: Set[int], reason: str) -> None:
+        if self._trace is not None:
+            self._trace.record_drop(reason)
+        if self._on_drop is not None:
+            self._on_drop(msg, failed)
 
     def _initial_backoff(self) -> float:
         return self._rng.uniform(self.params.initial_backoff_min,

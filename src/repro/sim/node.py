@@ -69,11 +69,13 @@ class SensorNode:
         self.channel = channel
         self.topology = topology
         self.trace = trace
-        #: Observability bundle (metrics/spans/energy); None when the node
-        #: is constructed outside a :class:`repro.sim.runtime.Simulation`.
+        #: Observability bundle for the applications' own telemetry
+        #: (``tinydb.*``, ``recovery.*``); None when the node is constructed
+        #: outside a :class:`repro.sim.runtime.Simulation`.  Radio events go
+        #: to ``trace``.
         self.obs = obs
         self.mac = MacLayer(node_id, engine, channel, mac_params, seed=seed,
-                            on_drop=self._send_failed, obs=obs)
+                            on_drop=self._send_failed, trace=trace)
         self._radio_on = True
         self._sleep_until: Optional[float] = None
         self._wake_event: Optional[Event] = None
@@ -178,8 +180,6 @@ class SensorNode:
         self._sleep_until = self.engine.now + duration
         self.mac.set_enabled(False)
         self.trace.record_sleep(self.node_id, duration)
-        if self.obs is not None:
-            self.obs.on_sleep(self.node_id, duration)
         self._wake_event = self.engine.schedule(duration, self._wake)
 
     def wake(self) -> None:
@@ -234,10 +234,7 @@ class SensorNode:
         self._failed_until = deadline
         self._radio_on = False
         self.mac.set_enabled(False)
-        self.trace.record_sleep(self.node_id, off_ms)
-        if self.obs is not None:
-            self.obs.on_sleep(self.node_id, off_ms)
-            self.obs.on_failure(self.node_id, duration)
+        self.trace.record_outage(self.node_id, off_ms)
         self._recover_event = self.engine.schedule(deadline - now,
                                                    self._recover)
 
@@ -258,6 +255,5 @@ class SensorNode:
             self.app.on_message(msg)
 
     def _send_failed(self, msg: Message, failed: set) -> None:
-        self.trace.record_drop(msg)
         if self.app is not None:
             self.app.on_send_failed(msg, failed)

@@ -21,10 +21,10 @@ seeded per-link Gilbert–Elliott burst model
 (:class:`GilbertElliottParams`) whose two-state Markov chain reproduces
 the correlated loss bursts real motes see.
 
-Besides the legacy :class:`TraceCollector`, the channel reports every
-frame, airtime, and collision to the observability layer
-(:class:`repro.obs.SimObs` — counters, spans, energy accounting) under
-the ``sim.radio.*`` names documented in ``docs/observability.md``.
+The channel reports every frame on the air, collision and link loss to
+the simulation's radio ledger (:class:`repro.sim.trace.TraceCollector`),
+which also feeds the ``sim.radio.*`` series documented in
+``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .engine import EventQueue
 from .messages import Message
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..obs import SimObs
     from .network import Topology
     from .trace import TraceCollector
 
@@ -185,11 +184,10 @@ class Channel:
     def __init__(self, engine: EventQueue, topology: "Topology",
                  params: Optional[RadioParams] = None,
                  trace: Optional["TraceCollector"] = None,
-                 seed: int = 0, obs: Optional["SimObs"] = None) -> None:
+                 seed: int = 0) -> None:
         self._engine = engine
         self.params = params or RadioParams()
         self._trace = trace
-        self._obs = obs
         self._active: Dict[int, _Transmission] = {}
         # node id -> (receive hook, radio-on query)
         self._receivers: Dict[int, Callable[[Message], None]] = {}
@@ -296,8 +294,6 @@ class Channel:
         self._active_bits |= bit
         if self._trace is not None:
             self._trace.record_transmission(src, msg, duration)
-        if self._obs is not None:
-            self._obs.on_transmit(src, msg.kind.value, length, duration)
         self._engine.schedule(duration, self._complete, record, on_complete)
         return duration
 
@@ -340,8 +336,8 @@ class Channel:
                 model = self._channel_loss(record.src, receiver)
                 if model is not None:
                     report.lost.add(receiver)
-                    if self._obs is not None:
-                        self._obs.on_link_loss(record.src, receiver, model)
+                    if self._trace is not None:
+                        self._trace.record_link_loss(model)
                     continue
             received.add(receiver)
             if hook is not None:
@@ -352,8 +348,6 @@ class Channel:
             report.failed_destinations = set(destinations) - received
         if self._trace is not None and collided:
             self._trace.record_collision(msg, collided)
-        if self._obs is not None and collided:
-            self._obs.on_collision(len(collided))
 
         # Deliver after the report is fully built so the sender's MAC and the
         # receivers observe a consistent ordering: ascending receiver id.

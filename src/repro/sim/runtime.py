@@ -42,14 +42,16 @@ class Simulation:
         self.world = world
         self.seed = seed
         self.engine = EventQueue()
-        self.trace = TraceCollector(self.engine)
-        #: Observability bundle: metrics + spans + energy/latency
-        #: accounting, recording into the registry current at construction
-        #: time on the engine's virtual clock (never the wall clock, so
-        #: instrumented runs stay bit-identically deterministic).
+        #: Observability bundle: metrics + spans + latency accounting,
+        #: recording into the registry current at construction time on the
+        #: engine's virtual clock (never the wall clock, so instrumented
+        #: runs stay bit-identically deterministic).
         self.obs = SimObs(clock=lambda: self.engine.now)
+        #: The radio ledger: every frame, collision, retransmission, drop
+        #: and radio-off period of this simulation, reported once.
+        self.trace = TraceCollector(self.engine, self.obs)
         self.channel = Channel(self.engine, topology, radio_params, self.trace,
-                               seed=seed, obs=self.obs)
+                               seed=seed)
         self.nodes: Dict[int, SensorNode] = {
             node_id: SensorNode(node_id, self.engine, self.channel, topology,
                                 self.trace, mac_params, seed=seed,

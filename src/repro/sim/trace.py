@@ -7,15 +7,24 @@ propagation and abortion messages, network maintenance messages and
 retransmissions.  :class:`TraceCollector` accumulates per-node radio busy
 time and per-kind message counts; :meth:`TraceCollector.average_transmission_time`
 computes the metric.
+
+The collector is the simulation's only radio ledger: the channel, the MAC
+and the nodes report each frame, collision, loss, retransmission, drop and
+radio-off period to it once, and ``RunResult``, the planner's statistics
+and the live ``sim.*`` registry series (``docs/observability.md``) are all
+read from, or incremented by, that one report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from .engine import EventQueue
 from .messages import Message, MessageKind
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..obs import Counter, SimObs
 
 
 @dataclass(frozen=True)
@@ -59,19 +68,42 @@ class NodeStats:
 
 
 class TraceCollector:
-    """Accumulates radio activity across a simulation run."""
+    """Accumulates radio activity across a simulation run.
 
-    def __init__(self, engine: EventQueue) -> None:
+    Handed the simulation's observability bundle, every report also
+    increments the process-wide registry's ``sim.radio.*`` / ``sim.mac.*``
+    / ``sim.node.*`` series (cluster shards sum into the same series) and
+    each frame leaves a ``radio.tx`` span; the accumulators here stay
+    per-simulation either way.
+    """
+
+    def __init__(self, engine: EventQueue,
+                 obs: Optional["SimObs"] = None) -> None:
         self._engine = engine
+        self._obs = obs
         self._nodes: Dict[int, NodeStats] = {}
+        self._airtime_ms: Dict[MessageKind, float] = {}
         self.started_at = engine.now
         self.collisions = 0
         self.retransmissions = 0
         self.dropped_frames = 0
-        self._retx_seen: Dict[int, int] = {}
+        # Registry handles and span label dicts, cached so the per-frame
+        # path is dict lookups rather than registry lookups.
+        self._kind_counters: Dict[
+            MessageKind, Tuple["Counter", "Counter", "Counter"]] = {}
+        self._node_tx: Dict[int, "Counter"] = {}
+        self._node_sleep: Dict[int, "Counter"] = {}
+        self._span_labels: Dict[Tuple[int, MessageKind], Dict[str, str]] = {}
+        if obs is not None:
+            self._collisions_total = obs.registry.counter(
+                "sim.radio.collisions_total",
+                help="receivers that lost a frame to a collision")
+            self._retransmissions_total = obs.registry.counter(
+                "sim.mac.retransmissions_total",
+                help="link-layer retransmissions of acknowledged frames")
 
     # ------------------------------------------------------------------
-    # Recording hooks (called by the radio/MAC layers)
+    # Recording hooks (called by the radio/MAC/node layers)
     # ------------------------------------------------------------------
     def node_stats(self, node_id: int) -> NodeStats:
         """This node's accumulator, created on first use."""
@@ -82,24 +114,97 @@ class TraceCollector:
         return stats
 
     def record_transmission(self, src: int, msg: Message, duration: float) -> None:
-        """One frame on air: per-node charge plus retransmission delta."""
+        """One frame on air: Eq. 3 charges its sender ``duration`` ms."""
         self.node_stats(src).record(msg, duration)
-        prev = self._retx_seen.get(msg.msg_id, 0)
-        if msg.retransmissions > prev:
-            self.retransmissions += msg.retransmissions - prev
-            self._retx_seen[msg.msg_id] = msg.retransmissions
+        kind = msg.kind
+        self._airtime_ms[kind] = self._airtime_ms.get(kind, 0.0) + duration
+        if self._obs is not None:
+            self._export_transmission(src, kind, msg.length_bytes, duration)
+
+    def _export_transmission(self, src: int, kind: MessageKind,
+                             length_bytes: int, duration: float) -> None:
+        registry = self._obs.registry
+        counters = self._kind_counters.get(kind)
+        if counters is None:
+            counters = self._kind_counters[kind] = (
+                registry.counter(
+                    "sim.radio.tx_frames_total",
+                    help="frames put on air (retransmissions count again)",
+                    kind=kind.value),
+                registry.counter(
+                    "sim.radio.tx_bytes_total", help="frame bytes put on air",
+                    unit="bytes", kind=kind.value),
+                registry.counter(
+                    "sim.radio.airtime_ms_total",
+                    help="channel time C_start + C_trans*len (Eq. 3)",
+                    unit="ms", kind=kind.value))
+        frames, size, airtime = counters
+        frames.inc()
+        size.inc(length_bytes)
+        airtime.inc(duration)
+        node_tx = self._node_tx.get(src)
+        if node_tx is None:
+            node_tx = self._node_tx[src] = registry.counter(
+                "sim.node.tx_ms_total", help="per-node radio transmit time",
+                unit="ms", node=src)
+        node_tx.inc(duration)
+        labels = self._span_labels.get((src, kind))
+        if labels is None:
+            # Handed to Tracer.start_with by reference (never mutated).
+            labels = self._span_labels[(src, kind)] = {
+                "node": str(src), "kind": kind.value}
+        tracer = self._obs.tracer
+        span = tracer.start_with("radio.tx", labels)
+        tracer.finish(span, end_ms=span.start_ms + duration)
 
     def record_collision(self, msg: Message, receivers: Set[int]) -> None:
         """Count the receivers that lost this frame to a collision."""
         self.collisions += len(receivers)
+        if self._obs is not None:
+            self._collisions_total.inc(len(receivers))
 
-    def record_drop(self, msg: Message) -> None:
-        """Count a frame the MAC abandoned after exhausting retries."""
+    def record_link_loss(self, model: str) -> None:
+        """A channel loss model (``bernoulli``/``burst``) ate a frame copy."""
+        if self._obs is not None:
+            self._obs.registry.counter(
+                "sim.radio.link_losses_total",
+                help="frames eaten by the channel loss models",
+                model=model).inc()
+
+    def record_retransmission(self) -> None:
+        """A retried frame is going on the air."""
+        self.retransmissions += 1
+        if self._obs is not None:
+            self._retransmissions_total.inc()
+
+    def record_drop(self, reason: str) -> None:
+        """The MAC gave up on a frame: ``queue_full`` or ``retry_exhausted``."""
         self.dropped_frames += 1
+        if self._obs is not None:
+            self._obs.registry.counter(
+                "sim.mac.dropped_frames_total",
+                help="frames abandoned by the MAC", reason=reason).inc()
 
     def record_sleep(self, node_id: int, duration: float) -> None:
         """Accrue radio-off time to the node (sleep mode or outage)."""
         self.node_stats(node_id).sleep_ms += duration
+        if self._obs is not None:
+            node_sleep = self._node_sleep.get(node_id)
+            if node_sleep is None:
+                node_sleep = self._node_sleep[node_id] = \
+                    self._obs.registry.counter(
+                        "sim.node.sleep_ms_total",
+                        help="per-node radio-off time", unit="ms",
+                        node=node_id)
+            node_sleep.inc(duration)
+
+    def record_outage(self, node_id: int, off_ms: float) -> None:
+        """An injected fail-stop outage adds ``off_ms`` of radio-off time."""
+        self.record_sleep(node_id, off_ms)
+        if self._obs is not None:
+            self._obs.registry.counter(
+                "sim.node.failures_total",
+                help="injected fail-stop outages").inc()
 
     # ------------------------------------------------------------------
     # Metrics
@@ -147,19 +252,38 @@ class TraceCollector:
     def average_energy_mj(self, node_ids: Iterable[int],
                           model: Optional[EnergyModel] = None,
                           include_base_station: Optional[int] = None) -> float:
-        """Mean per-node energy (mJ) over the run under an energy model."""
+        """Mean per-node energy (mJ) over the run under an energy model.
+
+        With an observability bundle this is also what publishes the
+        ``sim.energy.*`` gauges, from the same loop, so
+        ``sim.energy.avg_node_mj`` is the returned float.
+        """
         model = model or EnergyModel()
         ids = [n for n in node_ids if n != include_base_station]
-        if not ids or self.elapsed_ms <= 0:
-            return 0.0
+        elapsed_ms = self.elapsed_ms
+        registry = self._obs.registry if self._obs is not None else None
         total = 0.0
         for node_id in ids:
             stats = self._nodes.get(node_id)
             tx = stats.tx_busy_ms if stats else 0.0
             sleep = stats.sleep_ms if stats else 0.0
-            total += model.energy_mj(tx, min(sleep, self.elapsed_ms),
-                                     self.elapsed_ms)
-        return total / len(ids)
+            mj = model.energy_mj(tx, min(sleep, elapsed_ms), elapsed_ms) \
+                if elapsed_ms > 0 else 0.0
+            total += mj
+            if registry is not None:
+                registry.gauge("sim.energy.node_mj",
+                               help="per-node energy under the energy model",
+                               unit="mJ", node=node_id).set(mj)
+        average = total / len(ids) if ids else 0.0
+        if registry is not None:
+            registry.gauge("sim.energy.total_mj",
+                           help="summed node energy (base station excluded)",
+                           unit="mJ").set(total)
+            registry.gauge("sim.energy.avg_node_mj",
+                           help="mean per-node energy (matches "
+                                "RunResult.average_energy_mj)",
+                           unit="mJ").set(average)
+        return average
 
     def messages_by_kind(self) -> Dict[MessageKind, int]:
         """Network-wide frame counts per traffic kind."""
@@ -168,6 +292,11 @@ class TraceCollector:
             for kind, count in stats.by_kind.items():
                 totals[kind] = totals.get(kind, 0) + count
         return totals
+
+    def airtime_by_kind(self) -> Dict[MessageKind, float]:
+        """Network-wide radio airtime (ms) per traffic kind, summed in
+        transmission order."""
+        return dict(self._airtime_ms)
 
     def involved_nodes(self, kind: Optional[MessageKind] = None) -> List[int]:
         """Nodes that transmitted at least one frame (optionally of ``kind``)."""

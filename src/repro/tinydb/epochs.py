@@ -37,7 +37,3 @@ class SlotSchedule:
         if level < 1:
             raise ValueError(f"only sensor levels (>=1) transmit (got {level})")
         return (self.max_depth - level) * self.slot_ms
-
-    def finalize_delay(self) -> float:
-        """Delay until the base station may consider the epoch complete."""
-        return self.max_depth * self.slot_ms

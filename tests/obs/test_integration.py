@@ -2,9 +2,12 @@
 
 This is the acceptance test for the telemetry layer: metrics are not a
 parallel implementation of the run statistics, they *are* the run
-statistics — every exported value must equal the corresponding
-``RunResult`` field bit-for-bit, and the instrumentation must not
-perturb the simulation (same snapshot across repeated runs).
+statistics — the simulation's one radio ledger
+(``sim.trace.TraceCollector``) increments the ``sim.*`` series in the
+same call that updates what ``RunResult`` reads, so every exported value
+must equal the corresponding ``RunResult`` field bit-for-bit, and the
+instrumentation must not perturb the simulation (same snapshot across
+repeated runs).
 """
 
 import pytest
@@ -61,6 +64,17 @@ class TestRunResultParity:
             assert entry["value"] == value, field
             mirrored += 1
         assert mirrored >= 10  # the RunResult scalars, not a token few
+
+    def test_frames_by_kind_parity(self, cell):
+        _, snapshot, live = cell
+        exported = {dict(key[1])["kind"]: entry["value"]
+                    for key, entry in by_key(snapshot).items()
+                    if key[0] == "sim.radio.tx_frames_total"}
+        sent = {kind: frames
+                for kind, frames in live.result.frames_by_kind().items()
+                if frames}
+        assert exported == sent
+        assert sum(exported.values()) == live.result.total_frames
 
     def test_per_query_latency_gauges(self, cell):
         _, snapshot, live = cell

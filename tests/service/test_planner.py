@@ -14,12 +14,18 @@ Covers the three service-facing planner contracts:
 * ``stats()`` delta baselines survive a scoped-registry reset mid-run
   (the chaos-cell double-recovery flake): a live counter reading below
   its remembered baseline re-anchors to zero instead of going negative.
+
+Plus ``collect_statistics``: what it stores is the sampled deployment's
+own traffic, whatever else ran in the process-wide registry.
 """
 
 import pytest
 
 from repro.core.basestation import BaseStationOptimizer
 from repro.core.qos import QoSClass
+from repro.harness import Strategy
+from repro.harness.experiments import fig3_cells
+from repro.harness.runner import run_workload_live
 from repro.harness.tier1_sim import default_cost_model
 from repro.obs import scoped
 from repro.queries import fresh_qids
@@ -30,6 +36,7 @@ from repro.service import (
     QueryService,
     TenantQuotas,
     TicketStatus,
+    collect_statistics,
 )
 
 Q_LIGHT = "SELECT light FROM sensors WHERE light > 300 EPOCH DURATION 4096"
@@ -288,3 +295,22 @@ class TestExplainQidHygiene:
         plain, probed = run(False), run(True)
         assert plain == probed
         assert all(qid < 1_000_000_000 for qid in probed)
+
+
+class TestCollectStatistics:
+    @staticmethod
+    def _run(strategy):
+        spec = fig3_cells("A", 4, duration_ms=9_000.0,
+                          strategies=(strategy,))[0]
+        with fresh_qids():
+            return run_workload_live(spec.strategy, spec.workload.build(),
+                                     spec.resolved_config(), spec.drain_ms)
+
+    def test_statistics_are_per_simulation(self):
+        with scoped():
+            alone = collect_statistics(self._run(Strategy.TTMQO).deployment)
+        with scoped():
+            self._run(Strategy.BASELINE)
+            shared = collect_statistics(self._run(Strategy.TTMQO).deployment)
+        assert alone.frames["result"] > 0
+        assert shared.to_json() == alone.to_json()

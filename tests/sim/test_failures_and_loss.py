@@ -114,6 +114,16 @@ class TestNodeFailure:
         sim.run_for(1_200.0)            # t=2700: extended deadline passed
         assert not sim.nodes[1].failed
 
+    def test_frame_held_through_an_outage_is_sent_after_recovery(self):
+        sim, apps = _sim(seed=1)
+        sim.nodes[1].send(MessageKind.RESULT, 0, "before", 4)
+        sim.nodes[1].fail(1_000.0)      # MAC holds it, attempt still pending
+        sim.run_for(1_500.0)
+        sim.nodes[1].send(MessageKind.RESULT, 0, "after", 4)
+        sim.run_for(1_000.0)
+        assert [m.payload for m in apps[0].messages] == ["before", "after"]
+        assert sim.nodes[1].mac.idle
+
 
 class TestEnergyModel:
     def test_energy_accounting(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import MetricsRegistry, SimObs
 from repro.sim.engine import EventQueue
 from repro.sim.mac import MacLayer, MacParams
 from repro.sim.messages import BROADCAST, Message, MessageKind
@@ -10,10 +11,12 @@ from repro.sim.radio import Channel
 from repro.sim.trace import TraceCollector
 
 
-def _build(n=3, mac_params=None):
+def _build(n=3, mac_params=None, registry=None):
     topo = Topology.from_links([(i, i + 1) for i in range(n - 1)])
     engine = EventQueue()
-    trace = TraceCollector(engine)
+    obs = SimObs(clock=lambda: engine.now, registry=registry) \
+        if registry is not None else None
+    trace = TraceCollector(engine, obs)
     channel = Channel(engine, topo, trace=trace)
     received = {i: [] for i in topo.node_ids}
     radio_on = {i: True for i in topo.node_ids}
@@ -23,7 +26,7 @@ def _build(n=3, mac_params=None):
     drops = []
     macs = {
         i: MacLayer(i, engine, channel, mac_params, seed=5,
-                    on_drop=lambda m, f: drops.append((m, f)))
+                    on_drop=lambda m, f: drops.append((m, f)), trace=trace)
         for i in topo.node_ids
     }
     return engine, channel, macs, received, radio_on, drops, trace
@@ -88,6 +91,45 @@ class TestRetransmission:
         assert drops[0][1] == {1}
         assert trace.node_stats(0).tx_count == 4  # original + 3 retries
 
+    def test_retries_are_counted_as_they_go_on_air(self):
+        registry = MetricsRegistry()
+        engine, channel, macs, received, _, drops, trace = _build(
+            registry=registry)
+        counter = registry.counter("sim.mac.retransmissions_total")
+        transmit = channel.transmit
+        jams = []
+
+        def jammed(src, msg, on_complete):
+            airtime = transmit(src, msg, on_complete)
+            if src == 0 and len(jams) < 2:
+                # Hidden terminal: node 2 keys up over node 0's frame and
+                # both are lost at node 1.
+                jams.append(transmit(2, _msg(2, BROADCAST), lambda _: None))
+            return airtime
+
+        channel.transmit = jammed
+        msg = _msg(0, 1)
+        macs[0].enqueue(msg)
+        engine.run_until(5000.0)
+        assert len(jams) == 2 and drops == []
+        assert [m.msg_id for m in received[1]] == [msg.msg_id]
+        assert trace.node_stats(0).tx_count == 3
+        assert trace.retransmissions == counter.value == 2
+
+    def test_a_retry_that_never_goes_on_air_is_not_counted(self):
+        registry = MetricsRegistry()
+        engine, _, macs, _, radio_on, _, trace = _build(registry=registry)
+        radio_on[1] = False
+        msg = _msg(0, 1)
+        macs[0].enqueue(msg)
+        while msg.retransmissions == 0:
+            assert engine.step()
+        macs[0].set_enabled(False)      # cancels the scheduled retry
+        engine.run_until(5000.0)
+        assert trace.node_stats(0).tx_count == 1
+        assert trace.retransmissions == 0
+        assert registry.counter("sim.mac.retransmissions_total").value == 0
+
     def test_destination_waking_mid_retry_receives(self):
         engine, _, macs, received, radio_on, drops, _ = _build()
         radio_on[1] = False
@@ -135,3 +177,21 @@ class TestCarrierSensing:
         macs[0].set_enabled(True)
         engine.run_until(2000.0)
         assert len(received[1]) == 1
+
+
+class TestPowerCycle:
+    def test_power_down_between_attempts_resumes_the_held_frame(self):
+        # The initial backoff is at least 0.2 ms, so at t=0.1 the frame is
+        # held by the MAC with its first attempt still pending.
+        engine, _, macs, received, *_ = _build()
+        first, second = _msg(0, 1), _msg(0, 1)
+        macs[0].enqueue(first)
+        macs[0].enqueue(second)
+        engine.run_until(0.1)
+        macs[0].set_enabled(False)
+        engine.run_until(1000.0)
+        assert received[1] == []
+        macs[0].set_enabled(True)
+        engine.run_until(2000.0)
+        assert [m.msg_id for m in received[1]] == [first.msg_id, second.msg_id]
+        assert macs[0].idle

@@ -23,17 +23,6 @@ class TestAccounting:
         assert trace.total_transmissions([MessageKind.QUERY]) == 1
         assert trace.total_transmissions() == 3
 
-    def test_retransmissions_counted_incrementally(self):
-        engine = EventQueue()
-        trace = TraceCollector(engine)
-        msg = _msg()
-        trace.record_transmission(1, msg, 5.0)
-        msg.retransmissions = 1
-        trace.record_transmission(1, msg, 5.0)
-        msg.retransmissions = 2
-        trace.record_transmission(1, msg, 5.0)
-        assert trace.retransmissions == 2
-
     def test_involved_nodes(self):
         engine = EventQueue()
         trace = TraceCollector(engine)
