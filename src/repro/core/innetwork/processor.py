@@ -31,6 +31,7 @@ from ...sensors.field import SensorWorld
 from ...sensors.sampler import Sampler
 from ...sim.engine import Event
 from ...sim.messages import Message, MessageKind
+from ...sim.node import NodeApp
 from ...tinydb.aggregation import (
     grouped_partials_from_row,
     merge_grouped_maps,
@@ -115,10 +116,8 @@ class TTMQOParams:
     redissemination_min_interval_ms: float = 30720.0
 
 
-class TTMQONodeApp:
+class TTMQONodeApp(NodeApp):
     """Tier-2 application running on every sensor node."""
-
-    node = None  # injected by SensorNode.attach_app
 
     def __init__(self, world: SensorWorld,
                  params: Optional[TTMQOParams] = None, seed: int = 0) -> None:
@@ -177,6 +176,13 @@ class TTMQONodeApp:
         obs = self.node.obs
         if obs is not None:
             obs.registry.histogram(name, help=help, **labels).observe(value)
+
+    def overhears(self, kind: MessageKind, src: int) -> bool:
+        """Floods from anyone, and every frame of a DAG parent: the view
+        keeps liveness and has-data evidence about upper neighbours only.
+        """
+        return (kind is MessageKind.QUERY or kind is MessageKind.ABORT
+                or src in self.node.topology.upper_neighbors(self.node.node_id))
 
     def on_message(self, msg: Message) -> None:
         now = self.node.engine.now

@@ -25,9 +25,10 @@ Usage::
 
 from __future__ import annotations
 
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Deque, Dict, Iterator, List, Optional
 
 from .registry import MetricsRegistry, get_registry
 
@@ -76,7 +77,9 @@ class Tracer:
         self.registry = registry if registry is not None else get_registry()
         self._clock = clock or (lambda: 0.0)
         self.cap = cap
-        self.finished: List[Span] = []
+        # A deque evicts the oldest span in O(1) once full; the simulator
+        # finishes a span per frame, a long-lived service millions.
+        self.finished: Deque[Span] = deque(maxlen=cap)
         self.dropped = 0
         self.started = 0
         # Duration-histogram handles by span name: the per-finish registry
@@ -111,11 +114,9 @@ class Tracer:
         """Close a span (``end_ms`` overrides the clock, e.g. known airtime)."""
         span.end_ms = self._clock() if end_ms is None else end_ms
         span.status = status
+        if len(self.finished) == self.cap:
+            self.dropped += 1
         self.finished.append(span)
-        if len(self.finished) > self.cap:
-            drop = len(self.finished) - self.cap
-            del self.finished[:drop]
-            self.dropped += drop
         hist = self._duration_hists.get(span.name)
         if hist is None:
             hist = self._duration_hists[span.name] = self.registry.histogram(
@@ -142,5 +143,7 @@ class Tracer:
 
     def snapshot(self, limit: Optional[int] = None) -> List[Dict[str, object]]:
         """The most recent ``limit`` finished spans as JSON-safe dicts."""
-        spans = self.finished if limit is None else self.finished[-limit:]
+        spans = list(self.finished)
+        if limit is not None:
+            spans = spans[-limit:]
         return [span.to_dict() for span in spans]

@@ -35,8 +35,24 @@ class NodeApp:
     def on_start(self) -> None:
         """Called once when the simulation starts."""
 
+    def overhears(self, kind: MessageKind, src: int) -> bool:
+        """Do I act on a ``kind`` frame from neighbour ``src`` that does not
+        name me as a link destination?
+
+        The channel asks once per ``(kind, src)`` and skips ``on_message``
+        where the answer is no, so the answer must be fixed for the app's
+        lifetime and *conservative*: true wherever ``on_message`` might
+        change state, and ``on_message`` keeps its own guards.  The default
+        overhears everything.
+        """
+        return True
+
     def on_message(self, msg: Message) -> None:
-        """Called for every frame this node receives (radio must be on)."""
+        """Called for each frame this node receives (radio on, no collision)
+        that is addressed to it or that :meth:`overhears` said yes to.
+
+        Receivers of one frame are called in ascending node id.
+        """
 
     def on_wake(self) -> None:
         """Called when a sleep period ends."""
@@ -83,7 +99,6 @@ class SensorNode:
         self._failed_until: Optional[float] = None
         self._recover_event: Optional[Event] = None
         self.app: Optional[NodeApp] = None
-        channel.attach(node_id, self._receive, lambda: self._radio_on)
 
     # ------------------------------------------------------------------
     # Wiring
@@ -92,6 +107,7 @@ class SensorNode:
         """Install the application layer and back-link it to this node."""
         app.node = self
         self.app = app
+        self.channel.attach(self.node_id, app.on_message, app.overhears)
 
     def start(self) -> None:
         """Boot the node: runs the application's ``on_start`` hook."""
@@ -176,9 +192,8 @@ class SensorNode:
                 return
             if self._wake_event is not None:
                 self._wake_event.cancel()
-        self._radio_on = False
         self._sleep_until = self.engine.now + duration
-        self.mac.set_enabled(False)
+        self._set_radio(False)
         self.trace.record_sleep(self.node_id, duration)
         self._wake_event = self.engine.schedule(duration, self._wake)
 
@@ -192,12 +207,17 @@ class SensorNode:
     def _wake(self) -> None:
         if self._radio_on or self._failed:
             return
-        self._radio_on = True
         self._sleep_until = None
         self._wake_event = None
-        self.mac.set_enabled(True)
+        self._set_radio(True)
         if self.app is not None:
             self.app.on_wake()
+
+    def _set_radio(self, on: bool) -> None:
+        """Power receiver and MAC up or down together."""
+        self._radio_on = on
+        self.channel.set_radio(self.node_id, on)
+        self.mac.set_enabled(on)
 
     # ------------------------------------------------------------------
     # Failure injection (the paper's future-work extension)
@@ -232,8 +252,7 @@ class SensorNode:
             self._sleep_until = None
         self._failed = True
         self._failed_until = deadline
-        self._radio_on = False
-        self.mac.set_enabled(False)
+        self._set_radio(False)
         self.trace.record_outage(self.node_id, off_ms)
         self._recover_event = self.engine.schedule(deadline - now,
                                                    self._recover)
@@ -242,18 +261,13 @@ class SensorNode:
         self._failed = False
         self._failed_until = None
         self._recover_event = None
-        self._radio_on = True
-        self.mac.set_enabled(True)
+        self._set_radio(True)
         if self.app is not None:
             self.app.on_wake()
 
     # ------------------------------------------------------------------
-    # Receive path
+    # MAC give-up
     # ------------------------------------------------------------------
-    def _receive(self, msg: Message) -> None:
-        if self.app is not None:
-            self.app.on_message(msg)
-
     def _send_failed(self, msg: Message, failed: set) -> None:
         if self.app is not None:
             self.app.on_send_failed(msg, failed)

@@ -30,11 +30,12 @@ which also feeds the ``sim.radio.*`` series documented in
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Set, Tuple, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import (AbstractSet, Callable, Dict, FrozenSet, Iterator, Optional,
+                    Set, Tuple, TYPE_CHECKING)
 
 from .engine import EventQueue
-from .messages import Message
+from .messages import LinkDestination, Message, MessageKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from .network import Topology
@@ -152,19 +153,70 @@ class _Transmission:
     overlap_self: int = 0
 
 
-@dataclass
-class DeliveryReport:
-    """Outcome of one transmission, handed back to the sending MAC."""
+def _set_bits(bits: int) -> Iterator[int]:
+    """Each set bit of ``bits`` on its own, lowest (lowest node id) first."""
+    while bits:
+        low = bits & -bits
+        yield low
+        bits ^= low
 
-    msg: Message
-    #: Node ids that successfully received the frame.
-    received: Set[int] = field(default_factory=set)
-    #: Intended destinations that failed to receive (collision / asleep / tx).
-    failed_destinations: Set[int] = field(default_factory=set)
-    #: Receivers lost to a collision specifically.
-    collided: Set[int] = field(default_factory=set)
-    #: Receivers lost to channel loss (Bernoulli or burst model).
-    lost: Set[int] = field(default_factory=set)
+
+def _hears_everything(kind: MessageKind, src: int) -> bool:
+    """The interest of a node that declared none: every frame."""
+    return True
+
+
+def _decode(bits: int, ids: Tuple[int, ...]) -> Set[int]:
+    """The node ids whose bits are set in ``bits``."""
+    return {ids[bit.bit_length() - 1] for bit in _set_bits(bits)}
+
+
+class DeliveryReport:
+    """Outcome of one transmission, handed back to the sending MAC.
+
+    The MAC reads ``failed_destinations`` on every frame, so that is
+    materialised.  Who received the frame and who lost it to what is kept
+    as the bitsets reception was computed in, and decoded to node-id sets
+    only when somebody asks.
+    """
+
+    __slots__ = ("msg", "failed_destinations", "_ids", "_received_bits",
+                 "_collided_bits", "_lost_bits")
+
+    def __init__(self, msg: Message, failed_destinations: AbstractSet[int],
+                 ids: Tuple[int, ...], received_bits: int,
+                 collided_bits: int, lost_bits: int) -> None:
+        self.msg = msg
+        #: Intended destinations that failed to receive (collision / asleep
+        #: / transmitting / channel loss / out of range).
+        self.failed_destinations = failed_destinations
+        self._ids = ids
+        self._received_bits = received_bits
+        self._collided_bits = collided_bits
+        self._lost_bits = lost_bits
+
+    @property
+    def received(self) -> Set[int]:
+        """Node ids that successfully received the frame."""
+        return _decode(self._received_bits, self._ids)
+
+    @property
+    def collided(self) -> Set[int]:
+        """Receivers lost to a collision specifically."""
+        return _decode(self._collided_bits, self._ids)
+
+    @property
+    def lost(self) -> Set[int]:
+        """Receivers lost to channel loss (Bernoulli or burst model)."""
+        return _decode(self._lost_bits, self._ids)
+
+
+#: One frame shape's delivery plan: the bits of its explicit destinations
+#: that are in range of the sender, the destinations that are not (they
+#: always fail), and ``(receiver bit, hook)`` in ascending receiver id for
+#: the in-range nodes that act on it.
+_Plan = Tuple[int, FrozenSet[int],
+              Tuple[Tuple[int, Callable[[Message], None]], ...]]
 
 
 class Channel:
@@ -189,30 +241,33 @@ class Channel:
         self.params = params or RadioParams()
         self._trace = trace
         self._active: Dict[int, _Transmission] = {}
-        # node id -> (receive hook, radio-on query)
-        self._receivers: Dict[int, Callable[[Message], None]] = {}
-        self._radio_on: Dict[int, Callable[[], bool]] = {}
+        # node id -> (receive hook, interest predicate).
+        self._attached: Dict[int, Tuple[
+            Callable[[Message], None],
+            Callable[[MessageKind, int], bool]]] = {}
         self._loss_rng = random.Random((seed << 8) ^ 0x10551)
         self._seed = seed
         # Frozen topology.  ``_bit[u]`` is node u's own bit (ids ranked in
         # ascending order), ``_adj_bits[u]`` the bits of the nodes in range
         # of u (symmetric, own bit clear), ``_cover_bits[u]`` their union:
         # the senders u's carrier sense hears, itself included.
-        ids = topology.node_ids
+        ids = self._ids = tuple(topology.node_ids)
         neighbors = {u: tuple(sorted(topology.neighbors[u])) for u in ids}
         bit = self._bit = {u: 1 << i for i, u in enumerate(ids)}
         self._adj_bits: Dict[int, int] = {
             u: sum(bit[v] for v in neighbors[u]) for u in ids}
         self._cover_bits: Dict[int, int] = {
             u: self._adj_bits[u] | bit[u] for u in ids}
-        # Per sender, (receiver id, receiver bit) in ascending receiver id:
-        # the delivery fan-out order, which the loss models' RNG
-        # consumption and every receive log depend on.
+        # Per sender, (receiver id, receiver bit) in ascending receiver id —
+        # which is ascending bit, the order delivery and the loss models'
+        # RNG consumption follow.
         self._neighbor_pairs: Dict[int, Tuple[Tuple[int, int], ...]] = {
             u: tuple((v, bit[v]) for v in neighbors[u]) for u in ids}
         # Bit u set iff node u has a frame on the air right now (a node
         # never has two at once, so one bit per node suffices).
         self._active_bits = 0
+        # Bit u set iff node u's radio is powered down (``set_radio``).
+        self._off_bits = 0
         # Gilbert–Elliott state per *directed* in-range link, enumerated in
         # (src, dst) ascending order; 1 = bad.  Each link owns its RNG
         # (seeded by ``ge_link_seed``, created on first use) so loss
@@ -224,28 +279,41 @@ class Channel:
                 (u, v) for u in ids for v in neighbors[u])}
         self._ge_bad = bytearray(len(self._edge_index))
         self._link_rngs: Dict[Tuple[int, int], random.Random] = {}
-        # True while neither loss model can consume RNG state: lets the
-        # fan-out skip the per-receiver loss probe entirely.
+        # True while neither loss model can consume RNG state: reception
+        # is then three integer expressions and no per-receiver probe.
         self._lossless = (self.params.loss_rate <= 0.0
                           and self.params.burst is None)
         # Per-frame-length airtime cache: frame lengths cluster on a few
         # payload shapes, so this avoids two float ops per transmission.
         self._airtime_cache: Dict[int, float] = {}
-        # Fan-out tables: per sender, a tuple of (receiver id, receiver
-        # bit, radio_on callable, receive hook) resolved once instead of
-        # two dict lookups per delivery.  Rebuilt lazily whenever a node
-        # (re-)attaches.
-        self._fanout_tables: Optional[Dict[int, tuple]] = None
+        # Delivery plans per frame shape ``(src, kind, link_dst)``, filled
+        # on first use and dropped whenever a node (re-)attaches.
+        self._plans: Dict[
+            Tuple[int, MessageKind, LinkDestination], _Plan] = {}
 
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
     def attach(self, node_id: int, on_receive: Callable[[Message], None],
-               radio_on: Callable[[], bool]) -> None:
-        """Register a node's receive hook and power-state query."""
-        self._receivers[node_id] = on_receive
-        self._radio_on[node_id] = radio_on
-        self._fanout_tables = None  # re-resolved lazily on next fan-out
+               overhears: Callable[[MessageKind, int], bool]
+               = _hears_everything) -> None:
+        """Register a node's receive hook and what it wants to overhear.
+
+        ``on_receive`` is called for every frame the node receives as an
+        explicit link destination, and for the others when
+        ``overhears(kind, src)`` is true (by default, all of them).  The
+        answer is cached per frame shape, so it must not change while the
+        node stays attached.
+        """
+        self._attached[node_id] = (on_receive, overhears)
+        self._plans.clear()
+
+    def set_radio(self, node_id: int, on: bool) -> None:
+        """Power a node's receiver up or down (radios start powered up)."""
+        if on:
+            self._off_bits &= ~self._bit[node_id]
+        else:
+            self._off_bits |= self._bit[node_id]
 
     # ------------------------------------------------------------------
     # Carrier sensing / transmission
@@ -302,75 +370,89 @@ class Channel:
     # ------------------------------------------------------------------
     def _complete(self, record: _Transmission,
                   on_complete: Callable[[DeliveryReport], None]) -> None:
-        """Take the frame off the air and classify every candidate receiver.
+        """Take the frame off the air, classify its receivers, deliver it.
 
-        The candidates are the sender's neighbours in ascending id.  The
-        bitsets accumulated in :meth:`transmit` classify each with two int
-        ANDs: against the overlapping transmitters themselves
-        (half-duplex) and against the union of their adjacency rows
-        (collision).
+        Reception is decided for all of the sender's neighbours at once
+        from the bitsets accumulated in :meth:`transmit`: out go the
+        overlapping transmitters themselves (half-duplex) and the radios
+        that are off right now, then whoever is in range of another
+        overlapping sender collided.  Only the nodes that act on this
+        frame shape (its delivery plan) are then called.
         """
-        del self._active[record.src]
+        src = record.src
+        del self._active[src]
         self._active_bits &= ~record.bit
         msg = record.msg
-        report = DeliveryReport(msg=msg)
-        tables = self._fanout_tables
-        if tables is None:
-            tables = self._build_fanout_tables()
-        collided_bits = record.overlap_adj
-        self_bits = record.overlap_self
-        lossless = self._lossless
-        received = report.received
-        collided = report.collided
-        delivery_hooks: "list[Callable[[Message], None]]" = []
-        deliver = delivery_hooks.append
-        for receiver, rbit, on, hook in tables[record.src]:
-            if rbit & self_bits:
-                continue  # half-duplex: was transmitting itself
-            if on is not None and not on():
-                continue  # radio powered down (sleep mode)
-            if rbit & collided_bits:
-                collided.add(receiver)
-                continue
-            if not lossless:
-                model = self._channel_loss(record.src, receiver)
-                if model is not None:
-                    report.lost.add(receiver)
-                    if self._trace is not None:
-                        self._trace.record_link_loss(model)
-                    continue
-            received.add(receiver)
-            if hook is not None:
-                deliver(hook)
-
-        destinations = msg.destinations()
-        if destinations is not None:
-            report.failed_destinations = set(destinations) - received
-        if self._trace is not None and collided:
-            self._trace.record_collision(msg, collided)
+        plan = self._plans.get((src, msg.kind, msg.link_dst))
+        if plan is None:
+            plan = self._build_plan(src, msg)
+        destination_bits, out_of_range, deliveries = plan
+        candidates = record.adj & ~(record.overlap_self | self._off_bits)
+        collided = candidates & record.overlap_adj
+        received = candidates & ~collided
+        lost = 0
+        if not self._lossless:
+            lost = self._lost_bits(src, received)
+            received &= ~lost
+        failed = out_of_range
+        missed = destination_bits & ~received
+        if missed:
+            failed = _decode(missed, self._ids) | out_of_range
+        report = DeliveryReport(msg, failed, self._ids, received, collided,
+                                lost)
+        if collided and self._trace is not None:
+            # bin().count rather than int.bit_count(): Python 3.9.
+            self._trace.record_collision(msg, bin(collided).count("1"))
 
         # Deliver after the report is fully built so the sender's MAC and the
         # receivers observe a consistent ordering: ascending receiver id.
-        for hook in delivery_hooks:
-            hook(msg)
+        for receiver_bit, hook in deliveries:
+            if receiver_bit & received:
+                hook(msg)
         on_complete(report)
 
-    def _build_fanout_tables(self) -> Dict[int, tuple]:
-        """Resolve per-sender delivery tables against attached nodes.
+    def _build_plan(self, src: int, msg: Message) -> _Plan:
+        """Resolve who acts on frames shaped like ``msg`` sent by ``src``.
 
-        Entry ``u`` holds ``(receiver id, receiver bit, radio_on callable
-        or None, receive hook or None)`` for each neighbor of ``u`` in
-        ascending id order.  The callables a node registers via
-        :meth:`attach` are stable for its lifetime, and :meth:`attach`
-        invalidates the tables, so resolving them once is safe.
+        That is the attached neighbours of ``src`` that are explicit link
+        destinations or declared interest in ``(kind, src)``, in ascending
+        id.  Hooks and interest are fixed while a node stays attached and
+        :meth:`attach` drops every plan, so resolving them once is safe.
         """
-        receivers = self._receivers
-        radio_on = self._radio_on
-        self._fanout_tables = tables = {
-            u: tuple((v, bit, radio_on.get(v), receivers.get(v))
-                     for v, bit in pairs)
-            for u, pairs in self._neighbor_pairs.items()}
-        return tables
+        adj = self._adj_bits[src]
+        destination_bits = 0
+        out_of_range = set()
+        for destination in msg.destinations() or ():
+            bit = self._bit.get(destination, 0) & adj
+            if bit:
+                destination_bits |= bit
+            else:
+                out_of_range.add(destination)
+        deliveries = []
+        for receiver, bit in self._neighbor_pairs[src]:
+            if receiver not in self._attached:
+                continue
+            hook, overhears = self._attached[receiver]
+            if bit & destination_bits or overhears(msg.kind, src):
+                deliveries.append((bit, hook))
+        plan = self._plans[(src, msg.kind, msg.link_dst)] = (
+            destination_bits, frozenset(out_of_range), tuple(deliveries))
+        return plan
+
+    def _lost_bits(self, src: int, received: int) -> int:
+        """Probe the loss models for each receiver, in ascending id.
+
+        Returns the bits of the receivers whose copy a model ate; the
+        order fixes how ``_loss_rng`` and the per-link streams are consumed.
+        """
+        lost = 0
+        for bit in _set_bits(received):
+            model = self._channel_loss(src, self._ids[bit.bit_length() - 1])
+            if model is not None:
+                lost |= bit
+                if self._trace is not None:
+                    self._trace.record_link_loss(model)
+        return lost
 
     def _channel_loss(self, src: int, receiver: int) -> Optional[str]:
         """Name of the loss model that ate the frame, or None if delivered.

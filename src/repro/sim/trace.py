@@ -18,7 +18,7 @@ read from, or incremented by, that one report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 from .engine import EventQueue
 from .messages import Message, MessageKind
@@ -157,11 +157,11 @@ class TraceCollector:
         span = tracer.start_with("radio.tx", labels)
         tracer.finish(span, end_ms=span.start_ms + duration)
 
-    def record_collision(self, msg: Message, receivers: Set[int]) -> None:
-        """Count the receivers that lost this frame to a collision."""
-        self.collisions += len(receivers)
+    def record_collision(self, msg: Message, receivers: int) -> None:
+        """``receivers`` nodes lost this frame to a collision."""
+        self.collisions += receivers
         if self._obs is not None:
-            self._collisions_total.inc(len(receivers))
+            self._collisions_total.inc(receivers)
 
     def record_link_loss(self, model: str) -> None:
         """A channel loss model (``bernoulli``/``burst``) ate a frame copy."""

@@ -22,6 +22,7 @@ from ..sensors.field import SensorWorld
 from ..sensors.sampler import Sampler
 from ..sim.engine import Event, PeriodicTimer
 from ..sim.messages import MessageKind, Message
+from ..sim.node import NodeApp
 from .aggregation import (
     grouped_partials_from_row,
     merge_grouped_maps,
@@ -78,10 +79,8 @@ class _RunningQuery:
     timer: PeriodicTimer
 
 
-class TinyDBNodeApp:
+class TinyDBNodeApp(NodeApp):
     """Baseline per-node application.  Subclassed by the base station."""
-
-    node = None  # injected by SensorNode.attach_app
 
     def __init__(self, world: SensorWorld, tree: RoutingTree,
                  params: Optional[TinyDBParams] = None, seed: int = 0) -> None:
@@ -149,6 +148,10 @@ class TinyDBNodeApp:
                              payload.payload_bytes())
         if msg is not None:
             self._link_retries[msg.msg_id] = attempts
+
+    def overhears(self, kind: MessageKind, src: int) -> bool:
+        """Floods are for everyone; results and beacons only when addressed."""
+        return kind is MessageKind.QUERY or kind is MessageKind.ABORT
 
     def on_message(self, msg: Message) -> None:
         if msg.kind is MessageKind.QUERY:

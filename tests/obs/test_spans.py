@@ -64,6 +64,25 @@ def test_cap_evicts_oldest_and_counts_drops(clock):
     assert [s.labels["i"] for s in tracer.finished] == ["3", "4"]
 
 
+def test_full_buffer_keeps_the_newest_spans_in_order(clock):
+    """Past the cap every finish evicts exactly the oldest span."""
+    tracer = Tracer(registry=MetricsRegistry(), clock=clock, cap=100)
+    for i in range(250):
+        tracer.finish(tracer.start("odd" if i % 2 else "even", i=i))
+    assert len(tracer.finished) == 100
+    assert tracer.dropped == 150 and tracer.started == 250
+    assert [int(s.labels["i"]) for s in tracer.finished] \
+        == list(range(150, 250))
+    assert [int(s.labels["i"]) for s in tracer.by_name("even")] \
+        == list(range(150, 250, 2))
+    assert len(tracer.snapshot()) == 100
+    assert [entry["labels"]["i"] for entry in tracer.snapshot(limit=3)] \
+        == ["247", "248", "249"]
+    assert len(tracer.snapshot(limit=1000)) == 100
+    # Eviction is from the buffer only: the histogram saw every span.
+    assert tracer.registry.histogram("span.odd.duration_ms").count == 125
+
+
 def test_snapshot_limit_and_shape(tracer, clock):
     for i in range(3):
         span = tracer.start("s", i=i)

@@ -4,14 +4,16 @@ The golden traces (``tests/harness/test_golden_trace``) pin whole harness
 runs on fixed cells; this module attacks the same contract from below with
 randomized *channel-level* schedules hypothesis can shrink: random
 topologies, random transmission timings (including deliberate same-instant
-cohorts that collide), random addressing modes, sleeping nodes, and
-randomized Bernoulli/Gilbert–Elliott loss parameters.
+cohorts that collide), random kinds and addressing modes, radios that start
+off or are switched through ``set_radio`` while frames are on the air, a
+random interest predicate per node, and randomized Bernoulli/Gilbert–Elliott
+loss parameters.
 
 The reference is :func:`_oracle`, written here and sharing no state with
 ``Channel``: it sees only the list of frames that went on the air and
 decides every delivery by comparing intervals pairwise.  For every
 generated scenario the channel must produce the oracle's delivery reports
-and per-node receive logs — sets, order, and timestamps all equal.
+and hook calls — sets, order, and timestamps all equal.
 """
 
 from __future__ import annotations
@@ -65,7 +67,20 @@ scenarios = st.fixed_dictionaries({
     "params": radio_params,
     "schedule": st.lists(transmissions, min_size=1, max_size=25),
     "asleep": st.sets(st.integers(min_value=0, max_value=13), max_size=4),
+    # (slot, node draw, on?): applied 2.5 ms into the slot, while the
+    # frames that started on it are still on the air.
+    "power": st.lists(st.tuples(st.integers(min_value=0, max_value=13),
+                                st.integers(min_value=0, max_value=13),
+                                st.booleans()), max_size=6),
+    "interest": st.integers(min_value=0, max_value=2 ** 30 - 1),
 })
+
+KINDS = tuple(MessageKind)
+
+
+def _overhears(draw, node, kind, src):
+    """Node ``node``'s declared interest: a fixed pseudo-random predicate."""
+    return bool(draw >> ((node * 5 + src * 3 + KINDS.index(kind)) % 30) & 1)
 
 
 class _Frame(NamedTuple):
@@ -77,17 +92,26 @@ class _Frame(NamedTuple):
     end: float
 
 
-def _oracle(topo, asleep, params, seed, frames):
-    """Expected (receive log, delivery reports) by pairwise interval overlap.
+def _oracle(topo, asleep, power, interest, params, seed, frames):
+    """Expected (hook calls, delivery reports) by pairwise interval overlap.
 
     A frame reaches the neighbours of its sender, minus radios that are
-    off, minus nodes that transmitted during an overlapping interval
-    (half-duplex), minus nodes in range of any other overlapping sender
-    (collision), minus what the loss models then eat.  Frames complete in
-    ``end`` order with FIFO ties (``frames`` is in transmit order and the
-    sort is stable); receivers are probed in ascending id, which fixes
-    the order both loss models consume their seeded streams in.
+    off when it ends, minus nodes that transmitted during an overlapping
+    interval (half-duplex), minus nodes in range of any other overlapping
+    sender (collision), minus what the loss models then eat.  Of those, the
+    explicit destinations and the nodes that declared interest are called.
+    Frames complete in ``end`` order with FIFO ties (``frames`` is in
+    transmit order and the sort is stable); receivers are probed in
+    ascending id, which fixes the order both loss models consume their
+    seeded streams in.
     """
+    def off(node, t):
+        state = node in asleep
+        for when, who, on in power:     # in time order, FIFO ties
+            if who == node and when <= t:
+                state = not on
+        return state
+
     loss_rng = random.Random((seed << 8) ^ 0x10551)
     link_rngs, link_bad = {}, {}
 
@@ -115,7 +139,7 @@ def _oracle(topo, asleep, params, seed, frames):
                   and o.start < frame.end and frame.start < o.end]
         got, collided, eaten = [], [], []
         for node in sorted(topo.neighbors[frame.src]):
-            if node in asleep or any(o.src == node for o in others):
+            if off(node, frame.end) or any(o.src == node for o in others):
                 continue
             if any(topo.in_range(node, o.src) for o in others):
                 collided.append(node)
@@ -127,7 +151,10 @@ def _oracle(topo, asleep, params, seed, frames):
         failed = sorted(set(destinations) - set(got)) \
             if destinations is not None else []
         received.extend((frame.end, node, frame.src, frame.msg.payload)
-                        for node in got)
+                        for node in got
+                        if node in (destinations or ())
+                        or _overhears(interest, node, frame.msg.kind,
+                                      frame.src))
         reports.append((frame.end, frame.msg.payload, tuple(got),
                         tuple(failed), tuple(collided), tuple(eaten)))
     return received, reports
@@ -144,13 +171,23 @@ def _run(scenario):
     frames = []
     received = []
     reports = []
-    asleep = {topo.node_ids[i % len(topo.node_ids)]
-              for i in scenario["asleep"]}
-    for node in topo.node_ids:
+    ids = topo.node_ids
+    asleep = {ids[i % len(ids)] for i in scenario["asleep"]}
+    power = sorted(((slot * 5.0 + 2.5, ids[draw % len(ids)], on)
+                    for slot, draw, on in scenario["power"]),
+                   key=lambda event: event[0])
+    interest = scenario["interest"]
+    for node in ids:
         def on_receive(msg, node=node):
             received.append((engine.now, node, msg.src, msg.payload))
-        channel.attach(node, on_receive,
-                       (lambda: False) if node in asleep else (lambda: True))
+
+        def overhears(kind, src, node=node):
+            return _overhears(interest, node, kind, src)
+        channel.attach(node, on_receive, overhears)
+    for node in asleep:
+        channel.set_radio(node, False)
+    for when, node, on in power:
+        engine.schedule(when, channel.set_radio, node, on)
 
     def fire(src, dst_draw, payload_bytes, tag):
         if channel.is_transmitting(src):
@@ -158,7 +195,6 @@ def _run(scenario):
         # Destination draw: ~half broadcast, ~quarter unicast to a random
         # node, ~quarter multicast to a small id set.
         mode = dst_draw % 4
-        ids = topo.node_ids
         if mode <= 1:
             link_dst = BROADCAST
         elif mode == 2:
@@ -166,7 +202,8 @@ def _run(scenario):
         else:
             link_dst = frozenset({ids[(dst_draw // 4) % len(ids)],
                                   ids[(dst_draw // 8) % len(ids)]})
-        msg = Message(MessageKind.RESULT, src, link_dst, tag, payload_bytes)
+        msg = Message(KINDS[(dst_draw // 16) % len(KINDS)], src, link_dst,
+                      tag, payload_bytes)
 
         def on_complete(report):
             reports.append((engine.now, tag,
@@ -183,16 +220,17 @@ def _run(scenario):
         engine.schedule(slot * 5.0, fire, src, dst_draw, payload_bytes, tag)
     engine.run_until(10_000.0)
     assert not channel._active
-    return topo, asleep, frames, received, reports
+    return topo, asleep, power, frames, received, reports
 
 
 @given(scenario=scenarios)
 @settings(max_examples=60, deadline=None)
 def test_paths_deliver_identically(scenario):
     """Channel and oracle: two paths to the same reports and receive logs."""
-    topo, asleep, frames, received, reports = _run(scenario)
+    topo, asleep, power, frames, received, reports = _run(scenario)
     assert (received, reports) == _oracle(
-        topo, asleep, scenario["params"], scenario["channel_seed"], frames)
+        topo, asleep, power, scenario["interest"], scenario["params"],
+        scenario["channel_seed"], frames)
 
 
 @given(scenario=scenarios)
@@ -205,7 +243,7 @@ def test_carrier_sense_agrees_under_load(scenario):
     channel = Channel(engine, topo, params=scenario["params"],
                       seed=scenario["channel_seed"])
     for node in topo.node_ids:
-        channel.attach(node, lambda msg: None, lambda: True)
+        channel.attach(node, lambda msg: None)
     frames = []
     for slot, src_draw, _, payload_bytes in sorted(scenario["schedule"]):
         src = topo.node_ids[src_draw % len(topo.node_ids)]

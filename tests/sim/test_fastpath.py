@@ -3,9 +3,9 @@
 ``Channel`` freezes the topology at construction into per-node Python-int
 bitsets (``sim/radio.py``).  Its results are pinned end to end by the
 golden traces and by the interval-overlap oracle in
-``test_fastpath_property.py``; these tests pin the structure those results
+``test_channel_property.py``; these tests pin the structure those results
 rest on: the adjacency bits are ``Topology.in_range``, cover bits add the
-node itself, fan-out is in ascending receiver id, the Gilbert–Elliott edge
+node itself, delivery is in ascending receiver id, the Gilbert–Elliott edge
 table enumerates exactly the directed in-range links (the oracle replays
 each link's ``ge_link_seed`` stream), and carrier sensing is "this node or
 an in-range node is on the air".
@@ -56,10 +56,16 @@ class TestTopologyArrays:
             assert [v for v, _ in pairs] == sorted(topo.neighbors[node])
             for v, bit in pairs:
                 assert bit == channel._bit[v]
-        # The resolved delivery tables keep that order.
-        for node, table in channel._build_fanout_tables().items():
-            assert [entry[0] for entry in table] \
-                == sorted(topo.neighbors[node])
+        # A delivery plan keeps that order: ascending id is ascending bit.
+        hooks = {node: (lambda msg: None) for node in topo.node_ids}
+        for node, hook in hooks.items():
+            channel.attach(node, hook)
+        for node in topo.node_ids:
+            _, _, deliveries = channel._build_plan(
+                node, Message(MessageKind.RESULT, node, BROADCAST, None, 1))
+            assert list(deliveries) == [
+                (channel._bit[v], hooks[v])
+                for v in sorted(topo.neighbors[node])]
 
     def test_edge_index_enumerates_directed_links_with_distinct_seeds(self):
         """One Gilbert–Elliott slot and one RNG stream per directed link."""

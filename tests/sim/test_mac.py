@@ -19,17 +19,15 @@ def _build(n=3, mac_params=None, registry=None):
     trace = TraceCollector(engine, obs)
     channel = Channel(engine, topo, trace=trace)
     received = {i: [] for i in topo.node_ids}
-    radio_on = {i: True for i in topo.node_ids}
     for i in topo.node_ids:
-        channel.attach(i, lambda m, i=i: received[i].append(m),
-                       lambda i=i: radio_on[i])
+        channel.attach(i, lambda m, i=i: received[i].append(m))
     drops = []
     macs = {
         i: MacLayer(i, engine, channel, mac_params, seed=5,
                     on_drop=lambda m, f: drops.append((m, f)), trace=trace)
         for i in topo.node_ids
     }
-    return engine, channel, macs, received, radio_on, drops, trace
+    return engine, channel, macs, received, drops, trace
 
 
 def _msg(src, dst, payload_bytes=10):
@@ -45,7 +43,7 @@ class TestBasicSend:
         assert len(received[1]) == 1
 
     def test_broadcast_delivered_no_ack(self):
-        engine, _, macs, received, _, drops, _ = _build()
+        engine, _, macs, received, drops, _ = _build()
         macs[1].enqueue(_msg(1, BROADCAST))
         engine.run_until(1000.0)
         assert len(received[0]) == 1 and len(received[2]) == 1
@@ -70,7 +68,7 @@ class TestBasicSend:
 
     def test_queue_overflow_drops(self):
         params = MacParams(queue_capacity=2)
-        engine, _, macs, _, _, drops, _ = _build(mac_params=params)
+        engine, _, macs, _, drops, _ = _build(mac_params=params)
         results = [macs[0].enqueue(_msg(0, 1)) for _ in range(5)]
         # capacity 2 queued + 1 in flight after first dequeue; the extras fail
         assert not all(results)
@@ -80,8 +78,9 @@ class TestBasicSend:
 class TestRetransmission:
     def test_sleeping_destination_retried_then_dropped(self):
         params = MacParams(max_retries=3)
-        engine, _, macs, received, radio_on, drops, trace = _build(mac_params=params)
-        radio_on[1] = False
+        engine, channel, macs, received, drops, trace = _build(
+            mac_params=params)
+        channel.set_radio(1, False)
         msg = _msg(0, 1)
         macs[0].enqueue(msg)
         engine.run_until(5000.0)
@@ -93,7 +92,7 @@ class TestRetransmission:
 
     def test_retries_are_counted_as_they_go_on_air(self):
         registry = MetricsRegistry()
-        engine, channel, macs, received, _, drops, trace = _build(
+        engine, channel, macs, received, drops, trace = _build(
             registry=registry)
         counter = registry.counter("sim.mac.retransmissions_total")
         transmit = channel.transmit
@@ -118,8 +117,8 @@ class TestRetransmission:
 
     def test_a_retry_that_never_goes_on_air_is_not_counted(self):
         registry = MetricsRegistry()
-        engine, _, macs, _, radio_on, _, trace = _build(registry=registry)
-        radio_on[1] = False
+        engine, channel, macs, _, _, trace = _build(registry=registry)
+        channel.set_radio(1, False)
         msg = _msg(0, 1)
         macs[0].enqueue(msg)
         while msg.retransmissions == 0:
@@ -131,26 +130,26 @@ class TestRetransmission:
         assert registry.counter("sim.mac.retransmissions_total").value == 0
 
     def test_destination_waking_mid_retry_receives(self):
-        engine, _, macs, received, radio_on, drops, _ = _build()
-        radio_on[1] = False
+        engine, channel, macs, received, drops, _ = _build()
+        channel.set_radio(1, False)
         macs[0].enqueue(_msg(0, 1))
-        engine.schedule(15.0, lambda: radio_on.__setitem__(1, True))
+        engine.schedule(15.0, channel.set_radio, 1, True)
         engine.run_until(5000.0)
         assert len(received[1]) == 1
         assert drops == []
 
     def test_broadcast_never_retransmitted(self):
-        engine, _, macs, _, radio_on, drops, trace = _build()
-        radio_on[0] = False
-        radio_on[2] = False
+        engine, channel, macs, _, drops, trace = _build()
+        channel.set_radio(0, False)
+        channel.set_radio(2, False)
         macs[1].enqueue(_msg(1, BROADCAST))
         engine.run_until(1000.0)
         assert trace.node_stats(1).tx_count == 1
         assert drops == []
 
     def test_multicast_requires_all_destinations(self):
-        engine, _, macs, received, radio_on, drops, _ = _build()
-        radio_on[2] = False
+        engine, channel, macs, received, drops, _ = _build()
+        channel.set_radio(2, False)
         macs[1].enqueue(_msg(1, frozenset((0, 2))))
         engine.run_until(5000.0)
         assert len(received[0]) >= 1  # 0 got it (possibly multiple copies)

@@ -75,6 +75,22 @@ class TestLifecycle:
         assert sim.nodes[0].level == 0
         assert sim.nodes[3].level == 1
 
+    def test_app_is_called_for_what_it_overhears_or_is_addressed(self, sim):
+        class _FloodsOnly(_RecorderApp):
+            def overhears(self, kind, src):
+                return kind is MessageKind.QUERY
+
+        apps = {n: _FloodsOnly() for n in sim.topology.node_ids}
+        for node_id, app in apps.items():
+            sim.install_at(node_id, app)
+        sim.start()
+        sim.nodes[0].broadcast(MessageKind.QUERY, "flood", 4)
+        sim.nodes[0].broadcast(MessageKind.MAINTENANCE, "beacon", 4)
+        sim.nodes[0].send(MessageKind.RESULT, 2, "row", 4)
+        sim.run_for(1000.0)
+        assert [m.payload for m in apps[1].messages] == ["flood"]
+        assert [m.payload for m in apps[2].messages] == ["flood", "row"]
+
 
 class TestTimers:
     def test_after_runs_at_right_time(self, sim, apps):
@@ -99,6 +115,28 @@ class TestSleep:
         sim.nodes[0].broadcast(MessageKind.MAINTENANCE, "lost", 4)
         sim.run_for(200.0)
         assert apps[1].messages == []
+
+    def test_channel_sees_every_power_transition(self, sim, apps):
+        """The channel is told, not asked: its off-set is the nodes' own."""
+        def off():
+            return {n for n, bit in sim.channel._bit.items()
+                    if sim.channel._off_bits & bit}
+
+        sim.start()
+        assert off() == set()
+        sim.nodes[1].sleep(100.0)
+        sim.nodes[2].fail(300.0)
+        sim.nodes[3].sleep(1000.0)
+        assert off() == {1, 2, 3}
+        sim.run_for(150.0)              # 1's sleep ran out
+        assert off() == {2, 3}
+        sim.nodes[3].wake()
+        assert off() == {2}
+        sim.nodes[2].wake()             # a failed node cannot be woken
+        assert off() == {2}
+        sim.run_for(200.0)              # 2 recovered
+        assert off() == set()
+        assert not any(node.asleep for node in sim.nodes.values())
 
     def test_wake_callback_after_duration(self, sim, apps):
         sim.start()

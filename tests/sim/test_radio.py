@@ -20,13 +20,9 @@ class _Harness:
         self.trace = TraceCollector(self.engine)
         self.channel = Channel(self.engine, topology, params, self.trace)
         self.received = {n: [] for n in topology.node_ids}
-        self.radio_on = {n: True for n in topology.node_ids}
         for n in topology.node_ids:
             self.channel.attach(
-                n,
-                lambda msg, n=n: self.received[n].append(msg),
-                lambda n=n: self.radio_on[n],
-            )
+                n, lambda msg, n=n: self.received[n].append(msg))
         self.reports = []
 
     def send(self, src, link_dst=BROADCAST, payload_bytes=10,
@@ -78,7 +74,7 @@ class TestDelivery:
 
     def test_sleeping_receiver_misses_frame(self):
         h = _Harness(_line_topology(3))
-        h.radio_on[1] = False
+        h.channel.set_radio(1, False)
         h.send(0, link_dst=1)
         h.engine.run_until(100.0)
         (report,) = h.reports
@@ -100,6 +96,78 @@ class TestDelivery:
         assert len(h.received[1]) == 2
 
 
+class TestInterest:
+    """``attach(..., overhears)``: who is *called*, not who *receives*."""
+
+    def test_uninterested_neighbour_receives_but_is_not_called(self):
+        h = _Harness(_line_topology(3))
+        h.channel.attach(0, h.received[0].append, lambda kind, src: False)
+        h.send(1, link_dst=2)
+        h.engine.run_until(100.0)
+        (report,) = h.reports
+        assert report.received == {0, 2}
+        assert h.received[0] == [] and len(h.received[2]) == 1
+
+    def test_explicit_destination_is_called_whatever_it_declared(self):
+        h = _Harness(_line_topology(3))
+        h.channel.attach(0, h.received[0].append, lambda kind, src: False)
+        h.send(1, link_dst=frozenset((0, 2)))
+        h.engine.run_until(100.0)
+        assert len(h.received[0]) == len(h.received[2]) == 1
+        assert not h.reports[0].failed_destinations
+
+    def test_interest_is_asked_once_per_kind_and_sender(self):
+        h = _Harness(_line_topology(3))
+        asked = []
+
+        def overhears(kind, src):
+            asked.append((kind, src))
+            return kind is MessageKind.QUERY
+
+        h.channel.attach(1, h.received[1].append, overhears)
+        for kind in (MessageKind.QUERY, MessageKind.RESULT,
+                     MessageKind.QUERY):
+            for src in (0, 2):
+                h.send(src, kind=kind)
+                h.engine.run_until(h.engine.now + 100.0)
+        assert [(m.kind, m.src) for m in h.received[1]] \
+            == [(MessageKind.QUERY, 0), (MessageKind.QUERY, 2)] * 2
+        # The answer is cached: the second QUERY round asks nothing.
+        assert asked == [(MessageKind.QUERY, 0), (MessageKind.QUERY, 2),
+                         (MessageKind.RESULT, 0), (MessageKind.RESULT, 2)]
+
+    def test_reattaching_replaces_hook_and_interest(self):
+        h = _Harness(_line_topology(2))
+        h.send(0)
+        h.engine.run_until(50.0)
+        second = []
+        h.channel.attach(1, second.append, lambda kind, src: True)
+        h.send(0)
+        h.engine.run_until(100.0)
+        assert len(h.received[1]) == 1 and len(second) == 1
+
+    def test_out_of_range_destination_always_fails(self):
+        h = _Harness(_line_topology(4))
+        h.send(0, link_dst=frozenset((1, 3, 99)))
+        h.engine.run_until(100.0)
+        (report,) = h.reports
+        assert report.received == {1}
+        assert report.failed_destinations == {3, 99}
+        assert len(h.received[1]) == 1 and h.received[3] == []
+
+    def test_radio_state_is_read_when_the_frame_completes(self):
+        h = _Harness(_line_topology(3))
+        h.send(1)
+        h.channel.set_radio(0, False)       # powers down mid-frame: misses
+        h.channel.set_radio(2, False)
+        h.channel.set_radio(2, True)        # back up before the end: hears
+        h.engine.run_until(100.0)
+        (report,) = h.reports
+        assert report.received == {2}
+        assert report.collided == set() and report.lost == set()
+        assert h.received[0] == [] and len(h.received[2]) == 1
+
+
 class TestCollisions:
     def test_overlapping_in_range_transmissions_collide(self):
         # 0 and 2 both reach 1; simultaneous sends garble both at 1.
@@ -108,7 +176,8 @@ class TestCollisions:
         h.send(2)
         h.engine.run_until(100.0)
         assert h.received[1] == []
-        assert h.trace.collisions >= 1
+        assert h.trace.collisions == 2     # node 1, once per garbled frame
+        assert [r.collided for r in h.reports] == [{1}, {1}]
 
     def test_hidden_terminal_collision(self):
         # 0-1-2: 0 and 2 cannot hear each other but both reach 1.
