@@ -21,11 +21,15 @@ All counters live in the metrics registry current at construction time
 :class:`ServiceStats` snapshot API is a typed view over those same
 series, so ``stats()`` and ``python -m repro obs`` can never disagree.
 
-Results flow back through :meth:`pump`: every live, subscribed ticket
-keeps a :class:`DeliveryCursor` into the append-only result log, and a pump
-maps only what the anchor's synthetic queries (across the whole
-re-optimization history, via :class:`ResultMapper`) gained since the last
-one, fanning new rows/aggregates out to per-subscriber queues.
+Results flow back through :meth:`pump`: every anchor with caught-up
+subscribed tickets keeps one :class:`DeliveryCursor` into the append-only
+result log, and a pump maps only what the anchor's synthetic queries
+(across the whole re-optimization history, via :class:`ResultMapper`)
+gained since the last one — once per anchor, like the paper's mapping
+from one synthetic query to many user queries — fanning the same new
+rows/aggregates out to every subscriber queue of those tickets.  A newly
+subscribed ticket first catches up from a cursor of its own, then joins
+its anchor's.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Union
 
 from ..core.basestation import (
     BaseStationOptimizer,
@@ -200,6 +204,15 @@ def _ticket_from_dict(payload: dict) -> Ticket:
     )
 
 
+class _SharedCursor(NamedTuple):
+    """One anchor's delivery cursor, read once per pump for its tickets."""
+
+    anchor: Query
+    cursor: DeliveryCursor
+    #: The caught-up LIVE subscribed tickets reading through ``cursor``.
+    tickets: Set[int]
+
+
 @dataclass(frozen=True)
 class ServiceStats:
     """One consistent snapshot of the service's counters."""
@@ -325,6 +338,9 @@ class QueryService:
         #: ticket id -> how far its subscribers have read (in-memory only:
         #: a recovered service re-delivers from an empty cursor).
         self._cursors: Dict[int, DeliveryCursor] = {}
+        #: anchor qid -> the cursor its caught-up tickets share; a ticket
+        #: leaves ``_cursors`` for it after its first pump while LIVE.
+        self._anchor_cursors: Dict[int, _SharedCursor] = {}
         #: Planner pricing every submission (EXPLAIN, quotas, cost-aware
         #: shedding).  Defaults to an uncalibrated planner over the
         #: backend's own cost model, so prices are always available.
@@ -1414,8 +1430,14 @@ class QueryService:
         self._session_drop(ticket)
 
     def _session_drop(self, ticket: Ticket) -> None:
-        self._subs.pop(ticket.ticket_id, None)
-        self._cursors.pop(ticket.ticket_id, None)
+        if (self._subs.pop(ticket.ticket_id, None) is not None
+                and self._cursors.pop(ticket.ticket_id, None) is None):
+            # A caught-up ticket: the last one to leave releases its
+            # anchor's cursor, so no cursor outlives its anchor.
+            shared = self._anchor_cursors[ticket.anchor_qid]
+            shared.tickets.discard(ticket.ticket_id)
+            if not shared.tickets:
+                del self._anchor_cursors[ticket.anchor_qid]
         self._ticket_qos.pop(ticket.ticket_id, None)
         price = self._ticket_price.pop(ticket.ticket_id, None)
         client = self._ticket_client.pop(ticket.ticket_id, None)
@@ -1444,6 +1466,12 @@ class QueryService:
         counts them in ``resilience.subscriber_dropped_total``) instead of
         growing service memory without limit.  Pass ``maxsize=0`` to
         explicitly opt back into an unbounded queue.
+
+        The first subscriber of a ticket receives its whole answer so far
+        at the next pump after the ticket is LIVE; a later one receives
+        what arrives after it subscribed.  Tickets that share an anchor
+        receive the very same item objects: treat them as read-only.  A
+        ticket that already ended gets a queue nothing is ever put on.
         """
         if self._backend.results is None:
             raise ValueError(
@@ -1457,16 +1485,32 @@ class QueryService:
             bound = (self._overload.subscriber_queue_maxsize
                      if maxsize is None else maxsize)
             subscriber: "queue.Queue" = queue.Queue(maxsize=bound)
-            self._subs.setdefault(ticket_id, []).append(subscriber)
-            self._cursors.setdefault(ticket_id, DeliveryCursor())
+            if self._tickets[ticket_id].status not in (TicketStatus.PENDING,
+                                                        TicketStatus.LIVE):
+                return subscriber
+            subscribers = self._subs.get(ticket_id)
+            if subscribers is None:
+                self._subs[ticket_id] = [subscriber]
+                self._cursors[ticket_id] = DeliveryCursor()
+            else:
+                # Already reading (privately or through its anchor's
+                # cursor): a fresh cursor would replay the whole answer
+                # into the ticket's existing queues.
+                subscribers.append(subscriber)
             return subscriber
 
     def pump(self, now_ms: Optional[float] = None) -> int:
         """Fan new mapped results out to subscribers; returns items pushed.
 
-        Maps what arrived since the ticket's last pump, across the anchor's
-        whole synthetic-query history, so results survive re-optimization
-        remaps mid-flight and a pump costs O(new rows), not O(log).
+        Maps what arrived since the last pump, across the anchor's whole
+        synthetic-query history, so results survive re-optimization
+        remaps mid-flight and a pump costs O(new rows), not O(log) — once
+        per anchor, however many caught-up tickets share it.  A ticket's
+        first pump while LIVE maps from its own fresh cursor (a fresh read
+        may hand over partial aggregates and recomputed derived epochs as
+        they stand *now*, unlike the anchor's incremental history); after
+        it the two cursors hold the same positions, seen keys and dirty
+        epochs, so the ticket drops its own and joins the anchor's.
         Schedule this against the sim runtime (e.g. once per smallest
         epoch) or call it after a run to drain everything at once.  Also
         sweeps expired leases, so a deployment that only ever pumps still
@@ -1482,17 +1526,34 @@ class QueryService:
             if self._backend.results is None:
                 return 0
             mapper = ResultMapper(self._backend.results)
-            pushed = 0
-            dropped = 0
-            for ticket_id, subscribers in list(self._subs.items()):
+            # (items, the queues they go to).  The shared cursors are read
+            # first: a newcomer may join one only once both have read to
+            # the same point of the log.
+            deliveries = [
+                (mapper.unseen(shared.anchor,
+                               self.optimizer.synthetic_history(anchor_qid),
+                               shared.cursor, now),
+                 [subscriber for ticket_id in shared.tickets
+                  for subscriber in self._subs[ticket_id]])
+                for anchor_qid, shared in self._anchor_cursors.items()]
+            for ticket_id, cursor in list(self._cursors.items()):
                 ticket = self._tickets[ticket_id]
-                if ticket.status is not TicketStatus.LIVE or not subscribers:
+                if ticket.status is not TicketStatus.LIVE:
                     continue
                 anchor = ticket.anchor
-                assert anchor is not None
-                for item in mapper.unseen(
+                deliveries.append((
+                    mapper.unseen(
                         anchor, self.optimizer.synthetic_history(anchor.qid),
-                        self._cursors[ticket_id], now):
+                        cursor, now),
+                    self._subs[ticket_id]))
+                del self._cursors[ticket_id]
+                self._anchor_cursors.setdefault(
+                    anchor.qid, _SharedCursor(anchor, cursor, set())
+                ).tickets.add(ticket_id)
+            pushed = 0
+            dropped = 0
+            for items, subscribers in deliveries:
+                for item in items:
                     for subscriber in subscribers:
                         try:
                             subscriber.put_nowait(item)
@@ -1723,3 +1784,27 @@ class QueryService:
                     f"{live_by_key[key]} for anchor {entry.anchor_qid}")
                 assert entry.anchor_qid in self.optimizer.table.user, (
                     f"anchor {entry.anchor_qid} missing from query table")
+            # Read path: a subscribed ticket is PENDING or LIVE and reads
+            # through its own cursor until its first LIVE pump, then
+            # through its anchor's, which exists exactly while it has
+            # such a caught-up ticket.
+            assert self._cursors.keys() <= self._subs.keys(), (
+                f"cursors without subscribers: "
+                f"{sorted(self._cursors.keys() - self._subs.keys())}")
+            caught_up: Dict[int, Set[int]] = {}
+            for ticket_id in self._subs:
+                ticket = self._tickets[ticket_id]
+                assert ticket.status in (TicketStatus.PENDING,
+                                         TicketStatus.LIVE), (
+                    f"ticket {ticket_id} is {ticket.status.value} but "
+                    f"still subscribed")
+                if ticket_id not in self._cursors:
+                    assert ticket.status is TicketStatus.LIVE, (
+                        f"ticket {ticket_id} caught up while "
+                        f"{ticket.status.value}")
+                    caught_up.setdefault(ticket.anchor_qid, set()).add(
+                        ticket_id)
+            shared = {qid: s.tickets for qid, s in self._anchor_cursors.items()}
+            assert shared == caught_up, (
+                f"anchor cursors {shared} != caught-up tickets by anchor "
+                f"{caught_up}")

@@ -1,17 +1,19 @@
 """Incremental result delivery: ``pump`` maps only what arrived since the
-last pump, and hands every ticket exactly what a full rescan would.
+last pump, once per anchor, and hands every ticket exactly what a full
+rescan would.
 
 The contract is bit-identity with the rescan ``pump`` used to do (rebuild
 every ticket's whole answer from the whole log, drop what was delivered).
 That loop survives here, as :func:`_rescan`, written against the plain
 full-history read API of :class:`ResultLog` only; hypothesis drives random
-interleavings of arrivals, subscriptions, remaps and pumps and requires the
-two to agree item for item.  The cost side is checked by counting rows
-read, never by a clock.
+interleavings of arrivals, subscriptions, remaps, terminations,
+re-submissions and pumps and requires the two to agree item for item.  The
+cost side is checked by counting rows read, never by a clock.
 """
 
 import queue
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +23,12 @@ from repro.harness.tier1_sim import default_cost_model
 from repro.obs import scoped
 from repro.queries.ast import fresh_qids
 from repro.queries.parser import parse_query
-from repro.service import OptimizerBackend, QueryService
+from repro.service import (
+    OptimizerBackend,
+    QueryService,
+    TenantQuotas,
+    TicketStatus,
+)
 from repro.tinydb.aggregation import (
     compute_aggregates,
     compute_grouped_aggregates,
@@ -48,6 +55,10 @@ EXTRA_SYNTHETICS = (
     ("SELECT AVG(temp), COUNT(temp), MAX(temp) FROM sensors WHERE temp > 10 "
      "GROUP BY light / 250 EPOCH DURATION 2048", (2,)),
 )
+
+#: Tickets per question in the rescan differential: they share an anchor
+#: (dedup cache) but subscribe, end and come back at their own times.
+TICKETS_PER_QUESTION = 3
 
 
 class _RemappingOptimizer(BaseStationOptimizer):
@@ -88,11 +99,11 @@ class _CountingLog(ResultLog):
         return out
 
 
-def _service(log):
+def _service(log, **kwargs):
     backend = _LogBackend(
         _RemappingOptimizer(default_cost_model(16, 3)), log)
     return QueryService(backend, batch_window_ms=0.0,
-                        default_ttl_ms=1e12, clock=lambda: 0.0)
+                        default_ttl_ms=1e12, clock=lambda: 0.0, **kwargs)
 
 
 def _rescan(log, anchor, history, seen, now):
@@ -172,21 +183,107 @@ _reading = st.tuples(
     st.sampled_from([100.0, 260.0, 400.0, 600.0]),
     st.sampled_from([5.0, 20.0, 30.0]))
 
-_ops = st.lists(st.one_of(
-    # A burst of (epoch, origin, light, temp) readings reaches the base
-    # station, reported by one synthetic query (by position among all known
-    # ones) or, with None, by every one of them — what a handover looks like.
-    st.tuples(st.just("arrive"), st.none() | st.integers(0, 15),
-              st.lists(_reading, min_size=1, max_size=6)),
-    st.tuples(st.just("subscribe"), st.integers(0, 5)),
-    st.tuples(st.just("remap"), st.integers(0, 5), st.integers(0, 3)),
-    st.tuples(st.just("pump"), st.sampled_from([0.0, 1024.0, 4096.0, 9000.0])),
-), min_size=1, max_size=40)
+_slot = st.integers(0, TICKETS_PER_QUESTION * len(USER_TEXTS) - 1)
+
+
+def _ops(min_size, max_size):
+    return st.lists(st.one_of(
+        # A burst of (epoch, origin, light, temp) readings reaches the base
+        # station, reported by one synthetic query (by position among all
+        # known ones) or, with None, by every one of them — what a handover
+        # looks like.
+        st.tuples(st.just("arrive"), st.none() | st.integers(0, 15),
+                  st.lists(_reading, min_size=1, max_size=6)),
+        st.tuples(st.just("subscribe"), _slot),
+        st.tuples(st.just("remap"), _slot, st.integers(0, 3)),
+        # The slot's ticket ends; the last of its question ends the anchor.
+        st.tuples(st.just("terminate"), _slot),
+        # The slot's ticket ends and its question is submitted again: a
+        # cache hit while the anchor lives, a new anchor (qid) once it died.
+        st.tuples(st.just("resubmit"), _slot),
+        st.tuples(st.just("pump"),
+                  st.sampled_from([0.0, 1024.0, 4096.0, 9000.0])),
+    ), min_size=min_size, max_size=max_size)
+
+
+def _pump_equals_rescan(ops):
+    with fresh_qids(), scoped():
+        log = ResultLog()
+        service = _service(log)
+        optimizer = service.optimizer
+        sid = service.open_session("tenant", now_ms=0.0)
+        # Slot i asks question i % 3.
+        slots = [service.submit(sid, USER_TEXTS[i % len(USER_TEXTS)],
+                                now_ms=0.0)
+                 for i in range(TICKETS_PER_QUESTION * len(USER_TEXTS))]
+        every_ticket = list(slots)
+        extras = [parse_query(text) for text, _ in EXTRA_SYNTHETICS]
+        # ticket id -> (ticket, reference delivered-set, [(queue, got, want)])
+        subscribed = {}
+        # Queues of tickets that ended: nothing may reach them any more.
+        ended = []
+        now = 0.0
+        for op in ops:
+            if op[0] == "arrive":
+                known = {}
+                for ticket in every_ticket:
+                    for s in optimizer.synthetic_history(ticket.anchor.qid):
+                        known.setdefault(s.qid, s)
+                for s in extras:
+                    known.setdefault(s.qid, s)
+                reporting = list(known.values())
+                if op[1] is not None:
+                    reporting = [reporting[op[1] % len(reporting)]]
+                for epoch_index, origin, light, temp in op[2]:
+                    for synthetic in reporting:
+                        _arrive(log, synthetic, 2048.0 * epoch_index,
+                                origin, {"light": light, "temp": temp},
+                                now)
+            elif op[0] == "subscribe":
+                ticket = slots[op[1]]
+                if ticket.status is TicketStatus.LIVE:
+                    sinks = subscribed.setdefault(
+                        ticket.ticket_id, (ticket, set(), []))[2]
+                    sinks.append((service.subscribe(
+                        sid, ticket.ticket_id, maxsize=0), [], []))
+            elif op[0] == "remap":
+                able = [extra for extra, (_, users)
+                        in zip(extras, EXTRA_SYNTHETICS)
+                        if op[1] % len(USER_TEXTS) in users]
+                optimizer.extra.setdefault(
+                    slots[op[1]].anchor.qid, []).append(
+                        able[op[2] % len(able)])
+            elif op[0] in ("terminate", "resubmit"):
+                ticket = slots[op[1]]
+                if ticket.status is TicketStatus.LIVE:
+                    service.terminate(sid, ticket.ticket_id, now_ms=now)
+                    _, _, sinks = subscribed.pop(ticket.ticket_id,
+                                                 (None, None, []))
+                    ended += [subscriber for subscriber, _, _ in sinks]
+                if op[0] == "resubmit":
+                    slots[op[1]] = service.submit(
+                        sid, USER_TEXTS[op[1] % len(USER_TEXTS)], now_ms=now)
+                    every_ticket.append(slots[op[1]])
+            else:
+                now += op[1]
+                service.pump(now_ms=now)
+                for ticket, seen, sinks in subscribed.values():
+                    anchor = ticket.anchor
+                    fresh = _rescan(
+                        log, anchor,
+                        optimizer.synthetic_history(anchor.qid), seen, now)
+                    for subscriber, got, want in sinks:
+                        got += _drain(subscriber)
+                        want += fresh
+                        assert got == want
+                assert not any(_drain(subscriber) for subscriber in ended)
+            if op[0] not in ("arrive", "remap"):  # the rest move service state
+                service.validate()
 
 
 class TestPumpEqualsRescan:
     @settings(max_examples=200, deadline=None)
-    @given(ops=_ops)
+    @given(ops=_ops(1, 40))
     # A derived-aggregate epoch seen before its watermark, and nothing new
     # by the time the watermark passes: it must still be handed over.
     @example(ops=[("subscribe", 1), ("arrive", None, [(0, 0, 400.0, 20.0)]),
@@ -202,59 +299,25 @@ class TestPumpEqualsRescan:
                   ("pump", 9000.0),
                   ("arrive", None, [(0, 1, 600.0, 30.0), (0, 2, 100.0, 30.0)]),
                   ("pump", 0.0)])
+    # A sibling subscribing after its anchor handed buckets over catches up
+    # on all of them alone, then shares the anchor's cursor; the anchor
+    # dies with its last ticket (slot 8's re-submission ends it) and comes
+    # back under a new qid.
+    @example(ops=[("subscribe", 2), ("arrive", None, [(0, 0, 600.0, 20.0)]),
+                  ("pump", 9000.0),
+                  ("arrive", None, [(0, 1, 100.0, 20.0)]),
+                  ("subscribe", 5), ("pump", 0.0),
+                  ("arrive", None, [(2, 1, 400.0, 30.0)]), ("pump", 9000.0),
+                  ("terminate", 2), ("terminate", 5), ("resubmit", 8),
+                  ("subscribe", 8), ("pump", 1024.0)])
     def test_every_ticket_gets_the_rescan_sequence(self, ops):
-        with fresh_qids(), scoped():
-            log = ResultLog()
-            service = _service(log)
-            optimizer = service.optimizer
-            sid = service.open_session("tenant", now_ms=0.0)
-            # Two tickets per question: they share an anchor (dedup cache)
-            # but subscribe at their own times.
-            tickets = [service.submit(sid, USER_TEXTS[i % 3], now_ms=0.0)
-                       for i in range(6)]
-            extras = [parse_query(text) for text, _ in EXTRA_SYNTHETICS]
-            # ticket index -> (reference delivered-set, [(queue, got, want)])
-            subscribed = {}
-            now = 0.0
-            for op in ops:
-                if op[0] == "arrive":
-                    known = {}
-                    for ticket in tickets:
-                        for s in optimizer.synthetic_history(ticket.anchor.qid):
-                            known.setdefault(s.qid, s)
-                    for s in extras:
-                        known.setdefault(s.qid, s)
-                    reporting = list(known.values())
-                    if op[1] is not None:
-                        reporting = [reporting[op[1] % len(reporting)]]
-                    for epoch_index, origin, light, temp in op[2]:
-                        for synthetic in reporting:
-                            _arrive(log, synthetic, 2048.0 * epoch_index,
-                                    origin, {"light": light, "temp": temp},
-                                    now)
-                elif op[0] == "subscribe":
-                    sinks = subscribed.setdefault(op[1], (set(), []))[1]
-                    sinks.append((service.subscribe(
-                        sid, tickets[op[1]].ticket_id, maxsize=0), [], []))
-                elif op[0] == "remap":
-                    able = [extra for extra, (_, users)
-                            in zip(extras, EXTRA_SYNTHETICS)
-                            if op[1] % 3 in users]
-                    optimizer.extra.setdefault(
-                        tickets[op[1]].anchor.qid, []).append(
-                            able[op[2] % len(able)])
-                else:
-                    now += op[1]
-                    service.pump(now_ms=now)
-                    for index, (seen, sinks) in subscribed.items():
-                        anchor = tickets[index].anchor
-                        fresh = _rescan(
-                            log, anchor,
-                            optimizer.synthetic_history(anchor.qid), seen, now)
-                        for subscriber, got, want in sinks:
-                            got += _drain(subscriber)
-                            want += fresh
-                            assert got == want
+        _pump_equals_rescan(ops)
+
+    @pytest.mark.slow
+    @settings(max_examples=60, deadline=None)
+    @given(ops=_ops(20, 60))
+    def test_every_ticket_gets_the_rescan_sequence_deep(self, ops):
+        _pump_equals_rescan(ops)
 
 
 class TestPumpCost:
@@ -275,7 +338,7 @@ class TestPumpCost:
             for origin in range(40):
                 log.add_row(qid, 4096.0, origin, {"light": 500.0})
             assert service.pump(now_ms=5000.0) == 80
-            assert log.rows_read == 80  # 40 rows x 2 subscribed tickets
+            assert log.rows_read == 80  # each new ticket catches up alone
 
             log.rows_read = 0
             assert service.pump(now_ms=6000.0) == 0
@@ -285,8 +348,74 @@ class TestPumpCost:
                 log.add_row(qid, 8192.0, origin, {"light": 500.0})
             log.add_row(qid, 8192.0, 0, {"light": 500.0})  # multipath twin
             assert service.pump(now_ms=9000.0) == 6
-            assert log.rows_read == 6  # k = 3 new rows per ticket
+            assert log.rows_read == 3  # k = 3 new rows per anchor
             assert [len(_drain(s)) for s in subscribers] == [43, 43]
+
+    def test_tickets_of_one_anchor_receive_the_same_item_objects(self):
+        with fresh_qids(), scoped():
+            log = ResultLog()
+            service, _, tickets, subscribers = \
+                self._two_subscribed_tickets(log)
+            qid = service.optimizer.synthetic_for(tickets[0].anchor.qid).qid
+            service.pump(now_ms=1.0)  # both catch up on nothing, then join
+            for origin in range(3):
+                log.add_row(qid, 4096.0, origin, {"light": 500.0})
+            assert service.pump(now_ms=5000.0) == 6
+            first, second = (_drain(s) for s in subscribers)
+            assert len(first) == len(second) == 3
+            assert all(a is b for a, b in zip(first, second))
+
+    def test_a_second_subscribe_on_a_caught_up_ticket_replays_nothing(self):
+        with fresh_qids(), scoped():
+            log = _CountingLog()
+            service = _service(log)
+            sid = service.open_session("tenant", now_ms=0.0)
+            ticket = service.submit(sid, USER_TEXTS[0], now_ms=0.0)
+            first = service.subscribe(sid, ticket.ticket_id)
+            qid = service.optimizer.synthetic_for(ticket.anchor.qid).qid
+            for origin in range(5):
+                log.add_row(qid, 4096.0, origin, {"light": 500.0})
+            assert service.pump(now_ms=5000.0) == 5
+
+            second = service.subscribe(sid, ticket.ticket_id)
+            log.rows_read = 0
+            assert service.pump(now_ms=6000.0) == 0
+            assert log.rows_read == 0
+
+            for origin in range(2):
+                log.add_row(qid, 8192.0, origin, {"light": 500.0})
+            assert service.pump(now_ms=9000.0) == 4
+            assert [len(_drain(s)) for s in (first, second)] == [7, 2]
+
+    def test_a_late_ticket_catches_up_alone_then_joins_its_anchor(self):
+        with fresh_qids(), scoped():
+            log = _CountingLog()
+            service = _service(log)
+            sid = service.open_session("tenant", now_ms=0.0)
+            early = service.submit(sid, USER_TEXTS[0], now_ms=0.0)
+            early_queue = service.subscribe(sid, early.ticket_id)
+            qid = service.optimizer.synthetic_for(early.anchor.qid).qid
+            for origin in range(10):
+                log.add_row(qid, 4096.0, origin, {"light": 500.0})
+            assert service.pump(now_ms=5000.0) == 10
+
+            late = service.submit(sid, USER_TEXTS[0], now_ms=5000.0)
+            assert late.cache_hit and late.anchor_qid == early.anchor_qid
+            late_queue = service.subscribe(sid, late.ticket_id)
+            for origin in range(3):
+                log.add_row(qid, 8192.0, origin, {"light": 500.0})
+            log.rows_read = 0
+            assert service.pump(now_ms=9000.0) == 3 + 13
+            assert log.rows_read == 3 + 13  # the anchor's 3, the late 13
+            assert [len(_drain(q)) for q in (early_queue, late_queue)] \
+                == [13, 13]
+
+            for origin in range(4):
+                log.add_row(qid, 12288.0, origin, {"light": 500.0})
+            log.rows_read = 0
+            assert service.pump(now_ms=13000.0) == 8
+            assert log.rows_read == 4  # k, not 2k: one cursor for both
+            service.validate()
 
     def test_a_dropped_ticket_releases_its_cursor(self):
         with fresh_qids(), scoped():
@@ -297,6 +426,39 @@ class TestPumpCost:
             assert set(service._cursors) == {tickets[1].ticket_id}
             service.close_session(sid, now_ms=2.0)
             assert not service._cursors
+            # Caught-up tickets read through their anchor's cursor; the
+            # last of them to leave (terminated, or its session closed)
+            # releases it, and the next anchor of the question gets its own.
+            for close in (False, True):
+                sid = service.open_session("tenant", now_ms=3.0)
+                tickets = [service.submit(sid, USER_TEXTS[0], now_ms=3.0)
+                           for _ in range(2)]
+                for ticket in tickets:
+                    service.subscribe(sid, ticket.ticket_id)
+                service.pump(now_ms=4.0)
+                assert not service._cursors
+                assert set(service._anchor_cursors) == {tickets[0].anchor_qid}
+                service.terminate(sid, tickets[0].ticket_id, now_ms=5.0)
+                assert set(service._anchor_cursors) == {tickets[0].anchor_qid}
+                if close:
+                    service.close_session(sid, now_ms=6.0)
+                else:
+                    service.terminate(sid, tickets[1].ticket_id, now_ms=6.0)
+                assert not service._anchor_cursors
+                service.validate()
+
+    def test_a_ticket_that_already_ended_holds_no_cursor(self):
+        with fresh_qids(), scoped():
+            service = _service(ResultLog(), quotas=TenantQuotas(
+                default_radio_s_per_epoch=1e-9))
+            sid = service.open_session("tenant", now_ms=0.0)
+            ticket = service.submit(sid, USER_TEXTS[0], now_ms=0.0)
+            assert ticket.status is TicketStatus.SHED
+            subscriber = service.subscribe(sid, ticket.ticket_id)
+            assert service.pump(now_ms=1.0) == 0
+            assert subscriber.empty()
+            assert not service._subs and not service._cursors
+            service.validate()
 
     def test_mapped_counter_counts_attempts_delivered_counts_useful(self):
         with fresh_qids(), scoped() as registry:
