@@ -68,6 +68,7 @@ from ..service import (
     QueryService,
     ServiceStats,
     SessionManager,
+    SubscriberQueue,
     Ticket,
     TicketStatus,
 )
@@ -212,7 +213,7 @@ class _Watcher:
 
     ticket_id: str
     user_query: Query
-    sink: "queue.Queue"
+    sink: SubscriberQueue
 
 
 @dataclass
@@ -225,7 +226,7 @@ class _RootAnchor:
     #: shard id -> the shard-level Ticket of the subquery.
     subtickets: Dict[int, Ticket] = field(default_factory=dict)
     #: shard id -> root subscription queue (results-capable shards only).
-    queues: Dict[int, "queue.Queue"] = field(default_factory=dict)
+    queues: Dict[int, SubscriberQueue] = field(default_factory=dict)
     #: Dedup of merged acquisition rows, keyed by (epoch_time, origin).
     seen_rows: set = field(default_factory=set)
     #: (epoch_time, group_key) -> shard id -> partial aggregate values.
@@ -1094,13 +1095,22 @@ class ClusterCoordinator:
     # Results: pump + merge
     # ------------------------------------------------------------------
     def subscribe(self, session_id: str, ticket_id: str,
-                  maxsize: int = 0) -> "queue.Queue":
+                  maxsize: int = 0) -> SubscriberQueue:
         """A queue receiving this cluster ticket's merged results.
 
         LOCAL tickets delegate to the owning shard's subscription queue;
         FANOUT tickets get a root-side queue fed by the epoch-aligned
         merge, replaying the anchor's already-merged history first (a
-        late subscriber to a deduplicated fan-out misses nothing).
+        late subscriber to a deduplicated fan-out misses nothing, up to
+        ``maxsize``: a bounded queue keeps the oldest items and the rest
+        count in ``cluster.merge_duplicates_dropped_total``).
+
+        Either way the queue is a :class:`~repro.service.SubscriberQueue`:
+        ``get``/``get_nowait``/``qsize``/``empty`` behave as on
+        :class:`queue.Queue`, but ``put`` never blocks (a full queue
+        raises :class:`queue.Full`) and there is no ``task_done``/``join``.
+        Its one producer is the owning shard's ``pump`` or this
+        coordinator's merge, each under its own lock.
         """
         with self._lock:
             self._ensure_root_open()
@@ -1116,10 +1126,15 @@ class ClusterCoordinator:
                     shard_sid, ticket.shard_tickets[0].ticket_id,
                     maxsize=maxsize)
             anchor = self._anchors[ticket.fan_key]
-            sink: "queue.Queue" = queue.Queue(maxsize=maxsize)
+            sink = SubscriberQueue(maxsize)
             watcher = _Watcher(ticket_id, ticket.query, sink)
             for item in anchor.merged:
-                sink.put(self._view(watcher, item))
+                # A bounded late subscriber keeps the oldest ``maxsize``
+                # items; the overflow is counted like _deliver's.
+                try:
+                    sink.put_nowait(self._view(watcher, item))
+                except queue.Full:
+                    self._m_dup_dropped.inc()
             anchor.watchers.append(watcher)
             return sink
 

@@ -44,12 +44,15 @@ import contextlib
 import queue as thread_queue
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..core.basestation.result_mapper import MappedAggregates, MappedRow
 from ..core.qos import QoSClass
 from ..obs import get_registry
 from .protocol import ProtocolError, read_frame, write_frame
+
+if TYPE_CHECKING:  # repro.service imports this package's protocol module
+    from ..service import SubscriberQueue
 
 
 def _item_to_wire(item) -> dict:
@@ -71,7 +74,7 @@ class _Connection:
 
     sendq: "asyncio.Queue[Optional[dict]]"
     #: ticket_id -> the service-side subscriber queue feeding this peer.
-    subscriptions: Dict[int, "thread_queue.Queue"] = field(
+    subscriptions: Dict[int, SubscriberQueue] = field(
         default_factory=dict)
     closed: bool = False
 

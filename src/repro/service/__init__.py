@@ -43,6 +43,7 @@ from .service import (
     TicketStatus,
 )
 from .session import DEFAULT_TTL_MS, Session, SessionError, SessionManager
+from .subscriber import SubscriberQueue
 
 __all__ = [
     "AdmissionBatcher",
@@ -75,6 +76,7 @@ __all__ = [
     "SessionError",
     "SessionManager",
     "StatisticsStore",
+    "SubscriberQueue",
     "TenantQuotas",
     "Ticket",
     "TicketStatus",

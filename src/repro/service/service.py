@@ -79,6 +79,7 @@ from .planner import (
     TenantQuotas,
 )
 from .session import DEFAULT_TTL_MS, SessionError, SessionManager
+from .subscriber import SubscriberQueue
 
 #: Keep at most this many admission-latency samples (most recent).
 LATENCY_SAMPLE_CAP = 10_000
@@ -334,7 +335,7 @@ class QueryService:
         self._tickets: Dict[int, Ticket] = {}
         self._next_ticket = 0
         self._ticket_qos: Dict[int, QoSClass] = {}
-        self._subs: Dict[int, List["queue.Queue"]] = {}
+        self._subs: Dict[int, List[SubscriberQueue]] = {}
         #: ticket id -> how far its subscribers have read (in-memory only:
         #: a recovered service re-delivers from an empty cursor).
         self._cursors: Dict[int, DeliveryCursor] = {}
@@ -1454,7 +1455,7 @@ class QueryService:
     # Result subscriptions
     # ------------------------------------------------------------------
     def subscribe(self, session_id: str, ticket_id: int,
-                  maxsize: Optional[int] = None) -> "queue.Queue":
+                  maxsize: Optional[int] = None) -> SubscriberQueue:
         """A thread-safe *bounded* queue receiving this ticket's results.
 
         Acquisition tickets receive :class:`MappedRow`s; aggregation
@@ -1466,6 +1467,11 @@ class QueryService:
         counts them in ``resilience.subscriber_dropped_total``) instead of
         growing service memory without limit.  Pass ``maxsize=0`` to
         explicitly opt back into an unbounded queue.
+
+        The queue is a :class:`SubscriberQueue`: ``get``/``get_nowait``/
+        ``qsize``/``empty`` behave as on :class:`queue.Queue`, but ``put``
+        never blocks (a full queue raises :class:`queue.Full`) and there is
+        no ``task_done``/``join``.  :meth:`pump` is its only producer.
 
         The first subscriber of a ticket receives its whole answer so far
         at the next pump after the ticket is LIVE; a later one receives
@@ -1484,7 +1490,7 @@ class QueryService:
                     f"session {session_id!r} owns no ticket {ticket_id}")
             bound = (self._overload.subscriber_queue_maxsize
                      if maxsize is None else maxsize)
-            subscriber: "queue.Queue" = queue.Queue(maxsize=bound)
+            subscriber = SubscriberQueue(bound)
             if self._tickets[ticket_id].status not in (TicketStatus.PENDING,
                                                         TicketStatus.LIVE):
                 return subscriber

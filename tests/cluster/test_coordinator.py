@@ -1,10 +1,13 @@
 """Root coordinator behaviour over pure tier-1 admission shards."""
 
+import threading
+
 import pytest
 
 from repro.core.basestation import BaseStationOptimizer
 from repro.cluster import (
     ClusterCoordinator,
+    ClusterDeployment,
     ClusterScope,
     FieldPartition,
     ROOT_CLIENT,
@@ -17,6 +20,7 @@ Q_GLOBAL = "SELECT light FROM sensors WHERE light > 300 EPOCH DURATION 4096"
 Q_GLOBAL_VARIANT = "select LIGHT from sensors where 300 < light " \
                    "SAMPLE PERIOD 4096"
 Q_AVG = "SELECT AVG(temp) FROM sensors EPOCH DURATION 8192"
+Q_ACQ = "SELECT temp FROM sensors WHERE temp > 0 EPOCH DURATION 4096"
 # With side=8 and K=2 the row bands cover nodes 1..31 and 32..63.
 Q_BAND0 = ("SELECT temp FROM sensors WHERE nodeid BETWEEN 1 AND 31 "
            "EPOCH DURATION 4096")
@@ -210,6 +214,47 @@ class TestStats:
         second = make_cluster(k=2, side=8)
         assert second.stats().submissions_total == 0
         assert second.stats().fanout_subqueries == 0
+
+
+class TestLateSubscriber:
+    def test_bounded_replay_keeps_the_oldest_and_counts_the_rest(self):
+        """Regression: replaying a fan-out's history into a late bounded
+        subscriber blocked forever, under the coordinator lock, once the
+        history was longer than ``maxsize``."""
+        cluster = ClusterDeployment(FieldPartition(4, 2, quality_seed=7),
+                                    seed=7)
+        coordinator = cluster.coordinator
+        early = coordinator.open_session("early")
+        cluster.run_until(500.0)
+        first = coordinator.submit(early, Q_ACQ)
+        history = coordinator.subscribe(early, first.ticket_id)
+        now = 500.0
+        for _ in range(5):
+            now += 4096.0
+            cluster.run_until(now)
+            cluster.pump()
+        merged = []
+        while not history.empty():
+            merged.append(history.get_nowait())
+        assert len(merged) > 2
+
+        late = coordinator.open_session("late")
+        second = coordinator.submit(late, Q_ACQ)
+        assert second.cache_hit and second.fan_key == first.fan_key
+        dropped_before = coordinator.stats().merge_duplicates_dropped
+        result = {}
+        worker = threading.Thread(
+            target=lambda: result.setdefault("queue", coordinator.subscribe(
+                late, second.ticket_id, maxsize=2)),
+            daemon=True)
+        worker.start()
+        worker.join(30.0)
+        assert not worker.is_alive(), "subscribe blocked on its replay"
+        replayed = result["queue"]
+        assert replayed.qsize() == 2
+        assert [replayed.get_nowait() for _ in range(2)] == merged[:2]
+        assert (coordinator.stats().merge_duplicates_dropped
+                == dropped_before + len(merged) - 2)
 
 
 class TestRecovery:
