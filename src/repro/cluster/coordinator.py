@@ -22,11 +22,11 @@ session/ticket API shaped like the single-station service:
 * **durability** — each shard keeps its own WAL + snapshots under
   ``<durability_dir>/shard-NN``, and the coordinator journals its *own*
   bookkeeping (session opens, fan-out anchor creation/refcounts,
-  terminates) to a **root WAL** under ``<durability_dir>/root`` using the
-  same CRC-framed format (``service/durability.py``).  :meth:`recover`
-  rebuilds every shard, then restores anchors, watchers' tickets, and
-  refcounts from the root log — no re-adoption from shards — and sweeps
-  shard-side zombies the crash orphaned;
+  terminates) to a **root WAL** under ``<durability_dir>/root`` through
+  the same :class:`~repro.service.durability.Journal` the shards use.
+  :meth:`recover` rebuilds every shard, then restores anchors, watchers'
+  tickets, and refcounts from the root log and sweeps shard-side zombies
+  the crash orphaned;
 * **fault tolerance** — shards marked down (by the
   :class:`~repro.cluster.supervisor.ShardSupervisor` failure detector or
   by a failed call) are routed around: fan-outs skip them, merges
@@ -74,11 +74,9 @@ from ..service import (
 )
 from ..service.durability import (
     FORMAT_VERSION,
-    SNAPSHOT_FILENAME,
-    WAL_FILENAME,
+    DurabilityConfig,
+    Journal,
     RecoveryReport,
-    SnapshotStore,
-    WriteAheadLog,
 )
 from ..service.planner import EXPLAIN_PROBE_QID
 from ..service.service import ServiceClosed, _wall_clock_ms
@@ -96,6 +94,14 @@ ROOT_TTL_MS = 1e15
 ROOT_DIR_NAME = "root"
 #: Root WAL records between automatic root snapshots.
 ROOT_SNAPSHOT_EVERY_OPS = 64
+
+
+def _root_config(durability_dir: Union[str, Path]) -> DurabilityConfig:
+    """The root journal's directory and cadence.  Its flush tier is
+    fixed: WAL flushed to the OS, never fsynced; directory fsynced after
+    each snapshot rename (``snapshot_dir_fsync=True``)."""
+    return DurabilityConfig(str(Path(durability_dir) / ROOT_DIR_NAME),
+                            snapshot_every_ops=ROOT_SNAPSHOT_EVERY_OPS)
 
 
 class ShardDownError(ServiceClosed):
@@ -359,23 +365,29 @@ class ClusterCoordinator:
         #: shard id -> [shard session id]: closes that raced an outage.
         self._pending_closes: Dict[int, List[str]] = {}
         self._crashed = False
-        self._replaying = False
-        self._root_dir: Optional[Path] = None
-        self._root_wal: Optional[WriteAheadLog] = None
-        self._root_op_seq = 0
-        self._root_ops_since_snapshot = 0
+        #: The root WAL + snapshot journal (``None`` without durability,
+        #: while :meth:`recover` replays, and once shut down or crashed).
+        self._root_journal: Optional[Journal] = None
         #: Recovery bookkeeping: anchor key -> shard id -> shard ticket
         #: id, resolved into live Tickets by :meth:`_relink_shards`.
         self._sub_ids: Dict[CanonicalKey, Dict[int, int]] = {}
         #: Same for LOCAL cluster tickets: cluster ticket id -> shard id
         #: -> shard ticket id.
         self._ticket_sub_ids: Dict[str, Dict[int, int]] = {}
+        #: (shard id, shard session id, client id) of tenant shard
+        #: sessions a replayed close/expire released; the crash may have
+        #: cut their shard-side close short.
+        self._released_shard_sessions: List[Tuple[int, str, str]] = []
         #: Set by :meth:`recover` when the root WAL was replayed.
         self.last_root_recovery: Optional[RecoveryReport] = None
         self._init_metrics(get_registry())
         if durability_dir is not None:
-            self._attach_root_durability(
-                Path(durability_dir) / ROOT_DIR_NAME, fresh=True)
+            self._root_journal = Journal.boot(
+                _root_config(durability_dir),
+                {"op": "boot", "format": FORMAT_VERSION,
+                 "config": {"default_ttl_ms": self._sessions.default_ttl_ms}},
+                snapshot_dir_fsync=True)
+            self._m_root_records.inc()
 
     # ------------------------------------------------------------------
     # Metrics (cluster.* families; see docs/observability.md)
@@ -498,33 +510,8 @@ class ClusterCoordinator:
         return root_sid
 
     # ------------------------------------------------------------------
-    # Root WAL: journaling + snapshots
+    # Root WAL (the protocol lives in service/durability.py)
     # ------------------------------------------------------------------
-    def _attach_root_durability(self, root_dir: Path, fresh: bool) -> None:
-        """Open the root WAL.  ``fresh`` is a first boot: the directory
-        must not already hold recoverable state (use :meth:`recover`)."""
-        wal_path = root_dir / WAL_FILENAME
-        snap_path = root_dir / SNAPSHOT_FILENAME
-        if fresh and (snap_path.exists()
-                      or (wal_path.exists()
-                          and wal_path.stat().st_size > 0)):
-            raise ValueError(
-                f"root durability directory {str(root_dir)!r} already "
-                f"holds coordinator state; use ClusterCoordinator."
-                f"recover() to reopen it")
-        self._root_dir = root_dir
-        self._root_wal = WriteAheadLog(wal_path, fsync=False)
-        if fresh:
-            self._journal({"op": "boot", "format": FORMAT_VERSION,
-                           "config": {
-                               "default_ttl_ms":
-                                   self._sessions.default_ttl_ms,
-                           }})
-        else:
-            # Post-recovery reopen: coalesce the recovered state into a
-            # fresh snapshot so the replayed WAL is never replayed twice.
-            self._root_snapshot(self._clock())
-
     def _journal(self, record: dict) -> None:
         """Append one bookkeeping record to the root WAL (if attached).
 
@@ -533,36 +520,28 @@ class ClusterCoordinator:
         replay applies it to root bookkeeping directly (never back
         through the shards — their own WALs already hold the effects).
         """
-        if self._root_wal is None or self._replaying:
-            return
-        self._root_op_seq += 1
-        self._root_wal.append(dict(record, seq=self._root_op_seq))
-        self._m_root_records.inc()
-        self._root_ops_since_snapshot += 1
+        if self._root_journal is not None:
+            self._root_journal.append(record)
+            self._m_root_records.inc()
 
-    def _maybe_snapshot(self) -> None:
-        """Auto-snapshot at the *end* of a public operation (never from
-        inside :meth:`_journal`, which can run mid-transition)."""
-        if (self._root_wal is not None and not self._replaying
-                and self._root_ops_since_snapshot
-                >= ROOT_SNAPSHOT_EVERY_OPS):
-            self._root_snapshot(self._clock())
+    def _checkpoint(self, now_ms: Optional[float] = None,
+                    force: bool = False) -> None:
+        """Snapshot the root and rotate its WAL when one is due — called
+        at the *end* of a public operation, never from inside
+        :meth:`_journal`, which can run mid-transition — or when
+        ``force``d."""
+        journal = self._root_journal
+        if journal is not None and (force or journal.due()):
+            journal.checkpoint(self._root_snapshot_state(self._now(now_ms)))
+            self._m_root_snapshots.inc()
 
     def snapshot(self, now_ms: Optional[float] = None) -> None:
         """Write a full root snapshot and truncate the root WAL."""
         with self._lock:
-            if self._root_wal is None:
+            if self._root_journal is None:
                 raise ValueError(
                     "coordinator was built without durability")
-            self._root_snapshot(self._now(now_ms))
-
-    def _root_snapshot(self, now: float) -> None:
-        assert self._root_dir is not None and self._root_wal is not None
-        SnapshotStore.save(self._root_dir / SNAPSHOT_FILENAME,
-                           self._root_snapshot_state(now))
-        self._root_wal.rotate()
-        self._root_ops_since_snapshot = 0
-        self._m_root_snapshots.inc()
+            self._checkpoint(now_ms, force=True)
 
     def _root_snapshot_state(self, now: float) -> dict:
         anchors = []
@@ -578,7 +557,8 @@ class ClusterCoordinator:
         return {
             "format": FORMAT_VERSION,
             "saved_ms": now,
-            "op_seq": self._root_op_seq,
+            "op_seq": (self._root_journal.seq
+                       if self._root_journal is not None else 0),
             "fan_seq": self._fan_seq,
             "sessions": self._sessions.to_dict(),
             "shard_sessions": {
@@ -682,7 +662,7 @@ class ClusterCoordinator:
             self._journal({"op": "open", "sid": session.session_id,
                            "client": client_id, "ttl": session.ttl_ms,
                            "now": now})
-            self._maybe_snapshot()
+            self._checkpoint()
             return session.session_id
 
     def renew_session(self, session_id: str,
@@ -696,7 +676,7 @@ class ClusterCoordinator:
             self._sessions.renew(session_id, now, ttl_ms)
             self._journal({"op": "renew", "sid": session_id,
                            "ttl": ttl_ms, "now": now})
-            self._maybe_snapshot()
+            self._checkpoint()
 
     def close_session(self, session_id: str,
                       now_ms: Optional[float] = None) -> None:
@@ -711,7 +691,7 @@ class ClusterCoordinator:
             self._journal({"op": "close", "sid": session_id, "now": now})
             self._release_session(session.session_id, session.tickets, now)
             self._sessions.close(session_id)
-            self._maybe_snapshot()
+            self._checkpoint()
 
     def expire_leases(self, now_ms: Optional[float] = None) -> List[str]:
         """Cascade root-lease expiry down to the shards; idempotent."""
@@ -803,7 +783,7 @@ class ClusterCoordinator:
                     str(sid): sub.ticket_id
                     for sid, sub in sorted(anchor.subtickets.items())}
             self._journal(record)
-            self._maybe_snapshot()
+            self._checkpoint()
             return ticket
 
     def _submit_local(self, session_id: str, client_id: str,
@@ -985,7 +965,7 @@ class ClusterCoordinator:
                                "now": now})
             self._terminate_ticket(ticket, now)
             session.tickets.discard(ticket_id)
-            self._maybe_snapshot()
+            self._checkpoint()
 
     def _terminate_ticket(self, ticket: ClusterTicket, now: float) -> None:
         if ticket.terminated:
@@ -1074,7 +1054,7 @@ class ClusterCoordinator:
                 except ServiceClosed:
                     self._mark_down(shard.shard_id)
             self._retry_pending(now)
-            self._maybe_snapshot()
+            self._checkpoint()
 
     def flush(self, now_ms: Optional[float] = None) -> int:
         """Flush every up shard's admission window; returns total admitted."""
@@ -1293,10 +1273,10 @@ class ClusterCoordinator:
                     shard.service.shutdown(now_ms=now)
                 except ServiceClosed:
                     self._mark_down(shard.shard_id)
-            if self._root_wal is not None:
-                self._root_snapshot(now)
-                self._root_wal.close()
-                self._root_wal = None
+            if self._root_journal is not None:
+                self._checkpoint(now, force=True)
+                self._root_journal.close()
+                self._root_journal = None
             return terminated
 
     def simulate_crash(self) -> None:
@@ -1307,9 +1287,9 @@ class ClusterCoordinator:
         raises :class:`ServiceClosed`; rebuild with :meth:`recover`.
         """
         with self._lock:
-            if self._root_wal is not None:
-                self._root_wal.close()
-                self._root_wal = None
+            if self._root_journal is not None:
+                self._root_journal.close()
+                self._root_journal = None
             self._crashed = True
 
     @classmethod
@@ -1332,12 +1312,17 @@ class ClusterCoordinator:
         anchors, refcounts — from the root WAL under
         ``<durability_dir>/root`` and relinks anchors to the shards'
         live subtickets by id; shard-side tickets the crash orphaned
-        (no surviving root claim) are swept.  Legacy directories without
-        a root WAL fall back to re-adoption from the shards' fan-out
-        sessions, leaving unreferenced anchors for
-        :meth:`orphan_anchors` / :meth:`abort_orphans`.
+        (no surviving root claim) are swept.  A directory without a root
+        journal raises ``ValueError`` before any shard is touched: the
+        constructor writes the root boot record before acknowledging any
+        operation, so such a directory was never a coordinator's.
         """
         root = Path(durability_dir)
+        config = _root_config(root)
+        if not (config.snapshot_path.exists() or config.wal_path.exists()):
+            raise ValueError(
+                f"{str(root)!r} holds no coordinator journal (no "
+                f"{ROOT_DIR_NAME}/ WAL or snapshot); refusing to recover")
         if services is None:
             recovered: List[QueryService] = []
             high_qid = peek_qid()
@@ -1358,64 +1343,23 @@ class ClusterCoordinator:
                           default_ttl_ms=default_ttl_ms, clock=clock,
                           overload=overload, vnodes=vnodes,
                           services=services)
-        root_dir = root / ROOT_DIR_NAME
-        if ((root_dir / SNAPSHOT_FILENAME).exists()
-                or (root_dir / WAL_FILENAME).exists()):
-            coordinator._recover_root(root_dir)
-        else:
-            # Legacy durability directory (pre-root-WAL): re-adopt from
-            # the shards once, then start journaling so the *next*
-            # recovery restores from the root log.
-            coordinator._adopt_recovered_anchors()
-            coordinator._attach_root_durability(root_dir, fresh=True)
-            coordinator._root_snapshot(coordinator._clock())
+        backlog = Journal.load(config)
+        if backlog.snapshot is not None:
+            coordinator._restore_root_snapshot(backlog.snapshot)
+        # No journal is attached yet, so replay logs nothing.
+        report, seq = backlog.replay(coordinator._apply_root_record)
+        report.reinjected, report.zombies_aborted = \
+            coordinator._relink_shards()
+        coordinator._root_journal = Journal(config, seq=seq,
+                                            snapshot_dir_fsync=True)
+        coordinator._checkpoint(force=True)
+        coordinator._m_root_recoveries.inc()
+        coordinator._m_root_replayed.inc(report.replayed_ops)
+        coordinator._m_root_torn.inc(report.torn_records)
+        coordinator.last_root_recovery = report
         return coordinator
 
-    def _recover_root(self, root_dir: Path) -> None:
-        snapshot_seq = 0
-        stale_ops = 0
-        replayed_ops = 0
-        replay_errors = 0
-        self._replaying = True
-        try:
-            state = SnapshotStore.load(root_dir / SNAPSHOT_FILENAME)
-            if state is not None:
-                self._restore_root_snapshot(state)
-                snapshot_seq = self._root_op_seq
-            records, torn = WriteAheadLog.load(root_dir / WAL_FILENAME)
-            high_seq = self._root_op_seq
-            for record in records:
-                seq = int(record.get("seq", 0))
-                high_seq = max(high_seq, seq)
-                if record.get("op") == "boot" or seq <= snapshot_seq:
-                    stale_ops += 1
-                    continue
-                try:
-                    self._apply_root_record(record)
-                    replayed_ops += 1
-                except Exception:
-                    replay_errors += 1
-            self._root_op_seq = high_seq
-        finally:
-            self._replaying = False
-        relinked, zombies = self._relink_shards()
-        self._attach_root_durability(root_dir, fresh=False)
-        self._m_root_recoveries.inc()
-        self._m_root_replayed.inc(replayed_ops)
-        self._m_root_torn.inc(torn)
-        self.last_root_recovery = RecoveryReport(
-            snapshot_loaded=state is not None,
-            wal_records=len(records),
-            replayed_ops=replayed_ops,
-            torn_records=torn,
-            stale_ops=stale_ops,
-            replay_errors=replay_errors,
-            reinjected=relinked,
-            zombies_aborted=zombies,
-        )
-
     def _restore_root_snapshot(self, state: dict) -> None:
-        self._root_op_seq = int(state.get("op_seq", 0))
         self._fan_seq = int(state.get("fan_seq", 0))
         self._sessions.restore(state.get("sessions", {}))
         self._shard_sessions = {
@@ -1511,8 +1455,6 @@ class ClusterCoordinator:
                     self._root_cache.acquire(entry)
                 while key in self._root_cache.entries():
                     self._root_cache.release(key)
-        elif op == "boot":
-            pass
         else:
             raise ValueError(f"unknown root WAL op {op!r}")
 
@@ -1526,7 +1468,10 @@ class ClusterCoordinator:
             if ticket is not None:
                 self._release_ticket_bookkeeping(ticket)
         session.tickets.clear()
-        self._shard_sessions.pop(sid, None)
+        for shard_id, shard_sid in sorted(
+                self._shard_sessions.pop(sid, {}).items()):
+            self._released_shard_sessions.append(
+                (shard_id, shard_sid, session.client_id))
         self._sessions.close(sid)
 
     def _release_ticket_bookkeeping(self, ticket: ClusterTicket) -> None:
@@ -1609,8 +1554,6 @@ class ClusterCoordinator:
                         relinked += 1
                     except (KeyError, ValueError):
                         pass
-            if not anchor.targets:
-                anchor.targets = tuple(sorted(anchor.subtickets))
         for ticket in self._tickets.values():
             if ticket.terminated:
                 continue
@@ -1635,10 +1578,22 @@ class ClusterCoordinator:
                     if s in anchor.subtickets)
         self._sub_ids.clear()
         self._ticket_sub_ids.clear()
+        zombies = 0
+        # A close/expire is journaled before its shard-side releases, so
+        # a crash between them leaves the tenant's shard session running
+        # its queries: finish the close.
+        for shard_id, shard_sid, client in self._released_shard_sessions:
+            service = self._shard(shard_id).service
+            if (shard_id in self._down_shards
+                    or shard_sid not in service.find_sessions(client)):
+                continue
+            zombies += sum(1 for sub in service.live_tickets()
+                           if sub.session_id == shard_sid)
+            service.close_session(shard_sid, now_ms=now)
+        self._released_shard_sessions.clear()
         # Zombie sweep: shard tickets under root fan-out sessions that no
         # recovered anchor claims were orphaned by the crash (e.g. a
         # submit that died before its journal record landed).
-        zombies = 0
         root_sids = {sid for sid in self._root_sessions.values()}
         tenant_sids: Set[str] = set()
         for per in self._shard_sessions.values():
@@ -1672,29 +1627,6 @@ class ClusterCoordinator:
                     pass
         return relinked, zombies
 
-    def _adopt_recovered_anchors(self) -> None:
-        for shard in self._shards:
-            root_sids = shard.service.find_sessions(ROOT_CLIENT)
-            if not root_sids:
-                continue
-            self._root_sessions[shard.shard_id] = root_sids[0]
-            for root_sid in root_sids:
-                for sub in shard.service.live_tickets():
-                    if sub.session_id != root_sid:
-                        continue
-                    anchor = self._anchors.get(sub.key)
-                    if anchor is None:
-                        anchor = _RootAnchor(key=sub.key, fan_query=sub.query,
-                                             targets=())
-                        self._anchors[sub.key] = anchor
-                        self._root_cache.insert(sub.key, sub.query)
-                    anchor.subtickets[shard.shard_id] = sub
-                    anchor.targets = tuple(sorted(anchor.subtickets))
-                    if shard.has_results:
-                        anchor.queues[shard.shard_id] = \
-                            shard.service.subscribe(root_sid, sub.ticket_id,
-                                                    maxsize=0)
-
     def orphan_anchors(self) -> List[CanonicalKey]:
         """Fan-out anchors no live tenant references (post-recovery)."""
         with self._lock:
@@ -1721,7 +1653,7 @@ class ClusterCoordinator:
                 aborted += 1
             if aborted:
                 self._journal({"op": "abort_orphans", "now": now})
-                self._maybe_snapshot()
+                self._checkpoint()
             return aborted
 
     # ------------------------------------------------------------------
@@ -1761,9 +1693,7 @@ class ClusterCoordinator:
                         per.pop(shard_id, None)
             for key in sorted(self._anchors, key=repr):
                 anchor = self._anchors[key]
-                members = anchor.targets or tuple(
-                    sorted(anchor.subtickets))
-                if shard_id not in members:
+                if shard_id not in anchor.targets:
                     continue
                 sub = anchor.subtickets.get(shard_id)
                 relinked = None

@@ -1,21 +1,31 @@
-"""Crash durability for the query service: write-ahead log + snapshots.
+"""Crash durability: one journal (write-ahead log + snapshots).
 
 The base station is the single point the whole two-tier architecture
 funnels through (Section 3.1): losing it loses every session lease,
 ticket, cache refcount, and — worst — the optimizer's query table with
 its synthetic merges, leaving zombie queries sampling the network with
-nobody to answer to.  This module gives :class:`~repro.service.service.
-QueryService` a conventional database-style recovery story:
+nobody to answer to; the cluster root funnels the tier above it.  Both
+recover through one :class:`Journal` per durability directory:
 
-* every state-changing public call appends one JSON record to a
-  **write-ahead log** before the state transition is applied;
-* a **snapshot** periodically captures the full service state (sessions,
-  tickets, cache, batch window, counters, optimizer table) so recovery
-  replays only the WAL suffix since the last snapshot;
-* :meth:`QueryService.recover` rebuilds a service from snapshot + WAL and
-  reconciles the network (re-disseminating synthetic queries the
-  recovered table says are RUNNING, aborting zombies the table no longer
-  knows).
+* **boot** refuses a directory that already holds state, then writes the
+  *boot record* (the owner's config).  It carries no ``seq`` and does not
+  count toward ``snapshot_every_ops``;
+* **append** stamps every other record with a monotone ``seq`` (never
+  reset by rotation), counts it, and hands it to an optional listener;
+* **checkpoint** saves the snapshot (high-water ``seq`` as ``op_seq``),
+  *then* rotates the WAL, *then* resets the count;
+* **replay** (:meth:`Journal.load`, :meth:`Backlog.replay`) skips the
+  boot record and counts records with ``seq <= op_seq`` as *stale* —
+  a crash between save and rotation left them beside the snapshot that
+  holds them — without re-applying them.  Recovery ends with one
+  checkpoint.
+
+Owners keep only policy: :class:`~repro.service.service.QueryService`
+logs write-ahead at its outermost operation; the
+:class:`~repro.cluster.coordinator.ClusterCoordinator` root journals
+after the shard effects (journal point = acknowledgement point); the
+warm standby (``service/replication.py``) writes the records its primary
+stamped unchanged and checkpoints when the primary does.
 
 File formats (documented in ``docs/observability.md``)
 ------------------------------------------------------
@@ -29,8 +39,13 @@ File formats (documented in ``docs/observability.md``)
 ``snapshot.json``
     A single JSON document written atomically (temp file + fsync +
     ``os.replace``), so a crash mid-snapshot leaves the previous snapshot
-    intact.  Taking a snapshot truncates the WAL: the pair
-    ``(snapshot, wal)`` is always a consistent recovery point.
+    intact.
+
+Flush tiers
+-----------
+Service and shard directories follow :attr:`DurabilityConfig.fsync`.
+The cluster root flushes its WAL to the OS only (process-crash
+durability) and fsyncs its directory after every snapshot rename.
 
 Replay determinism
 ------------------
@@ -47,9 +62,9 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 #: WAL / snapshot file names inside a durability directory.
 WAL_FILENAME = "wal.jsonl"
@@ -61,7 +76,7 @@ FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class DurabilityConfig:
-    """Where and how eagerly the service persists its state.
+    """Where and how eagerly a :class:`Journal` persists its owner's state.
 
     ``snapshot_every_ops = 0`` disables automatic snapshots (the WAL alone
     still recovers everything, just with a longer replay).  ``fsync``
@@ -226,7 +241,7 @@ class SnapshotStore:
         ``fsync_dir`` additionally forces the parent directory's entry
         table to stable storage after the rename — without it the rename
         is atomic against process crashes but not power loss, which can
-        forget the replace ever happened.  The service passes its
+        forget the replace ever happened.  :class:`Journal` passes its
         :attr:`DurabilityConfig.fsync` here, so the power-safety tier is
         one knob for WAL and snapshots alike.
         """
@@ -266,7 +281,7 @@ class SnapshotStore:
 
 @dataclass
 class RecoveryReport:
-    """What one :meth:`QueryService.recover` call did."""
+    """What one recovery (service, shard or cluster root) did."""
 
     snapshot_loaded: bool = False
     wal_records: int = 0
@@ -287,3 +302,120 @@ class RecoveryReport:
     #: Network queries aborted because the recovered table no longer
     #: knows them (zombies from operations lost with the crash).
     zombies_aborted: int = 0
+
+
+@dataclass
+class Backlog:
+    """A durability directory as recovery finds it (:meth:`Journal.load`)."""
+
+    snapshot: Optional[dict]
+    records: List[dict]
+    torn: int
+
+    @property
+    def boot(self) -> Optional[dict]:
+        """The boot record, while no snapshot has rotated it away."""
+        return next((r for r in self.records if r.get("op") == "boot"),
+                    None)
+
+    def replay(self, apply: Callable[[dict], None]
+               ) -> Tuple[RecoveryReport, int]:
+        """Apply the live records in order (boot skipped, stale counted,
+        errors counted); returns ``(report, high-water seq)``."""
+        snapshot_seq = int((self.snapshot or {}).get("op_seq", 0))
+        report = RecoveryReport(snapshot_loaded=self.snapshot is not None,
+                                wal_records=len(self.records),
+                                torn_records=self.torn)
+        high_seq = snapshot_seq
+        for record in self.records:
+            if record.get("op") == "boot":
+                continue
+            seq = record.get("seq")
+            if seq is not None and seq <= snapshot_seq:
+                report.stale_ops += 1
+                continue
+            report.replayed_ops += 1
+            try:
+                apply(record)
+            except Exception:  # noqa: BLE001 - the original raised too
+                report.replay_errors += 1
+            if seq is not None and seq > high_seq:
+                high_seq = seq
+        return report, high_seq
+
+
+class Journal:
+    """The WAL → snapshot → replay protocol of one durability directory.
+
+    ``seq`` is the high-water stamp, ``pending`` the records since the
+    last checkpoint; ``listener`` (a replicator) sees every stamped record
+    and snapshot in order.  ``snapshot_dir_fsync`` overrides
+    :attr:`DurabilityConfig.fsync` for the post-rename directory fsync
+    (the cluster root's fixed tier).
+    """
+
+    def __init__(self, config: DurabilityConfig, *, seq: int = 0,
+                 snapshot_dir_fsync: Optional[bool] = None) -> None:
+        self.config = config
+        self.seq = seq
+        self.pending = 0
+        self.listener = None
+        self._snapshot_dir_fsync = (config.fsync if snapshot_dir_fsync is None
+                                    else snapshot_dir_fsync)
+        self._wal = WriteAheadLog(config.wal_path, fsync=config.fsync)
+
+    @classmethod
+    def boot(cls, config: DurabilityConfig, record: dict,
+             **kwargs) -> "Journal":
+        """A first boot: refuse a directory holding state, log ``record``."""
+        if config.snapshot_path.exists() or (
+                config.wal_path.exists()
+                and config.wal_path.stat().st_size > 0):
+            raise ValueError(
+                f"durability directory {config.directory!r} already holds "
+                f"state; use recover() to reopen it")
+        journal = cls(config, **kwargs)
+        journal.write(record)
+        return journal
+
+    @staticmethod
+    def load(config: DurabilityConfig) -> Backlog:
+        """Read the snapshot and the WAL records beside it."""
+        snapshot = SnapshotStore.load(config.snapshot_path)
+        records, torn = WriteAheadLog.load(config.wal_path)
+        return Backlog(snapshot, records, torn)
+
+    def write(self, record: dict) -> None:
+        """Log ``record`` unchanged: a boot record, or a standby's copy of
+        one its primary already stamped."""
+        self._wal.append(record)
+
+    def append(self, record: dict) -> None:
+        """Stamp, log, count and publish one record."""
+        self.seq += 1
+        record = dict(record, seq=self.seq)
+        self._wal.append(record)
+        self.pending += 1
+        if self.listener is not None:
+            self.listener.on_wal_append(record)
+
+    def due(self) -> bool:
+        """Whether ``snapshot_every_ops`` records await a checkpoint."""
+        every = self.config.snapshot_every_ops
+        return every > 0 and self.pending >= every
+
+    def checkpoint(self, state: dict) -> None:
+        """Save ``state``, then rotate the WAL, then reset the count.
+
+        The order is the recovery-point rule: a crash after the save
+        leaves a snapshot beside a stale WAL, which replay skips.
+        """
+        SnapshotStore.save(self.config.snapshot_path, state,
+                           fsync_dir=self._snapshot_dir_fsync)
+        self._wal.rotate()
+        self.pending = 0
+        if self.listener is not None:
+            self.listener.on_snapshot(state)
+
+    def close(self) -> None:
+        self._wal.close()

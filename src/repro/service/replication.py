@@ -31,11 +31,11 @@ Roles
 
 :class:`StandbyServer`
     A warm follower: accepts one primary at a time, applies WAL frames
-    into its *own* durability directory (via the ordinary
-    :class:`~repro.service.durability.WriteAheadLog` /
-    :class:`~repro.service.durability.SnapshotStore`, honoring
-    ``fsync``), and acks each epoch with the highest applied sequence
-    number.  On reconnect it reports that sequence so the primary
+    into its *own* durability directory through a
+    :class:`~repro.service.durability.Journal` (stamped records written
+    unchanged, snapshots through the same save-then-rotate checkpoint,
+    honoring ``fsync``), and acks each epoch with the highest applied
+    sequence number.  On reconnect it reports that sequence so the primary
     resends only the unacknowledged suffix — applying is idempotent at
     the frame level because sequence numbers are checked before write.
 
@@ -62,13 +62,7 @@ from typing import Callable, Deque, List, Optional, Tuple
 
 from ..gateway.protocol import ProtocolError, recv_frame, send_frame
 from ..obs import get_registry
-from .durability import (
-    FORMAT_VERSION,
-    SNAPSHOT_FILENAME,
-    WAL_FILENAME,
-    SnapshotStore,
-    WriteAheadLog,
-)
+from .durability import FORMAT_VERSION, DurabilityConfig, Journal
 
 
 @dataclass(frozen=True)
@@ -324,12 +318,12 @@ class StandbyServer:
     def __init__(self, state_dir, host: str = "127.0.0.1", port: int = 0,
                  fsync: bool = False) -> None:
         self.state_dir = Path(state_dir)
-        self.state_dir.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
         self._applied = 0
         self._lock = threading.Lock()
         self._closing = False
-        self._wal: Optional[WriteAheadLog] = None
+        self._journal = Journal(
+            DurabilityConfig(str(self.state_dir), fsync=fsync))
         self._conn: Optional[socket.socket] = None
         registry = get_registry()
         self._m_applied = registry.counter(
@@ -368,11 +362,11 @@ class StandbyServer:
 
     @property
     def wal_path(self) -> Path:
-        return self.state_dir / WAL_FILENAME
+        return self._journal.config.wal_path
 
     @property
     def snapshot_path(self) -> Path:
-        return self.state_dir / SNAPSHOT_FILENAME
+        return self._journal.config.snapshot_path
 
     # -- accept/apply loop -----------------------------------------------
     def _serve(self) -> None:
@@ -424,16 +418,11 @@ class StandbyServer:
 
     def _apply(self, kind: str, payload: dict) -> None:
         if kind == "wal":
-            if self._wal is None:
-                self._wal = WriteAheadLog(self.wal_path, fsync=self.fsync)
-            self._wal.append(payload)
+            # Already stamped by the primary's journal: logged unchanged.
+            self._journal.write(payload)
             self._m_applied.inc()
         elif kind == "snap":
-            SnapshotStore.save(self.snapshot_path, payload,
-                               fsync_dir=self.fsync)
-            if self._wal is None:
-                self._wal = WriteAheadLog(self.wal_path, fsync=self.fsync)
-            self._wal.rotate()
+            self._journal.checkpoint(payload)
             self._m_snap_applied.inc()
         else:
             raise ProtocolError(f"unknown replication item kind {kind!r}")
@@ -446,9 +435,7 @@ class StandbyServer:
                 return
             self._closing = True
             conn, self._conn = self._conn, None
-            if self._wal is not None:
-                self._wal.close()
-                self._wal = None
+            self._journal.close()
         if conn is not None:
             try:
                 conn.shutdown(socket.SHUT_RDWR)

@@ -66,9 +66,8 @@ from .cache import CanonicalQueryCache
 from .durability import (
     FORMAT_VERSION,
     DurabilityConfig,
+    Journal,
     RecoveryReport,
-    SnapshotStore,
-    WriteAheadLog,
 )
 from .overload import BreakerState, CircuitBreaker, OverloadConfig
 from .planner import (
@@ -361,27 +360,23 @@ class QueryService:
         #: so every mutating entry point raises instead of quietly
         #: updating memory the "crash" is supposed to have lost.
         self._crashed = False
-        self._dur: Optional[DurabilityConfig] = None
-        self._wal: Optional[WriteAheadLog] = None
-        #: Optional WAL-shipping hook (``service.replication``): every
-        #: logged record and snapshot rotation is mirrored to it, in
-        #: order, under the service lock.
-        self._replicator = None
+        #: The WAL + snapshot journal (``None`` without durability, while
+        #: :meth:`recover` replays, and once shut down or crashed).
+        self._journal: Optional[Journal] = None
         self._op_depth = 0
-        self._ops_since_snapshot = 0
-        #: Monotone WAL record counter, never reset by rotation.  Each
-        #: logged record carries it as ``seq`` and snapshots store the
-        #: high-water mark, so recovery can tell a stale WAL (a crash
-        #: landed between ``SnapshotStore.save`` and ``rotate``) from a
-        #: fresh one and skip records the snapshot already contains.
-        self._op_seq = 0
-        self._replaying = False
         #: Set by :meth:`recover` on the recovered instance.
         self.last_recovery: Optional[RecoveryReport] = None
         self._init_metrics(get_registry())
         if durability is not None:
-            self._attach_durability(_coerce_durability(durability),
-                                    fresh=True)
+            self._journal = Journal.boot(_coerce_durability(durability), {
+                "op": "boot", "format": FORMAT_VERSION,
+                "next_qid": peek_qid(),
+                "config": {
+                    "batch_window_ms": self._batcher.window_ms,
+                    "default_ttl_ms": self._sessions.default_ttl_ms,
+                },
+            })
+            self._m_res["wal_records"].inc()
 
     def _init_metrics(self, registry) -> None:
         """Register the ``service.*`` metric families (telemetry contract).
@@ -596,12 +591,12 @@ class QueryService:
         then every record after it, in order, under the service lock.
         """
         with self._lock:
-            if self._wal is None:
+            if self._journal is None:
                 raise ValueError(
                     "replication needs durability (the WAL is the stream); "
                     "build the service with a DurabilityConfig first")
-            self._replicator = replicator
-            self._snapshot_locked(self._clock())
+            self._journal.listener = replicator
+            self._checkpoint(self._clock())
 
     def _pending_cost_radio_s(self) -> float:
         """Summed price of the admission backlog (priced-backlog gauge)."""
@@ -639,86 +634,50 @@ class QueryService:
         return not self._closed
 
     # ------------------------------------------------------------------
-    # Durability: write-ahead logging
+    # Durability (the protocol lives in service/durability.py)
     # ------------------------------------------------------------------
-    def _attach_durability(self, config: DurabilityConfig,
-                           fresh: bool) -> None:
-        """Open the WAL.  ``fresh`` is a first boot: the state directory
-        must not already hold recoverable state (use :meth:`recover`)."""
-        if fresh and (config.snapshot_path.exists()
-                      or (config.wal_path.exists()
-                          and config.wal_path.stat().st_size > 0)):
-            raise ValueError(
-                f"durability directory {config.directory!r} already holds "
-                f"service state; use QueryService.recover() to reopen it")
-        self._dur = config
-        self._wal = WriteAheadLog(config.wal_path, fsync=config.fsync)
-        if fresh:
-            self._wal.append({
-                "op": "boot", "format": FORMAT_VERSION,
-                "next_qid": peek_qid(),
-                "config": {
-                    "batch_window_ms": self._batcher.window_ms,
-                    "default_ttl_ms": self._sessions.default_ttl_ms,
-                },
-            })
-            self._m_res["wal_records"].inc()
-
     @contextmanager
     def _op(self, record: Optional[dict]):
         """Write-ahead-log one *outermost* public operation.
 
         Public methods nest (``submit`` sweeps leases, ``tick`` flushes),
         so only the depth-1 record is logged — replaying it re-runs the
-        nested effects.  ``record=None`` marks a no-op call (nothing to
-        log, nothing to replay).  Assumes the service lock is held.
+        nested effects — and a due snapshot is taken only between
+        operations, never after shutdown.  ``record=None`` marks a no-op
+        call (nothing to log, nothing to replay).  Assumes the service
+        lock is held.
         """
+        journal = self._journal
+        if journal is None:
+            yield
+            return
         self._op_depth += 1
         try:
-            if (self._op_depth == 1 and record is not None
-                    and self._wal is not None and not self._replaying):
-                self._op_seq += 1
-                record = dict(record, seq=self._op_seq)
-                self._wal.append(record)
+            if self._op_depth == 1 and record is not None:
+                journal.append(record)
                 self._m_res["wal_records"].inc()
-                self._ops_since_snapshot += 1
-                if self._replicator is not None:
-                    self._replicator.on_wal_append(record)
             yield
         finally:
             self._op_depth -= 1
-            if (self._op_depth == 0 and self._wal is not None
-                    and not self._replaying and not self._closed
-                    and self._dur.snapshot_every_ops > 0
-                    and self._ops_since_snapshot
-                    >= self._dur.snapshot_every_ops):
-                self._snapshot_locked(self._clock())
+            if self._op_depth == 0 and not self._closed and journal.due():
+                self._checkpoint(self._clock())
 
-    # ------------------------------------------------------------------
-    # Durability: snapshots
-    # ------------------------------------------------------------------
     def snapshot(self, now_ms: Optional[float] = None) -> None:
         """Write a full-state snapshot and truncate the WAL."""
         with self._lock:
-            if self._wal is None:
+            if self._journal is None:
                 raise ValueError("service was built without durability")
-            self._snapshot_locked(self._now(now_ms))
+            self._checkpoint(self._now(now_ms))
 
-    def _snapshot_locked(self, now: float) -> None:
-        state = self._snapshot_state(now)
-        SnapshotStore.save(self._dur.snapshot_path, state,
-                           fsync_dir=self._dur.fsync)
-        self._wal.rotate()
-        self._ops_since_snapshot = 0
+    def _checkpoint(self, now: float) -> None:
+        self._journal.checkpoint(self._snapshot_state(now))
         self._m_res["snapshots"].inc()
-        if self._replicator is not None:
-            self._replicator.on_snapshot(state)
 
     def _snapshot_state(self, now: float) -> dict:
         return {
             "format": FORMAT_VERSION,
             "saved_ms": now,
-            "op_seq": self._op_seq,
+            "op_seq": self._journal.seq if self._journal is not None else 0,
             "next_qid": peek_qid(),
             "config": {
                 "batch_window_ms": self._batcher.window_ms,
@@ -776,7 +735,6 @@ class QueryService:
                 f"unsupported snapshot format {snap.get('format')!r} "
                 f"(this build reads {FORMAT_VERSION})")
         set_next_qid(int(snap["next_qid"]))
-        self._op_seq = int(snap.get("op_seq", 0))
         self._sessions.restore(snap["sessions"])
         self._next_ticket = int(snap["next_ticket"])
         self._tickets = {entry["ticket_id"]: _ticket_from_dict(entry)
@@ -861,9 +819,8 @@ class QueryService:
         on :attr:`last_recovery`.
         """
         config = _coerce_durability(durability)
-        snap = SnapshotStore.load(config.snapshot_path)
-        records, torn = WriteAheadLog.load(config.wal_path)
-        boot = next((r for r in records if r.get("op") == "boot"), None)
+        backlog = Journal.load(config)
+        snap, boot = backlog.snapshot, backlog.boot
         stored = (snap or {}).get("config") or (boot or {}).get("config") or {}
         service = cls(
             backend,
@@ -873,54 +830,31 @@ class QueryService:
                             else stored.get("default_ttl_ms",
                                             DEFAULT_TTL_MS)),
             clock=clock, overload=overload, planner=planner, quotas=quotas)
-        report = RecoveryReport(snapshot_loaded=snap is not None,
-                                wal_records=len(records), torn_records=torn)
-        service._replaying = True
-        try:
-            if snap is not None:
-                service._restore_snapshot(snap)
-            else:
-                # WAL-only recovery replays against a blank tier-1.  A
-                # reused in-memory backend (in-process chaos crash) still
-                # holds the pre-crash table; clear it or replay would
-                # double-register every surviving query.
-                if service.optimizer is not None:
-                    service.optimizer.reset()
-                if boot is not None and boot.get("next_qid") is not None:
-                    set_next_qid(int(boot["next_qid"]))
-            snapshot_seq = service._op_seq
-            for record in records:
-                if record.get("op") == "boot":
-                    continue
-                seq = record.get("seq")
-                if seq is not None and seq <= snapshot_seq:
-                    # Stale WAL: the crash landed between the snapshot
-                    # save and the WAL rotation, so these records are
-                    # already inside the restored snapshot.  Replaying
-                    # them would double-apply every op; skip instead.
-                    report.stale_ops += 1
-                    continue
-                report.replayed_ops += 1
-                try:
-                    service._replay(record)
-                except Exception:  # noqa: BLE001 - the original raised too
-                    report.replay_errors += 1
-                if seq is not None and seq > service._op_seq:
-                    service._op_seq = seq
-        finally:
-            service._replaying = False
+        if snap is not None:
+            service._restore_snapshot(snap)
+        else:
+            # WAL-only recovery replays against a blank tier-1.  A
+            # reused in-memory backend (in-process chaos crash) still
+            # holds the pre-crash table; clear it or replay would
+            # double-register every surviving query.
+            if service.optimizer is not None:
+                service.optimizer.reset()
+            if boot is not None and boot.get("next_qid") is not None:
+                set_next_qid(int(boot["next_qid"]))
+        # No journal is attached yet, so replay logs nothing.
+        report, seq = backlog.replay(service._replay)
         # "Closed" is a process-lifetime property, not durable state: a
         # restart after a clean shutdown resumes an open (ticketless)
         # service, and a replayed shutdown record likewise applies its
         # terminations but leaves the new process admitting.
         service._closed = False
-        service._attach_durability(config, fresh=False)
-        service._snapshot_locked(service._clock())
+        service._journal = Journal(config, seq=seq)
+        service._checkpoint(service._clock())
         reconcile = getattr(backend, "reconcile_queries", None)
         if callable(reconcile) and backend.optimizer is not None:
             report.reinjected, report.zombies_aborted = reconcile()
         service._m_res["recoveries"].inc()
-        service._m_res["wal_torn_records"].inc(torn)
+        service._m_res["wal_torn_records"].inc(report.torn_records)
         service._m_res["wal_stale_records"].inc(report.stale_ops)
         service._m_res["replayed_ops"].inc(report.replayed_ops)
         service._m_res["reinjected"].inc(report.reinjected)
@@ -1601,10 +1535,10 @@ class QueryService:
                                                TicketStatus.TERMINATED)
                         terminated.append(ticket_id)
                 self._closed = True
-            if self._wal is not None and not self._replaying:
-                self._snapshot_locked(now)
-                self._wal.close()
-                self._wal = None
+            if self._journal is not None:
+                self._checkpoint(now)
+                self._journal.close()
+                self._journal = None
             return terminated
 
     def simulate_crash(self) -> None:
@@ -1617,9 +1551,9 @@ class QueryService:
         built with :meth:`recover` over the same durability directory.
         """
         with self._lock:
-            if self._wal is not None:
-                self._wal.close()
-                self._wal = None
+            if self._journal is not None:
+                self._journal.close()
+                self._journal = None
             self._closed = True
             self._crashed = True
 

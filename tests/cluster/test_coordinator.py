@@ -302,8 +302,8 @@ class TestRecovery:
         assert recovered.stats().live_anchors == 1
         recovered.validate()
 
-    def test_legacy_dir_without_root_wal_adopts_from_shards(self, tmp_path):
-        """A pre-root-WAL directory still recovers by shard adoption."""
+    def test_dir_without_root_wal_is_refused(self, tmp_path):
+        """No root journal, no recovery — and the refusal writes nothing."""
         import shutil
 
         with fresh_qids():
@@ -311,27 +311,119 @@ class TestRecovery:
                 make_backends(2), partition=FieldPartition(8, 2),
                 durability_dir=tmp_path)
             sid = coordinator.open_session("alice", now_ms=0.0)
-            fanout = coordinator.submit(sid, Q_GLOBAL, now_ms=1.0)
-            fan_key = fanout.fan_key
-        shutil.rmtree(tmp_path / "root")  # what an old layout looks like
+            coordinator.submit(sid, Q_GLOBAL, now_ms=1.0)
+            for service in coordinator.shard_services():
+                service.simulate_crash()
+            coordinator.simulate_crash()
+        shutil.rmtree(tmp_path / "root")
+        shard_files = sorted(p for p in tmp_path.glob("shard-*/*")
+                             if p.name in ("wal.jsonl", "snapshot.json"))
+        assert shard_files
+        before = {p: p.read_bytes() for p in shard_files}
+
+        with fresh_qids(), pytest.raises(ValueError, match="root"):
+            ClusterCoordinator.recover(
+                make_backends(2), tmp_path, partition=FieldPartition(8, 2))
+        # Refused before any shard recovered: not one byte moved.
+        assert {p: p.read_bytes() for p in shard_files} == before
+        assert sorted(p for p in tmp_path.glob("shard-*/*")
+                      if p.name in ("wal.jsonl", "snapshot.json")) \
+            == shard_files
+        assert not (tmp_path / "root").exists()
+
+    def test_boot_record_is_not_counted_stale(self, tmp_path):
+        """Regression: root replay skipped the boot record as *stale*."""
+        with fresh_qids():
+            coordinator = ClusterCoordinator(
+                make_backends(2), partition=FieldPartition(8, 2),
+                durability_dir=tmp_path)
+            sid = coordinator.open_session("alice", now_ms=0.0)
+            coordinator.submit(sid, Q_GLOBAL, now_ms=1.0)
+        with fresh_qids():
+            recovered = ClusterCoordinator.recover(
+                make_backends(2), tmp_path, partition=FieldPartition(8, 2))
+        report = recovered.last_root_recovery
+        assert report.stale_ops == 0
+        assert report.replay_errors == 0
+        # open, root_session x2 (one per fan-out target), submit.
+        assert report.replayed_ops == 4
+        assert report.wal_records == 5  # those four plus the boot record
+
+    def test_close_cut_short_by_a_crash_is_finished(self, tmp_path,
+                                                    monkeypatch):
+        """Regression: a crash between the root's close record and the
+        shard-side release left the tenant's local query running."""
+        with fresh_qids():
+            coordinator = ClusterCoordinator(
+                make_backends(2), partition=FieldPartition(8, 2),
+                durability_dir=tmp_path)
+            sid = coordinator.open_session("alice", now_ms=0.0)
+            coordinator.submit(sid, Q_BAND0, now_ms=1.0)
+
+            def killed(*args):
+                raise RuntimeError("killed after the close record")
+
+            monkeypatch.setattr(coordinator, "_release_session", killed)
+            with pytest.raises(RuntimeError):
+                coordinator.close_session(sid, now_ms=2.0)
+            for service in coordinator.shard_services():
+                service.simulate_crash()
+            coordinator.simulate_crash()
+        assert len([t for s in coordinator.shard_services()
+                    for t in s.live_tickets()]) == 1
 
         with fresh_qids():
             recovered = ClusterCoordinator.recover(
                 make_backends(2), tmp_path, partition=FieldPartition(8, 2))
-        # The tenant's lease is gone (the root had no log of it), so the
-        # adopted anchor is orphaned until a tenant claims or reaps it.
-        assert recovered.orphan_anchors() == [fan_key]
-        assert recovered.abort_orphans(now_ms=5000.0) == 1
-        assert recovered.orphan_anchors() == []
-        assert recovered.stats().live_anchors == 0
+        assert recovered.last_root_recovery.zombies_aborted == 1
         for service in recovered.shard_services():
-            assert [t for t in service.live_tickets()
-                    if service.find_sessions(ROOT_CLIENT)
-                    and t.session_id in
-                    service.find_sessions(ROOT_CLIENT)] == []
-        # Legacy recovery bootstraps a root WAL: the next recovery of
-        # the same directory goes through it.
-        assert (tmp_path / "root").exists()
+            assert service.live_tickets() == []
+            assert service.find_sessions("alice") == []
+        assert recovered.stats().sessions_open == 0
+        recovered.validate()
+
+    def test_stale_root_wal_window_is_skipped_not_reapplied(self, tmp_path):
+        """Kill between the root snapshot save and the WAL rotation."""
+        def _run(directory, interrupted):
+            with fresh_qids():
+                coordinator = ClusterCoordinator(
+                    make_backends(2), partition=FieldPartition(8, 2),
+                    durability_dir=directory)
+                sids = [coordinator.open_session(f"t{i}", now_ms=0.0)
+                        for i in range(2)]
+                first = coordinator.submit(sids[0], Q_GLOBAL, now_ms=1.0)
+                coordinator.submit(sids[1], Q_GLOBAL, now_ms=2.0)
+                coordinator.submit(sids[0], Q_BAND0, now_ms=3.0)
+                coordinator.terminate(sids[0], first.ticket_id, now_ms=4.0)
+                wal = directory / "root" / "wal.jsonl"
+                stale_wal = wal.read_bytes()
+                coordinator.snapshot(now_ms=5.0)  # save, then rotate
+                if interrupted:
+                    wal.write_bytes(stale_wal)  # undo the rotation only
+                for service in coordinator.shard_services():
+                    service.simulate_crash()
+                coordinator.simulate_crash()
+            with fresh_qids():
+                recovered = ClusterCoordinator.recover(
+                    make_backends(2), directory,
+                    partition=FieldPartition(8, 2))
+            recovered.validate()
+            assert recovered.orphan_anchors() == []
+            state = recovered._root_snapshot_state(0.0)
+            state.pop("saved_ms")
+            state.pop("op_seq")
+            return recovered.last_root_recovery, state
+
+        window, window_state = _run(tmp_path / "window", interrupted=True)
+        clean, clean_state = _run(tmp_path / "clean", interrupted=False)
+        assert window.snapshot_loaded and clean.snapshot_loaded
+        # Every record but the boot record is already in the snapshot:
+        # counted stale, never re-applied.
+        assert window.stale_ops == window.wal_records - 1 > 0
+        assert window.replayed_ops == 0 and window.replay_errors == 0
+        assert clean.wal_records == clean.stale_ops == 0
+        assert window_state == clean_state
+        assert len(window_state["sessions"]["sessions"]) == 2
 
     def test_double_recovery_is_idempotent(self, tmp_path):
         """recover -> crash -> recover lands on the identical state."""

@@ -60,7 +60,7 @@ class TestStaleWalWindow:
         tickets = [service.submit(sid, Q_LIGHT),
                    service.submit(sid, Q_TEMP)]
         service.terminate(sid, tickets[1].ticket_id)
-        wal_path = service._dur.wal_path
+        wal_path = service._journal.config.wal_path
         stale_wal = wal_path.read_bytes()  # records the snapshot will hold
         service.snapshot()                 # save + rotate
         service.simulate_crash()
@@ -113,22 +113,22 @@ class TestStaleWalWindow:
         assert report.replayed_ops == 1
         assert report.replay_errors == 0
         assert recovered.stats().sessions_open == 2  # alice + bob
-        assert recovered._op_seq == 5  # cursor advanced past the suffix
+        assert recovered._journal.seq == 5  # cursor advanced past the suffix
         recovered.shutdown()
 
     def test_op_seq_survives_recovery_and_rotation(self, tmp_path):
         service = make_service(tmp_path)
         sid = service.open_session("alice")
         service.submit(sid, Q_LIGHT)
-        assert service._op_seq == 2
+        assert service._journal.seq == 2
         service.snapshot()  # rotation must NOT reset the monotone seq
         service.submit(sid, Q_TEMP)
-        assert service._op_seq == 3
+        assert service._journal.seq == 3
         service.simulate_crash()
         recovered = QueryService.recover(make_backend(),
                                          str(tmp_path / "state"))
         sid2 = recovered.open_session("bob")
-        records, _ = WriteAheadLog.load(recovered._dur.wal_path)
+        records, _ = WriteAheadLog.load(recovered._journal.config.wal_path)
         assert records[-1]["op"] == "open"
         assert records[-1]["seq"] == 4  # continues, never reuses
         recovered.close_session(sid2)
@@ -230,7 +230,7 @@ class TestStreamingTornLoad:
         service = make_service(tmp_path)
         sid = service.open_session("alice")
         service.submit(sid, Q_LIGHT)
-        wal_path = service._dur.wal_path
+        wal_path = service._journal.config.wal_path
         service.simulate_crash()
         with open(wal_path, "a", encoding="utf-8") as fh:
             fh.write('0bad0bad {"op": "submit", "torn": tru')  # torn tail
