@@ -4,9 +4,11 @@ One process-wide metrics registry (counters, gauges, histograms with
 p50/p95), a structured span/trace API on injected clocks, and the
 end-to-end latency accountant.  Every other layer records here:
 
-* ``repro.sim`` — its radio ledger (``sim.trace.TraceCollector``) emits
+* ``repro.sim`` — its radio ledger (``sim.trace.TraceCollector``) exports
   frames, airtime, collisions, retransmissions, drops, sleep and energy
-  in the paper's cost-model units, plus per-frame ``radio.tx`` spans;
+  in the paper's cost-model units.  The per-frame series are read from
+  the ledger's totals when the registry is read, and ``radio.tx`` spans
+  are built from its ring of recent frames when ``SimObs.tracer`` is;
 * ``repro.tinydb`` (base station) — control floods, delivered results,
   per-query end-to-end latency;
 * ``repro.core`` (tier-1 optimizer) — registrations, terminations,

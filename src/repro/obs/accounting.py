@@ -3,19 +3,21 @@
 :class:`LatencyAccountant` records end-to-end result latency: the base
 station observes ``arrival_time - epoch_time`` per delivered row or
 aggregate, labelled by query id.  :class:`SimObs` bundles it with the
-registry and a virtual-clock tracer for one simulation.  Radio events are
-not accounted here: the simulation's one radio ledger is
-:class:`repro.sim.trace.TraceCollector`, which increments the ``sim.*``
-series itself.  This module never imports the simulator, keeping
-``repro.obs`` a dependency-free leaf layer.
+registry and the record of the simulation's ``radio.tx`` spans.  Radio
+events are not accounted here: the simulation's one radio ledger is
+:class:`repro.sim.trace.TraceCollector`, which lends its totals to the
+``sim.*`` series and appends each frame to the span record.  This module
+never imports the simulator, keeping ``repro.obs`` a dependency-free leaf
+layer.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from .registry import Histogram, MetricsRegistry, get_registry
-from .spans import Tracer
+from .spans import DEFAULT_SPAN_CAP, Span, Tracer
 
 
 class LatencyAccountant:
@@ -50,12 +52,43 @@ class SimObs:
 
     Wired by :class:`repro.sim.runtime.Simulation` and handed to the
     radio ledger, the nodes and the node applications.  Bundles the
-    current registry, a virtual-clock tracer, and the latency accountant,
-    so instrumented layers take exactly one optional dependency.
+    current registry, the ``radio.tx`` span record, and the latency
+    accountant, so instrumented layers take exactly one optional
+    dependency.
+
+    The radio ledger appends every frame's span duration to
+    ``radio_tx_ms`` (the samples of ``span.radio.tx.duration_ms``) and
+    its ``(node, kind, start, end)`` to ``radio_tx``, which keeps the last
+    ``DEFAULT_SPAN_CAP`` frames.
     """
 
     def __init__(self, clock: Callable[[], float],
                  registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else get_registry()
-        self.tracer = Tracer(self.registry, clock=clock)
+        self._clock = clock
+        self.radio_tx: Deque[Tuple[int, object, float, float]] = deque(
+            maxlen=DEFAULT_SPAN_CAP)
+        self.radio_tx_ms: List[float] = []
         self.latency = LatencyAccountant(self.registry)
+
+    @property
+    def tracer(self) -> Tracer:
+        """A tracer holding the last frames as ``radio.tx`` spans, built
+        on each read.
+
+        ``finished`` is the most recent ``DEFAULT_SPAN_CAP`` frames in
+        transmission order, ``started`` counts every frame and
+        ``dropped`` those no longer retained — what a tracer finishing
+        one span per frame would hold.
+        """
+        frames = list(self.radio_tx)
+        tracer = Tracer(self.registry, clock=self._clock,
+                        cap=self.radio_tx.maxlen)
+        tracer.finished.extend(
+            Span(name="radio.tx", start_ms=start,
+                 labels={"node": str(node), "kind": kind.value},
+                 end_ms=end)
+            for node, kind, start, end in frames)
+        tracer.started = len(self.radio_tx_ms)
+        tracer.dropped = tracer.started - len(frames)
+        return tracer

@@ -27,6 +27,16 @@ isolated view runs inside :func:`scoped`::
         live = run_workload_live(Strategy.TTMQO, workload, config)
     print(render_text(registry.snapshot()))
 
+Pushed and pulled series
+------------------------
+Most series are pushed: the component calls ``inc``/``set``/``observe``.
+A component that already keeps the total for its own use lends it
+instead — ``Gauge.set_fn``, ``Counter.add_part`` (a zero-argument
+reader) and ``Histogram.add_part`` (a sample list) are read when the
+series is, so nothing is copied per event.  Parts must hold only that
+total, never the object that owns it, so a registry that outlives a run
+does not keep the run alive.
+
 Thread safety: family/series creation is locked; value updates are plain
 attribute writes (atomic enough under the GIL for counters incremented
 from one thread at a time — the service layer already serialises its
@@ -37,6 +47,9 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from functools import reduce
+from itertools import chain
+from operator import add
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -62,17 +75,34 @@ def percentile(values, q: float) -> float:
 
 
 class Counter:
-    """A monotonically increasing total."""
+    """A monotonically increasing total — incremented, or read from parts.
+
+    :meth:`add_part` registers a zero-argument reader of a total its owner
+    keeps anyway (the simulator's radio ledger); :attr:`value` is the
+    incremented amount plus every part, summed when read, so the owner
+    pays nothing per event.  Parts are summed in registration order.
+    """
 
     kind = "counter"
 
     def __init__(self) -> None:
-        self.value = 0.0
+        self._value = 0.0
+        self._parts: List[Callable[[], float]] = []
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError(f"counters only go up (inc {amount})")
-        self.value += amount
+        self._value += amount
+
+    def add_part(self, reader: Callable[[], float]) -> None:
+        self._parts.append(reader)
+
+    @property
+    def value(self) -> float:
+        value = self._value
+        for part in self._parts:
+            value += part()
+        return value
 
 
 class Gauge:
@@ -113,66 +143,108 @@ class Histogram:
     only the most recent samples (count and sum still cover everything);
     ``None`` retains every observation, which is what deterministic
     simulation runs use.
+
+    :meth:`add_part` registers a sample list its owner keeps appending to;
+    every read (``count``, ``sum``, ``summary()``, …) folds the parts in
+    after the observations, in registration order — ``sum`` adds their
+    samples one at a time, as :meth:`observe` would have.  Parts are
+    retained in full and belong to their owner: ``state_dict`` covers
+    observations only.
     """
 
     kind = "histogram"
 
     def __init__(self, sample_cap: Optional[int] = None) -> None:
-        self.count = 0
-        self.sum = 0.0
-        self.min = 0.0
-        self.max = 0.0
+        self._count = 0
+        self._sum = 0.0
+        self._min = 0.0
+        self._max = 0.0
         self.sample_cap = sample_cap
         self._samples: List[float] = []
+        self._parts: List[List[float]] = []
 
     def observe(self, value: float) -> None:
         value = float(value)
-        if self.count == 0:
-            self.min = self.max = value
+        if self._count == 0:
+            self._min = self._max = value
         else:
-            self.min = min(self.min, value)
-            self.max = max(self.max, value)
-        self.count += 1
-        self.sum += value
+            self._min = min(self._min, value)
+            self._max = max(self._max, value)
+        self._count += 1
+        self._sum += value
         self._samples.append(value)
         if self.sample_cap is not None and len(self._samples) > self.sample_cap:
             del self._samples[: len(self._samples) - self.sample_cap]
 
+    def add_part(self, samples: List[float]) -> None:
+        self._parts.append(samples)
+
+    def _folded(self) -> Tuple[int, float, float, float, List[float]]:
+        """(count, sum, min, max, retained samples) over observations and
+        parts."""
+        extra = list(chain.from_iterable(self._parts))
+        if not extra:
+            return (self._count, self._sum, self._min, self._max,
+                    self._samples)
+        low, high = min(extra), max(extra)
+        if self._count:
+            low, high = min(self._min, low), max(self._max, high)
+        return (self._count + len(extra), reduce(add, extra, self._sum),
+                low, high, self._samples + extra)
+
+    @property
+    def count(self) -> int:
+        return self._folded()[0]
+
+    @property
+    def sum(self) -> float:
+        return self._folded()[1]
+
+    @property
+    def min(self) -> float:
+        return self._folded()[2]
+
+    @property
+    def max(self) -> float:
+        return self._folded()[3]
+
     @property
     def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
+        count, total = self._folded()[:2]
+        return total / count if count else 0.0
 
     def quantile(self, q: float) -> float:
         """The ``q``-th percentile (0..100) over the retained samples."""
-        return percentile(self._samples, q)
+        return percentile(self._folded()[4], q)
 
     def summary(self) -> Dict[str, float]:
+        count, total, low, high, samples = self._folded()
         return {
-            "count": float(self.count),
-            "sum": self.sum,
-            "min": self.min,
-            "max": self.max,
-            "mean": self.mean,
-            "p50": self.quantile(50.0),
-            "p95": self.quantile(95.0),
+            "count": float(count),
+            "sum": total,
+            "min": low,
+            "max": high,
+            "mean": total / count if count else 0.0,
+            "p50": percentile(samples, 50.0),
+            "p95": percentile(samples, 95.0),
         }
 
     def state_dict(self) -> Dict[str, object]:
         """JSON-safe full state (service-tier snapshots); see ``load_state``."""
         return {
-            "count": self.count,
-            "sum": self.sum,
-            "min": self.min,
-            "max": self.max,
+            "count": self._count,
+            "sum": self._sum,
+            "min": self._min,
+            "max": self._max,
             "samples": list(self._samples),
         }
 
     def load_state(self, state: Dict[str, object]) -> None:
         """Restore a :meth:`state_dict`, replacing current observations."""
-        self.count = int(state["count"])
-        self.sum = float(state["sum"])
-        self.min = float(state["min"])
-        self.max = float(state["max"])
+        self._count = int(state["count"])
+        self._sum = float(state["sum"])
+        self._min = float(state["min"])
+        self._max = float(state["max"])
         self._samples = [float(v) for v in state["samples"]]
         if self.sample_cap is not None and len(self._samples) > self.sample_cap:
             del self._samples[: len(self._samples) - self.sample_cap]

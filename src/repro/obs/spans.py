@@ -16,6 +16,12 @@ Every finished span also feeds the histogram
 ``span.<name>.duration_ms`` in the tracer's registry, so span timing
 shows up in ordinary metric exports without reading the span buffer.
 
+The simulator's ``radio.tx`` spans are the exception to "record as you
+go": the radio ledger keeps one ``(node, kind, start, end)`` tuple per
+frame and its duration histogram's samples, and
+:attr:`repro.obs.SimObs.tracer` builds a ``Tracer`` holding those frames
+as ``Span`` objects only when something reads it.
+
 Usage::
 
     tracer = Tracer(registry, clock=lambda: engine.now)
@@ -82,9 +88,8 @@ class Tracer:
         self.finished: Deque[Span] = deque(maxlen=cap)
         self.dropped = 0
         self.started = 0
-        # Duration-histogram handles by span name: the per-finish registry
-        # lookup (name + labels -> series) dominates finish() on the
-        # radio hot path, and the handle for a given name never changes.
+        # Duration-histogram handles by span name: the handle for a given
+        # name never changes, so finish() looks it up once.
         self._duration_hists: Dict[str, object] = {}
 
     @property
@@ -97,17 +102,6 @@ class Tracer:
         self.started += 1
         return Span(name=name, start_ms=self._clock(),
                     labels={str(k): str(v) for k, v in labels.items()})
-
-    def start_with(self, name: str, labels: Dict[str, str]) -> Span:
-        """Open a span with a pre-built label dict (hot-path variant).
-
-        ``labels`` is stored by reference and must not be mutated
-        afterwards — per-frame callers keep one cached dict per label
-        combination instead of rebuilding and re-stringifying it on
-        every frame.
-        """
-        self.started += 1
-        return Span(name=name, start_ms=self._clock(), labels=labels)
 
     def finish(self, span: Span, status: str = "ok",
                end_ms: Optional[float] = None) -> Span:

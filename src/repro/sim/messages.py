@@ -43,6 +43,10 @@ class MessageKind(enum.Enum):
     RESULT = "result"        # query result / partial aggregate
     MAINTENANCE = "maintenance"  # periodic network maintenance beacons
 
+    # Members are singletons compared by identity; Enum's own __hash__ is
+    # Python-level hash(self._name_), paid on every ledger/plan dict lookup.
+    __hash__ = object.__hash__
+
 
 class Broadcast:
     """Sentinel type for link-layer broadcast destinations."""

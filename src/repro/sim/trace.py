@@ -10,21 +10,25 @@ computes the metric.
 
 The collector is the simulation's only radio ledger: the channel, the MAC
 and the nodes report each frame, collision, loss, retransmission, drop and
-radio-off period to it once, and ``RunResult``, the planner's statistics
-and the live ``sim.*`` registry series (``docs/observability.md``) are all
-read from, or incremented by, that one report.
+radio-off period to it once.  ``RunResult``, the planner's statistics and
+the live ``sim.*`` registry series (``docs/observability.md``) all read
+that one record: a frame is written once, into the ledger, and the
+registry's per-frame series read the ledger's totals when they are read.
+Only the rare labelled events (link losses, drops, outages) are pushed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
+from functools import partial
+from operator import getitem
+from typing import Dict, Iterable, List, Optional, Set, TYPE_CHECKING
 
 from .engine import EventQueue
 from .messages import Message, MessageKind
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..obs import Counter, SimObs
+    from ..obs import SimObs
 
 
 @dataclass(frozen=True)
@@ -67,14 +71,29 @@ class NodeStats:
         self.by_kind[msg.kind] = self.by_kind.get(msg.kind, 0) + 1
 
 
+@dataclass
+class LinkStats:
+    """Network-wide link-layer events of one simulation."""
+
+    collisions: int = 0
+    retransmissions: int = 0
+
+
 class TraceCollector:
     """Accumulates radio activity across a simulation run.
 
-    Handed the simulation's observability bundle, every report also
-    increments the process-wide registry's ``sim.radio.*`` / ``sim.mac.*``
-    / ``sim.node.*`` series (cluster shards sum into the same series) and
-    each frame leaves a ``radio.tx`` span; the accumulators here stay
-    per-simulation either way.
+    Handed the simulation's observability bundle, the collector binds the
+    process-wide registry's ``sim.radio.*`` / ``sim.mac.*`` /
+    ``sim.node.*`` series to its accumulators at the moment each series
+    first has something to count — collisions and retransmissions at
+    construction, a kind's series on its first frame, a node's transmit
+    time on its first frame and its sleep time on its first sleep — and
+    each frame appends its ``radio.tx`` span record to the bundle.  Series
+    shared by several simulations (cluster shards, cells in one scope)
+    read the sum of their per-simulation totals.  The bound readers hold
+    only the accumulators (``NodeStats``, the per-kind records,
+    ``LinkStats``, the span samples), never the collector, so the
+    registry does not keep a finished simulation alive.
     """
 
     def __init__(self, engine: EventQueue,
@@ -82,25 +101,34 @@ class TraceCollector:
         self._engine = engine
         self._obs = obs
         self._nodes: Dict[int, NodeStats] = {}
-        self._airtime_ms: Dict[MessageKind, float] = {}
+        #: Per kind: [frames, bytes, airtime ms], in transmission order.
+        self._kinds: Dict[MessageKind, List] = {}
+        self._sleepers: Set[int] = set()
+        self._link = LinkStats()
         self.started_at = engine.now
-        self.collisions = 0
-        self.retransmissions = 0
         self.dropped_frames = 0
-        # Registry handles and span label dicts, cached so the per-frame
-        # path is dict lookups rather than registry lookups.
-        self._kind_counters: Dict[
-            MessageKind, Tuple["Counter", "Counter", "Counter"]] = {}
-        self._node_tx: Dict[int, "Counter"] = {}
-        self._node_sleep: Dict[int, "Counter"] = {}
-        self._span_labels: Dict[Tuple[int, MessageKind], Dict[str, str]] = {}
+        self._span_ring = self._span_samples = None
         if obs is not None:
-            self._collisions_total = obs.registry.counter(
+            self._span_ring = obs.radio_tx
+            self._span_samples = obs.radio_tx_ms
+            obs.registry.counter(
                 "sim.radio.collisions_total",
-                help="receivers that lost a frame to a collision")
-            self._retransmissions_total = obs.registry.counter(
+                help="receivers that lost a frame to a collision"
+            ).add_part(partial(getattr, self._link, "collisions"))
+            obs.registry.counter(
                 "sim.mac.retransmissions_total",
-                help="link-layer retransmissions of acknowledged frames")
+                help="link-layer retransmissions of acknowledged frames"
+            ).add_part(partial(getattr, self._link, "retransmissions"))
+
+    @property
+    def collisions(self) -> int:
+        """Receivers that lost a frame to a collision."""
+        return self._link.collisions
+
+    @property
+    def retransmissions(self) -> int:
+        """Retried frames put on the air."""
+        return self._link.retransmissions
 
     # ------------------------------------------------------------------
     # Recording hooks (called by the radio/MAC/node layers)
@@ -115,53 +143,61 @@ class TraceCollector:
 
     def record_transmission(self, src: int, msg: Message, duration: float) -> None:
         """One frame on air: Eq. 3 charges its sender ``duration`` ms."""
-        self.node_stats(src).record(msg, duration)
+        stats = self._nodes.get(src)
+        if stats is None or not stats.tx_count:
+            stats = self._first_transmission(src)
+        stats.record(msg, duration)
         kind = msg.kind
-        self._airtime_ms[kind] = self._airtime_ms.get(kind, 0.0) + duration
-        if self._obs is not None:
-            self._export_transmission(src, kind, msg.length_bytes, duration)
+        totals = self._kinds.get(kind)
+        if totals is None:
+            totals = self._first_of_kind(kind)
+        totals[0] += 1
+        totals[1] += msg.length_bytes
+        totals[2] += duration
+        samples = self._span_samples
+        if samples is not None:
+            start = self._engine.now
+            end = start + duration
+            samples.append(end - start)
+            self._span_ring.append((src, kind, start, end))
 
-    def _export_transmission(self, src: int, kind: MessageKind,
-                             length_bytes: int, duration: float) -> None:
-        registry = self._obs.registry
-        counters = self._kind_counters.get(kind)
-        if counters is None:
-            counters = self._kind_counters[kind] = (
-                registry.counter(
-                    "sim.radio.tx_frames_total",
-                    help="frames put on air (retransmissions count again)",
-                    kind=kind.value),
-                registry.counter(
-                    "sim.radio.tx_bytes_total", help="frame bytes put on air",
-                    unit="bytes", kind=kind.value),
-                registry.counter(
-                    "sim.radio.airtime_ms_total",
-                    help="channel time C_start + C_trans*len (Eq. 3)",
-                    unit="ms", kind=kind.value))
-        frames, size, airtime = counters
-        frames.inc()
-        size.inc(length_bytes)
-        airtime.inc(duration)
-        node_tx = self._node_tx.get(src)
-        if node_tx is None:
-            node_tx = self._node_tx[src] = registry.counter(
+    def _first_transmission(self, src: int) -> NodeStats:
+        stats = self.node_stats(src)
+        if self._obs is not None:
+            self._obs.registry.counter(
                 "sim.node.tx_ms_total", help="per-node radio transmit time",
-                unit="ms", node=src)
-        node_tx.inc(duration)
-        labels = self._span_labels.get((src, kind))
-        if labels is None:
-            # Handed to Tracer.start_with by reference (never mutated).
-            labels = self._span_labels[(src, kind)] = {
-                "node": str(src), "kind": kind.value}
-        tracer = self._obs.tracer
-        span = tracer.start_with("radio.tx", labels)
-        tracer.finish(span, end_ms=span.start_ms + duration)
+                unit="ms", node=src
+            ).add_part(partial(getattr, stats, "tx_busy_ms"))
+        return stats
+
+    def _first_of_kind(self, kind: MessageKind) -> List:
+        totals = [0, 0, 0.0]
+        if self._obs is not None:
+            registry = self._obs.registry
+            if not self._kinds:  # this simulation's first frame
+                registry.histogram(
+                    "span.radio.tx.duration_ms",
+                    help="duration of radio.tx spans", unit="ms"
+                ).add_part(self._span_samples)
+            frames, size, airtime = (partial(getitem, totals, index)
+                                     for index in range(3))
+            registry.counter(
+                "sim.radio.tx_frames_total",
+                help="frames put on air (retransmissions count again)",
+                kind=kind.value).add_part(frames)
+            registry.counter(
+                "sim.radio.tx_bytes_total", help="frame bytes put on air",
+                unit="bytes", kind=kind.value).add_part(size)
+            registry.counter(
+                "sim.radio.airtime_ms_total",
+                help="channel time C_start + C_trans*len (Eq. 3)",
+                unit="ms", kind=kind.value).add_part(airtime)
+        self._kinds[kind] = totals
+        return totals
 
     def record_collision(self, msg: Message, receivers: int) -> None:
         """``receivers`` nodes lost this frame to a collision."""
-        self.collisions += receivers
-        if self._obs is not None:
-            self._collisions_total.inc(receivers)
+        self._link.collisions += receivers
 
     def record_link_loss(self, model: str) -> None:
         """A channel loss model (``bernoulli``/``burst``) ate a frame copy."""
@@ -173,9 +209,7 @@ class TraceCollector:
 
     def record_retransmission(self) -> None:
         """A retried frame is going on the air."""
-        self.retransmissions += 1
-        if self._obs is not None:
-            self._retransmissions_total.inc()
+        self._link.retransmissions += 1
 
     def record_drop(self, reason: str) -> None:
         """The MAC gave up on a frame: ``queue_full`` or ``retry_exhausted``."""
@@ -187,16 +221,15 @@ class TraceCollector:
 
     def record_sleep(self, node_id: int, duration: float) -> None:
         """Accrue radio-off time to the node (sleep mode or outage)."""
-        self.node_stats(node_id).sleep_ms += duration
-        if self._obs is not None:
-            node_sleep = self._node_sleep.get(node_id)
-            if node_sleep is None:
-                node_sleep = self._node_sleep[node_id] = \
-                    self._obs.registry.counter(
-                        "sim.node.sleep_ms_total",
-                        help="per-node radio-off time", unit="ms",
-                        node=node_id)
-            node_sleep.inc(duration)
+        stats = self.node_stats(node_id)
+        stats.sleep_ms += duration
+        if node_id not in self._sleepers:
+            self._sleepers.add(node_id)
+            if self._obs is not None:
+                self._obs.registry.counter(
+                    "sim.node.sleep_ms_total",
+                    help="per-node radio-off time", unit="ms", node=node_id
+                ).add_part(partial(getattr, stats, "sleep_ms"))
 
     def record_outage(self, node_id: int, off_ms: float) -> None:
         """An injected fail-stop outage adds ``off_ms`` of radio-off time."""
@@ -296,7 +329,7 @@ class TraceCollector:
     def airtime_by_kind(self) -> Dict[MessageKind, float]:
         """Network-wide radio airtime (ms) per traffic kind, summed in
         transmission order."""
-        return dict(self._airtime_ms)
+        return {kind: totals[2] for kind, totals in self._kinds.items()}
 
     def involved_nodes(self, kind: Optional[MessageKind] = None) -> List[int]:
         """Nodes that transmitted at least one frame (optionally of ``kind``)."""

@@ -55,6 +55,10 @@ class TinyDBBaseStationApp(TinyDBNodeApp):
         #: Optional QoS registry (extension); when set, query floods carry
         #: the query's reliability class so tier-2 can apply multipath.
         self.qos_registry = None
+        # Per-row sink counters, looked up on their first row (so a run
+        # without aggregates still exports no aggregate series).
+        self._rows_received = None
+        self._aggregates_received = None
 
     def _obs(self):
         """The simulation's observability bundle (None outside a sim)."""
@@ -174,9 +178,11 @@ class TinyDBBaseStationApp(TinyDBNodeApp):
                 self.results.add_row(qid, payload.epoch_time, payload.origin,
                                      values, received_at=now)
                 if obs is not None:
-                    obs.registry.counter(
-                        "tinydb.bs.rows_received_total",
-                        help="acquisition rows logged at the sink").inc()
+                    if self._rows_received is None:
+                        self._rows_received = obs.registry.counter(
+                            "tinydb.bs.rows_received_total",
+                            help="acquisition rows logged at the sink")
+                    self._rows_received.inc()
                     obs.latency.observe_row(
                         qid, max(now - payload.epoch_time, 0.0))
         elif isinstance(payload, AggResultPayload):
@@ -189,9 +195,10 @@ class TinyDBBaseStationApp(TinyDBNodeApp):
                     self.results.add_partials(qid, payload.epoch_time,
                                               group.partials, group.group_key)
                     if obs is not None:
-                        obs.registry.counter(
-                            "tinydb.bs.aggregates_received_total",
-                            help="aggregation partials logged at the sink"
-                        ).inc()
+                        if self._aggregates_received is None:
+                            self._aggregates_received = obs.registry.counter(
+                                "tinydb.bs.aggregates_received_total",
+                                help="aggregation partials logged at the sink")
+                        self._aggregates_received.inc()
                         obs.latency.observe_aggregate(
                             qid, max(now - payload.epoch_time, 0.0))

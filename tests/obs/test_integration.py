@@ -2,9 +2,9 @@
 
 This is the acceptance test for the telemetry layer: metrics are not a
 parallel implementation of the run statistics, they *are* the run
-statistics — the simulation's one radio ledger
-(``sim.trace.TraceCollector``) increments the ``sim.*`` series in the
-same call that updates what ``RunResult`` reads, so every exported value
+statistics — the ``sim.*`` series read the same accumulators of the
+simulation's one radio ledger (``sim.trace.TraceCollector``) that
+``RunResult`` reads, so every exported value
 must equal the corresponding ``RunResult`` field bit-for-bit, and the
 instrumentation must not perturb the simulation (same snapshot across
 repeated runs).
