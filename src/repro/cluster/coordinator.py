@@ -50,7 +50,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.basestation import MappedAggregates, MappedRow, RootRewriter
 from ..core.qos import QoSClass
-from ..obs import get_registry
+from ..obs import Counts, bind_counts, get_registry, unbind
 from ..queries.ast import (
     Query,
     peek_qid,
@@ -94,6 +94,47 @@ ROOT_TTL_MS = 1e15
 ROOT_DIR_NAME = "root"
 #: Root WAL records between automatic root snapshots.
 ROOT_SNAPSHOT_EVERY_OPS = 64
+
+#: ``(field, family, help, labels)`` of every ``cluster.*`` counter; each
+#: series reads the coordinator's field of that name.
+_COUNTERS = (
+    ("local", "cluster.submissions_total",
+     "queries submitted through the coordinator", {"scope": "local"}),
+    ("fanout", "cluster.submissions_total",
+     "queries submitted through the coordinator", {"scope": "fanout"}),
+    ("subqueries", "cluster.fanout_subqueries_total",
+     "shard subqueries submitted on behalf of fan-outs", {}),
+    ("dedup", "cluster.root_dedup_hits_total",
+     "fan-outs served from the root canonical-query cache", {}),
+    ("merged_rows", "cluster.merged_results_total",
+     "items merged at the root across shard streams", {"kind": "rows"}),
+    ("merged_aggs", "cluster.merged_results_total",
+     "items merged at the root across shard streams",
+     {"kind": "aggregates"}),
+    ("dup_dropped", "cluster.merge_duplicates_dropped_total",
+     "duplicate/late shard result items dropped by the merge", {}),
+    ("explains", "cluster.explains_total",
+     "cluster EXPLAIN requests served by the root", {}),
+    ("root_records", "cluster.root_wal.records_total",
+     "records appended to the coordinator's root WAL", {}),
+    ("root_snapshots", "cluster.root_wal.snapshots_total",
+     "root snapshots written (each rotates the root WAL)", {}),
+    ("root_replayed", "cluster.root_wal.replayed_ops_total",
+     "root WAL records replayed during coordinator recovery", {}),
+    ("root_torn", "cluster.root_wal.torn_records_total",
+     "torn root WAL records discarded during recovery", {}),
+    ("root_recoveries", "cluster.root_wal.recoveries_total",
+     "coordinator recoveries restored from the root WAL", {}),
+    ("degraded", "cluster.merge_degraded_epochs_total",
+     "aggregate epochs finalised below full completeness during a shard "
+     "outage", {}),
+    ("outages", "cluster.shard_outages_total",
+     "shard-down transitions observed by the coordinator", {}),
+)
+
+
+class _Counts(Counts):
+    __slots__ = tuple(row[0] for row in _COUNTERS)
 
 
 def _root_config(durability_dir: Union[str, Path]) -> DurabilityConfig:
@@ -387,60 +428,17 @@ class ClusterCoordinator:
                 {"op": "boot", "format": FORMAT_VERSION,
                  "config": {"default_ttl_ms": self._sessions.default_ttl_ms}},
                 snapshot_dir_fsync=True)
-            self._m_root_records.inc()
+            self._counts.root_records += 1
 
     # ------------------------------------------------------------------
     # Metrics (cluster.* families; see docs/observability.md)
     # ------------------------------------------------------------------
     def _init_metrics(self, registry) -> None:
-        self._m_local = registry.counter(
-            "cluster.submissions_total",
-            help="queries submitted through the coordinator", scope="local")
-        self._m_fanout = registry.counter(
-            "cluster.submissions_total",
-            help="queries submitted through the coordinator", scope="fanout")
-        self._m_subqueries = registry.counter(
-            "cluster.fanout_subqueries_total",
-            help="shard subqueries submitted on behalf of fan-outs")
-        self._m_dedup = registry.counter(
-            "cluster.root_dedup_hits_total",
-            help="fan-outs served from the root canonical-query cache")
-        self._m_merged_rows = registry.counter(
-            "cluster.merged_results_total",
-            help="items merged at the root across shard streams",
-            kind="rows")
-        self._m_merged_aggs = registry.counter(
-            "cluster.merged_results_total",
-            help="items merged at the root across shard streams",
-            kind="aggregates")
-        self._m_dup_dropped = registry.counter(
-            "cluster.merge_duplicates_dropped_total",
-            help="duplicate/late shard result items dropped by the merge")
-        self._m_explains = registry.counter(
-            "cluster.explains_total",
-            help="cluster EXPLAIN requests served by the root")
-        self._m_root_records = registry.counter(
-            "cluster.root_wal.records_total",
-            help="records appended to the coordinator's root WAL")
-        self._m_root_snapshots = registry.counter(
-            "cluster.root_wal.snapshots_total",
-            help="root snapshots written (each rotates the root WAL)")
-        self._m_root_replayed = registry.counter(
-            "cluster.root_wal.replayed_ops_total",
-            help="root WAL records replayed during coordinator recovery")
-        self._m_root_torn = registry.counter(
-            "cluster.root_wal.torn_records_total",
-            help="torn root WAL records discarded during recovery")
-        self._m_root_recoveries = registry.counter(
-            "cluster.root_wal.recoveries_total",
-            help="coordinator recoveries restored from the root WAL")
-        self._m_degraded = registry.counter(
-            "cluster.merge_degraded_epochs_total",
-            help="aggregate epochs finalised below full completeness "
-                 "during a shard outage")
-        self._m_outages = registry.counter(
-            "cluster.shard_outages_total",
-            help="shard-down transitions observed by the coordinator")
+        """Bind the ``cluster.*`` counters to ``self._counts`` and register
+        the gauges; a series shared by several live coordinators reads
+        their sum."""
+        self._counts = _Counts()
+        self._bindings = bind_counts(registry, self._counts, _COUNTERS)
         registry.gauge("cluster.shards_down",
                        help="shards currently marked down"
                        ).set_fn(lambda: float(len(self._down_shards)))
@@ -453,15 +451,6 @@ class ClusterCoordinator:
         registry.gauge("cluster.live_anchors",
                        help="distinct live fanned-out queries at the root"
                        ).set_fn(lambda: float(len(self._anchors)))
-        self._baseline = {
-            "local": self._m_local.value,
-            "fanout": self._m_fanout.value,
-            "subqueries": self._m_subqueries.value,
-            "dedup": self._m_dedup.value,
-            "merged_rows": self._m_merged_rows.value,
-            "merged_aggs": self._m_merged_aggs.value,
-            "dup_dropped": self._m_dup_dropped.value,
-        }
 
     # ------------------------------------------------------------------
     # Internals
@@ -522,7 +511,7 @@ class ClusterCoordinator:
         """
         if self._root_journal is not None:
             self._root_journal.append(record)
-            self._m_root_records.inc()
+            self._counts.root_records += 1
 
     def _checkpoint(self, now_ms: Optional[float] = None,
                     force: bool = False) -> None:
@@ -533,7 +522,7 @@ class ClusterCoordinator:
         journal = self._root_journal
         if journal is not None and (force or journal.due()):
             journal.checkpoint(self._root_snapshot_state(self._now(now_ms)))
-            self._m_root_snapshots.inc()
+            self._counts.root_snapshots += 1
 
     def snapshot(self, now_ms: Optional[float] = None) -> None:
         """Write a full root snapshot and truncate the root WAL."""
@@ -639,7 +628,7 @@ class ClusterCoordinator:
     def _mark_down(self, shard_id: int) -> None:
         if shard_id not in self._down_shards:
             self._down_shards.add(shard_id)
-            self._m_outages.inc()
+            self._counts.outages += 1
 
     @property
     def down_shards(self) -> Tuple[int, ...]:
@@ -764,12 +753,12 @@ class ClusterCoordinator:
                 ticket = self._submit_local(session_id, session.client_id,
                                             canonical, targets, pruned,
                                             now, qos)
-                self._m_local.inc()
+                self._counts.local += 1
             else:
                 ticket = self._submit_fanout(session_id, canonical,
                                              fan_query, targets, pruned,
                                              now, qos)
-                self._m_fanout.inc()
+                self._counts.fanout += 1
             self._tickets[ticket.ticket_id] = ticket
             session.tickets.add(ticket.ticket_id)
             # Journal point == ack point: every shard-side submit above
@@ -839,7 +828,7 @@ class ClusterCoordinator:
                     self._mark_down(shard_id)
                     continue
                 anchor.subtickets[shard_id] = sub
-                self._m_subqueries.inc()
+                self._counts.subqueries += 1
                 if shard.has_results:
                     anchor.queues[shard_id] = shard.service.subscribe(
                         root_sid, sub.ticket_id, maxsize=0)
@@ -851,7 +840,7 @@ class ClusterCoordinator:
             self._anchors[fan_key] = anchor
         else:
             anchor = self._anchors[fan_key]
-            self._m_dedup.inc()
+            self._counts.dedup += 1
         self._root_cache.acquire(entry)
         self._fan_seq += 1
         return ClusterTicket(
@@ -922,7 +911,7 @@ class ClusterCoordinator:
             by_price = sorted(
                 shards, key=lambda s: (s.report.price.radio_s_per_epoch,
                                        s.shard_id))
-            self._m_explains.inc()
+            self._counts.explains += 1
             return ClusterExplainReport(
                 text=str(canonical),
                 scope=scope,
@@ -1114,7 +1103,7 @@ class ClusterCoordinator:
                 try:
                     sink.put_nowait(self._view(watcher, item))
                 except queue.Full:
-                    self._m_dup_dropped.inc()
+                    self._counts.dup_dropped += 1
             anchor.watchers.append(watcher)
             return sink
 
@@ -1177,7 +1166,7 @@ class ClusterCoordinator:
             if isinstance(item, MappedRow):
                 row_key = (item.epoch_time, item.origin)
                 if row_key in anchor.seen_rows:
-                    self._m_dup_dropped.inc()
+                    self._counts.dup_dropped += 1
                     continue
                 anchor.seen_rows.add(row_key)
                 if frac < 1.0:
@@ -1185,12 +1174,12 @@ class ClusterCoordinator:
                     # contribute to this epoch, and the row says so.
                     item = replace(item, completeness=frac)
                 anchor.merged.append(item)
-                self._m_merged_rows.inc()
+                self._counts.merged_rows += 1
                 pushed += self._deliver(anchor, item)
             else:
                 agg_key = (item.epoch_time, item.group_key)
                 if agg_key in anchor.emitted:
-                    self._m_dup_dropped.inc()
+                    self._counts.dup_dropped += 1
                     continue
                 anchor.partials.setdefault(agg_key, {})[shard_id] = \
                     item.values
@@ -1235,10 +1224,10 @@ class ClusterCoordinator:
             merged = MappedAggregates(epoch_time, values, group_key,
                                       completeness=completeness)
             if completeness < 1.0:
-                self._m_degraded.inc()
+                self._counts.degraded += 1
             anchor.emitted.add(agg_key)
             anchor.merged.append(merged)
-            self._m_merged_aggs.inc()
+            self._counts.merged_aggs += 1
             pushed += self._deliver(anchor, merged)
         return pushed
 
@@ -1249,7 +1238,7 @@ class ClusterCoordinator:
                 watcher.sink.put_nowait(self._view(watcher, item))
                 pushed += 1
             except queue.Full:
-                self._m_dup_dropped.inc()
+                self._counts.dup_dropped += 1
         return pushed
 
     # ------------------------------------------------------------------
@@ -1283,10 +1272,12 @@ class ClusterCoordinator:
         """Drop the coordinator as SIGKILL would (chaos harness hook).
 
         Only root-side state dies: the shards keep their own WALs and
-        crash (or survive) independently.  Every subsequent public call
-        raises :class:`ServiceClosed`; rebuild with :meth:`recover`.
+        crash (or survive) independently.  The ``cluster.*`` series stop
+        reading this coordinator, and every subsequent public call raises
+        :class:`ServiceClosed`; rebuild with :meth:`recover`.
         """
         with self._lock:
+            unbind(self._bindings)
             if self._root_journal is not None:
                 self._root_journal.close()
                 self._root_journal = None
@@ -1353,9 +1344,10 @@ class ClusterCoordinator:
         coordinator._root_journal = Journal(config, seq=seq,
                                             snapshot_dir_fsync=True)
         coordinator._checkpoint(force=True)
-        coordinator._m_root_recoveries.inc()
-        coordinator._m_root_replayed.inc(report.replayed_ops)
-        coordinator._m_root_torn.inc(report.torn_records)
+        counts = coordinator._counts
+        counts.root_recoveries += 1
+        counts.root_replayed += report.replayed_ops
+        counts.root_torn += report.torn_records
         coordinator.last_root_recovery = report
         return coordinator
 
@@ -1709,7 +1701,7 @@ class ClusterCoordinator:
                         root_sid = self._root_session(shard, now)
                         relinked = service.submit(
                             root_sid, anchor.fan_query, now_ms=now)
-                        self._m_subqueries.inc()
+                        self._counts.subqueries += 1
                         self._journal({
                             "op": "fanout_sub", "shard": shard_id,
                             "fan_query": query_to_dict(anchor.fan_query),
@@ -1774,27 +1766,21 @@ class ClusterCoordinator:
     def stats(self) -> ClusterStats:
         """Coordinator counters plus one ``ServiceStats`` per shard."""
         with self._lock:
-            base = self._baseline
-            local = int(self._m_local.value - base["local"])
-            fanout = int(self._m_fanout.value - base["fanout"])
+            counts = self._counts
             return ClusterStats(
                 shards=len(self._shards),
                 sessions_open=len(self._sessions),
                 sessions_opened_total=self._sessions.opened_total,
                 sessions_expired_total=self._sessions.expired_total,
-                submissions_total=local + fanout,
-                local_submissions=local,
-                fanout_submissions=fanout,
-                fanout_subqueries=int(self._m_subqueries.value
-                                      - base["subqueries"]),
-                root_dedup_hits=int(self._m_dedup.value - base["dedup"]),
+                submissions_total=counts.local + counts.fanout,
+                local_submissions=counts.local,
+                fanout_submissions=counts.fanout,
+                fanout_subqueries=counts.subqueries,
+                root_dedup_hits=counts.dedup,
                 live_anchors=len(self._anchors),
-                merged_rows=int(self._m_merged_rows.value
-                                - base["merged_rows"]),
-                merged_aggregates=int(self._m_merged_aggs.value
-                                      - base["merged_aggs"]),
-                merge_duplicates_dropped=int(self._m_dup_dropped.value
-                                             - base["dup_dropped"]),
+                merged_rows=counts.merged_rows,
+                merged_aggregates=counts.merged_aggs,
+                merge_duplicates_dropped=counts.dup_dropped,
                 per_shard=tuple(shard.service.stats()
                                 for shard in self._shards),
                 shards_down=len(self._down_shards),

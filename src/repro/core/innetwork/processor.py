@@ -172,6 +172,11 @@ class TTMQONodeApp(NodeApp):
         if obs is not None:
             obs.registry.counter(name, help=help, **labels).inc(n)
 
+    def _count_recovery(self, name: str, help: str, **labels) -> None:
+        obs = self.node.obs
+        if obs is not None:
+            obs.count_recovery(name, help, **labels)
+
     def _observe(self, name: str, help: str, value: float, **labels) -> None:
         obs = self.node.obs
         if obs is not None:
@@ -188,8 +193,9 @@ class TTMQONodeApp(NodeApp):
         now = self.node.engine.now
         recovery = self.view.note_heard(msg.src, now)
         if recovery is not None:
-            self._count("recovery.readmissions_total",
-                        "evicted DAG parents re-admitted on being heard")
+            self._count_recovery(
+                "recovery.readmissions_total",
+                "evicted DAG parents re-admitted on being heard")
             self._observe("recovery.latency_ms",
                           "first delivery failure to re-admission per "
                           "evicted parent", recovery, unit="ms")
@@ -221,9 +227,9 @@ class TTMQONodeApp(NodeApp):
             evicted = self.view.note_unreachable(
                 neighbor, now, self.params.unreachable_backoff_ms)
             if evicted:
-                self._count("recovery.evictions_total",
-                            "DAG parents evicted after repeated delivery "
-                            "failures")
+                self._count_recovery(
+                    "recovery.evictions_total",
+                    "DAG parents evicted after repeated delivery failures")
         attempts = self._reroutes.pop(msg.msg_id, 0)
         if attempts >= self.params.max_reroutes:
             return
@@ -235,9 +241,10 @@ class TTMQONodeApp(NodeApp):
             if lost:
                 replacement = dataclasses.replace(payload, qids=lost,
                                                   responsibilities=())
-                self._count("recovery.app_retries_total",
-                            "app-level retransmissions after MAC give-up",
-                            layer="ttmqo")
+                self._count_recovery(
+                    "recovery.app_retries_total",
+                    "app-level retransmissions after MAC give-up",
+                    layer="ttmqo")
                 self.node.after(delay, self._route_and_send_row, replacement,
                                 set(failed), attempts + 1)
         elif isinstance(payload, SharedAggPayload):
@@ -245,9 +252,10 @@ class TTMQONodeApp(NodeApp):
                 if failed else frozenset()
             groups = payload.groups_for(lost)
             if groups:
-                self._count("recovery.app_retries_total",
-                            "app-level retransmissions after MAC give-up",
-                            layer="ttmqo")
+                self._count_recovery(
+                    "recovery.app_retries_total",
+                    "app-level retransmissions after MAC give-up",
+                    layer="ttmqo")
                 self.node.after(delay, self._route_and_send_groups,
                                 payload.epoch_time, groups, set(failed),
                                 attempts + 1)
@@ -693,7 +701,10 @@ class TTMQOBaseStationApp(TinyDBBaseStationApp):
             for origin in silent:
                 del reports[origin]
             self._generations[qid] = self._generations.get(qid, 0) + 1
-            self._count("recovery.redisseminations_total",
-                        "base-station query re-floods triggered by subtree "
-                        "silence")
+            obs = self._obs()
+            if obs is not None:
+                obs.count_recovery(
+                    "recovery.redisseminations_total",
+                    "base-station query re-floods triggered by subtree "
+                    "silence")
             self._schedule_control(self._flood_query_now, query)

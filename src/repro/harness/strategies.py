@@ -268,6 +268,13 @@ class Deployment:
         merged.sort(key=lambda r: (r.epoch_time, r.origin))
         return merged
 
+    def recovery_counts(self) -> Dict[str, int]:
+        """This simulation's ``recovery.*`` tally by family, over labels."""
+        counts: Dict[str, int] = {}
+        for (name, _), count in self.sim.obs.recovery.items():
+            counts[name] = counts.get(name, 0) + count
+        return counts
+
     def row_completeness(self, outages=None) -> float:
         """Mean delivery completeness across live acquisition user queries.
 

@@ -30,19 +30,23 @@ from .accounting import LatencyAccountant, SimObs
 from .export import render_json, render_prometheus, render_text
 from .registry import (
     Counter,
+    Counts,
     Gauge,
     Histogram,
     MetricsRegistry,
     get_registry,
+    bind_counts,
     percentile,
     reset_registry,
     scoped,
     set_registry,
+    unbind,
 )
 from .spans import DEFAULT_SPAN_CAP, Span, Tracer
 
 __all__ = [
     "Counter",
+    "Counts",
     "DEFAULT_SPAN_CAP",
     "Gauge",
     "Histogram",
@@ -51,6 +55,7 @@ __all__ = [
     "SimObs",
     "Span",
     "Tracer",
+    "bind_counts",
     "get_registry",
     "percentile",
     "render_json",
@@ -59,4 +64,5 @@ __all__ = [
     "reset_registry",
     "scoped",
     "set_registry",
+    "unbind",
 ]

@@ -14,6 +14,8 @@ layer.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
+from operator import getitem
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from .registry import Histogram, MetricsRegistry, get_registry
@@ -59,7 +61,9 @@ class SimObs:
     The radio ledger appends every frame's span duration to
     ``radio_tx_ms`` (the samples of ``span.radio.tx.duration_ms``) and
     its ``(node, kind, start, end)`` to ``radio_tx``, which keeps the last
-    ``DEFAULT_SPAN_CAP`` frames.
+    ``DEFAULT_SPAN_CAP`` frames.  The node processors count their
+    ``recovery.*`` events with :meth:`count_recovery` into ``recovery``,
+    this simulation's tally, which the registry reads.
     """
 
     def __init__(self, clock: Callable[[], float],
@@ -70,6 +74,17 @@ class SimObs:
             maxlen=DEFAULT_SPAN_CAP)
         self.radio_tx_ms: List[float] = []
         self.latency = LatencyAccountant(self.registry)
+        #: ``recovery.*`` events by (family, sorted label items).
+        self.recovery: Dict[Tuple[str, tuple], int] = {}
+
+    def count_recovery(self, name: str, help: str, **labels: str) -> None:
+        """Count one recovery event; its series binds on the first."""
+        key = (name, tuple(sorted(labels.items())))
+        if key not in self.recovery:
+            self.recovery[key] = 0
+            self.registry.counter(name, help=help, **labels).add_part(
+                partial(getitem, self.recovery, key))
+        self.recovery[key] += 1
 
     @property
     def tracer(self) -> Tracer:

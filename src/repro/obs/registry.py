@@ -35,7 +35,10 @@ instead — ``Gauge.set_fn``, ``Counter.add_part`` (a zero-argument
 reader) and ``Histogram.add_part`` (a sample list) are read when the
 series is, so nothing is copied per event.  Parts must hold only that
 total, never the object that owns it, so a registry that outlives a run
-does not keep the run alive.
+does not keep the run alive.  An owner that keeps its counts in a
+:class:`Counts` binds them with :func:`bind_counts`; a series shared by
+several owners reads the sum of the bound ones, and :func:`unbind`
+takes an owner out (a crashed process exports nothing).
 
 Thread safety: family/series creation is locked; value updates are plain
 attribute writes (atomic enough under the GIL for counters incremented
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain
 from operator import add
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
@@ -97,12 +100,54 @@ class Counter:
     def add_part(self, reader: Callable[[], float]) -> None:
         self._parts.append(reader)
 
+    def remove_part(self, reader: Callable[[], float]) -> None:
+        self._parts.remove(reader)
+
     @property
     def value(self) -> float:
         value = self._value
         for part in self._parts:
             value += part()
         return value
+
+
+class Counts:
+    """Integer counters an owner increments and the registry reads.
+
+    A subclass lists its fields in ``__slots__``; each starts at 0.
+    :func:`bind_counts` lends them to registry series.
+    """
+
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        for name in self.__slots__:
+            setattr(self, name, 0)
+
+
+#: One bound series: the counter and the part reading its owner's field.
+Binding = Tuple[Counter, Callable[[], float]]
+
+
+def bind_counts(registry: "MetricsRegistry", counts: Counts, table,
+                **labels: object) -> List[Binding]:
+    """Bind each ``(field, name, help, labels)`` row of ``table``: the
+    series ``name`` with the row's labels plus ``labels`` reads
+    ``counts.field``.  Returns the bindings, for :func:`unbind`."""
+    bound: List[Binding] = []
+    for field, name, help, extra in table:
+        series = registry.counter(name, help=help, **extra, **labels)
+        reader = partial(getattr, counts, field)
+        series.add_part(reader)
+        bound.append((series, reader))
+    return bound
+
+
+def unbind(bound: List[Binding]) -> None:
+    """Detach every binding in ``bound`` from its series, emptying it."""
+    for series, reader in bound:
+        series.remove_part(reader)
+    bound.clear()
 
 
 class Gauge:

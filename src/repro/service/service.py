@@ -16,10 +16,12 @@ The pipeline per submission::
 and symmetrically on termination the anchor query is only released — and
 Algorithm 2 only run — when the *last* duplicate holder lets go.
 
-All counters live in the metrics registry current at construction time
-(``service.*`` families, see ``docs/observability.md``); the
-:class:`ServiceStats` snapshot API is a typed view over those same
-series, so ``stats()`` and ``python -m repro obs`` can never disagree.
+The service keeps its counts as plain integer fields, and every counter
+series of the metrics registry current at construction time reads them
+(``service.*``, ``resilience.*`` and ``planner.*`` families, see
+``docs/observability.md``).  :class:`ServiceStats` reads the same fields,
+and a series bound to several live services reads their sum, so
+``stats()`` and ``python -m repro obs`` can never disagree.
 
 Results flow back through :meth:`pump`: every anchor with caught-up
 subscribed tickets keeps one :class:`DeliveryCursor` into the append-only
@@ -50,7 +52,7 @@ from ..core.basestation import (
     ResultMapper,
 )
 from ..core.qos import QoSClass
-from ..obs import Histogram, get_registry, scoped
+from ..obs import Counts, Histogram, bind_counts, get_registry, scoped, unbind
 from ..queries.ast import (
     Query,
     next_qid,
@@ -82,6 +84,74 @@ from .subscriber import SubscriberQueue
 
 #: Keep at most this many admission-latency samples (most recent).
 LATENCY_SAMPLE_CAP = 10_000
+
+#: ``(field, family, help, labels)`` of the counters labelled with the
+#: service's ``instance`` name; each series reads the field of that name.
+_INSTANCE_COUNTERS = (
+    ("submissions", "service.submissions_total",
+     "queries submitted by clients", {}),
+    ("admitted", "service.admitted_total", "tickets that went live", {}),
+    ("registrations", "service.registrations_total",
+     "tier-1 optimizer passes (cache misses)", {}),
+    ("injected", "service.registrations_injected_total",
+     "registrations that caused network operations", {}),
+    ("absorbed", "service.registrations_absorbed_total",
+     "registrations absorbed at the base station", {}),
+    ("terminations", "service.terminations_total",
+     "live tickets terminated (user, close, or lease expiry)", {}),
+    ("delivered", "service.results_delivered_total",
+     "mapped result items fanned out to subscribers", {}),
+    ("mapped", "service.pump_items_mapped_total",
+     "items the result mapper produced for pump, before the "
+     "already-delivered filter", {}),
+    ("explains", "planner.explains_total", "EXPLAIN requests served", {}),
+    ("quota_rejections", "planner.quota_rejections_total",
+     "submissions rejected by per-tenant cost quotas", {}),
+    ("cost_sheds", "planner.cost_sheds_total",
+     "pending submissions evicted by cost-weighted shedding", {}),
+)
+#: The ``resilience.*`` counters; every service shares their series.
+#: The fields are named as in :class:`ResilienceStats`.
+_RESILIENCE_COUNTERS = (
+    ("wal_records", "resilience.wal_records_total",
+     "operations appended to the write-ahead log", {}),
+    ("wal_torn_records", "resilience.wal_torn_records_total",
+     "torn/corrupt WAL tail records discarded by recovery", {}),
+    ("wal_stale_records", "resilience.wal_stale_records_total",
+     "stale WAL records skipped by recovery because the snapshot already "
+     "contained them (crash between snapshot save and WAL rotation)", {}),
+    ("snapshots", "resilience.snapshots_total",
+     "service state snapshots written", {}),
+    ("recoveries", "resilience.recoveries_total",
+     "successful recover() calls", {}),
+    ("replayed_ops", "resilience.replayed_ops_total",
+     "WAL operations replayed during recovery", {}),
+    ("shed_best_effort", "resilience.shed_total",
+     "submissions shed by overload protection", {"qos": "best-effort"}),
+    ("shed_reliable", "resilience.shed_total",
+     "submissions shed by overload protection", {"qos": "reliable"}),
+    ("deadline_shed", "resilience.deadline_shed_total",
+     "pending submissions shed past their submit deadline", {}),
+    ("subscriber_drops", "resilience.subscriber_dropped_total",
+     "result items dropped on full subscriber queues", {}),
+    ("breaker_opens", "resilience.breaker_opens_total",
+     "circuit-breaker open transitions", {}),
+    ("passthrough_registrations",
+     "resilience.passthrough_registrations_total",
+     "degraded-mode registrations (breaker open)", {}),
+    ("reinjected", "resilience.reinjected_total",
+     "synthetic queries re-disseminated by recovery", {}),
+    ("zombie_aborts", "resilience.zombie_aborts_total",
+     "zombie network queries aborted by recovery", {}),
+)
+#: The workload counts a snapshot carries (restored by recovery).
+_SNAPSHOT_COUNTERS = ("submissions", "admitted", "registrations",
+                      "injected", "absorbed", "terminations", "delivered")
+
+
+class _Counts(Counts):
+    __slots__ = tuple(row[0]
+                      for row in _INSTANCE_COUNTERS + _RESILIENCE_COUNTERS)
 
 
 def _wall_clock_ms() -> Callable[[], float]:
@@ -241,8 +311,8 @@ class ServiceStats:
     network_operations: int
     absorbed_operations: int
     results_delivered: int
-    #: Fault-tolerance counters (``recovery.*`` metric families); zero for
-    #: backends without a simulated network.
+    #: The backend simulation's ``recovery.*`` tally; zero for backends
+    #: without a simulated network.
     recovery_app_retries: int = 0
     recovery_evictions: int = 0
     recovery_readmissions: int = 0
@@ -321,10 +391,7 @@ class QueryService:
             raise ValueError(
                 "QueryService needs a tier-1 backend (backend.optimizer is "
                 "None; use Strategy.TTMQO or BS_ONLY, or OptimizerBackend)")
-        #: Optional instance name.  The cluster coordinator names each
-        #: shard service (``shard-00``...) and prefixes it onto ticket
-        #: ids, so a cluster ticket is traceable to the shard that owns it.
-        self.name = name
+        self._name = name
         self._backend = backend
         self._clock = clock or _wall_clock_ms()
         self._lock = threading.RLock()
@@ -376,150 +443,31 @@ class QueryService:
                     "default_ttl_ms": self._sessions.default_ttl_ms,
                 },
             })
-            self._m_res["wal_records"].inc()
+            self._counts.wal_records += 1
 
     def _init_metrics(self, registry) -> None:
-        """Register the ``service.*`` metric families (telemetry contract).
+        """Bind the counters and register the gauges (telemetry contract).
 
-        Counters are incremented inline under the service lock; gauges are
-        lazy callbacks evaluated at snapshot time.  Named instances (the
-        cluster coordinator names each shard ``shard-NN``) get their own
-        ``instance``-labelled series, so concurrently-live shards never
-        bleed into each other's :meth:`stats` deltas; unnamed services
-        share the ``instance="default"`` series and stay instance-scoped
-        the old way — by snapshotting each counter's value at construction
-        and reporting the delta.  The last constructed instance owns the
-        gauges.
+        The counts are fields of ``self._counts``, incremented inline
+        under the service lock; each counter series reads its field when
+        the registry is read.  ``service.*`` and ``planner.*`` series are
+        labelled with the instance name (``default`` when unnamed), so
+        concurrently-live shards never read each other's counts; the
+        ``resilience.*`` series are shared and read the sum over the live
+        services.  Gauges are lazy callbacks evaluated at snapshot time;
+        the last constructed instance owns them.
         """
-        instance = self.name or "default"
-        self._m_submissions = registry.counter(
-            "service.submissions_total", help="queries submitted by clients",
-            instance=instance)
-        self._m_admitted = registry.counter(
-            "service.admitted_total", help="tickets that went live",
-            instance=instance)
-        self._m_registrations = registry.counter(
-            "service.registrations_total",
-            help="tier-1 optimizer passes (cache misses)",
-            instance=instance)
-        self._m_injected = registry.counter(
-            "service.registrations_injected_total",
-            help="registrations that caused network operations",
-            instance=instance)
-        self._m_absorbed = registry.counter(
-            "service.registrations_absorbed_total",
-            help="registrations absorbed at the base station",
-            instance=instance)
-        self._m_terminations = registry.counter(
-            "service.terminations_total",
-            help="live tickets terminated (user, close, or lease expiry)",
-            instance=instance)
-        self._m_delivered = registry.counter(
-            "service.results_delivered_total",
-            help="mapped result items fanned out to subscribers",
-            instance=instance)
-        self._m_mapped = registry.counter(
-            "service.pump_items_mapped_total",
-            help="items the result mapper produced for pump, before the "
-                 "already-delivered filter",
-            instance=instance)
+        self._registry = registry
+        self._counts = _Counts()
+        self._bindings = []
+        self._bind_counts()
         self._m_latency = registry.histogram(
             "service.admission_latency_ms",
             help="submit-to-live latency per admitted ticket", unit="ms",
             sample_cap=LATENCY_SAMPLE_CAP)
-        # Fault-tolerance counters, incremented by the simulated network's
-        # node processors (repro.core.innetwork / repro.tinydb) when the
-        # backend carries one; stats() reports the delta since construction.
-        self._m_recovery = {
-            "app_retries": [
-                registry.counter("recovery.app_retries_total",
-                                 help="app-level retransmissions after MAC "
-                                      "give-up", layer="ttmqo"),
-                registry.counter("recovery.app_retries_total",
-                                 help="app-level retransmissions after MAC "
-                                      "give-up", layer="tinydb"),
-            ],
-            "evictions": [
-                registry.counter("recovery.evictions_total",
-                                 help="DAG parents evicted after repeated "
-                                      "delivery failures")],
-            "readmissions": [
-                registry.counter("recovery.readmissions_total",
-                                 help="evicted DAG parents re-admitted on "
-                                      "being heard")],
-            "redisseminations": [
-                registry.counter("recovery.redisseminations_total",
-                                 help="base-station query re-floods "
-                                      "triggered by subtree silence")],
-        }
-        # Durability/overload counters (``resilience.*`` families); the
-        # ResilienceStats snapshot reports instance deltas like stats().
-        self._m_res = {
-            "wal_records": registry.counter(
-                "resilience.wal_records_total",
-                help="operations appended to the write-ahead log"),
-            "wal_torn_records": registry.counter(
-                "resilience.wal_torn_records_total",
-                help="torn/corrupt WAL tail records discarded by recovery"),
-            "wal_stale_records": registry.counter(
-                "resilience.wal_stale_records_total",
-                help="stale WAL records skipped by recovery because the "
-                     "snapshot already contained them (crash between "
-                     "snapshot save and WAL rotation)"),
-            "snapshots": registry.counter(
-                "resilience.snapshots_total",
-                help="service state snapshots written"),
-            "recoveries": registry.counter(
-                "resilience.recoveries_total",
-                help="successful recover() calls"),
-            "replayed_ops": registry.counter(
-                "resilience.replayed_ops_total",
-                help="WAL operations replayed during recovery"),
-            "shed_best_effort": registry.counter(
-                "resilience.shed_total",
-                help="submissions shed by overload protection",
-                qos="best-effort"),
-            "shed_reliable": registry.counter(
-                "resilience.shed_total",
-                help="submissions shed by overload protection",
-                qos="reliable"),
-            "deadline_shed": registry.counter(
-                "resilience.deadline_shed_total",
-                help="pending submissions shed past their submit deadline"),
-            "subscriber_drops": registry.counter(
-                "resilience.subscriber_dropped_total",
-                help="result items dropped on full subscriber queues"),
-            "breaker_opens": registry.counter(
-                "resilience.breaker_opens_total",
-                help="circuit-breaker open transitions"),
-            "passthrough_registrations": registry.counter(
-                "resilience.passthrough_registrations_total",
-                help="degraded-mode registrations (breaker open)"),
-            "reinjected": registry.counter(
-                "resilience.reinjected_total",
-                help="synthetic queries re-disseminated by recovery"),
-            "zombie_aborts": registry.counter(
-                "resilience.zombie_aborts_total",
-                help="zombie network queries aborted by recovery"),
-        }
         registry.gauge("resilience.breaker_state",
                        help="0 closed / 1 half-open / 2 open"
                        ).set_fn(lambda: self._breaker.state.gauge_value)
-        # Planner counters (``planner.*`` families); PlannerStats reports
-        # instance deltas like stats() and resilience_stats().
-        self._m_planner = {
-            "explains": registry.counter(
-                "planner.explains_total",
-                help="EXPLAIN requests served", instance=instance),
-            "quota_rejections": registry.counter(
-                "planner.quota_rejections_total",
-                help="submissions rejected by per-tenant cost quotas",
-                instance=instance),
-            "cost_sheds": registry.counter(
-                "planner.cost_sheds_total",
-                help="pending submissions evicted by cost-weighted "
-                     "shedding", instance=instance),
-        }
         registry.gauge("planner.priced_backlog_radio_s",
                        help="summed radio-s/epoch price of pending "
                             "admissions"
@@ -527,26 +475,9 @@ class QueryService:
         registry.gauge("planner.live_cost_radio_s",
                        help="summed radio-s/epoch price of LIVE tickets"
                        ).set_fn(self._live_cost_radio_s)
-        #: Instance-scoped latency view behind the shared registry series.
+        #: This instance's admission latencies: snapshot state, and what
+        #: the p95 shedding brake reads.
         self._lat_local = Histogram(sample_cap=LATENCY_SAMPLE_CAP)
-        self._baseline = {
-            "submissions": self._m_submissions.value,
-            "admitted": self._m_admitted.value,
-            "registrations": self._m_registrations.value,
-            "injected": self._m_injected.value,
-            "absorbed": self._m_absorbed.value,
-            "terminations": self._m_terminations.value,
-            "delivered": self._m_delivered.value,
-        }
-        self._baseline.update({
-            f"recovery_{key}": sum(c.value for c in counters)
-            for key, counters in self._m_recovery.items()})
-        self._baseline.update({
-            f"res_{key}": counter.value
-            for key, counter in self._m_res.items()})
-        self._baseline.update({
-            f"planner_{key}": counter.value
-            for key, counter in self._m_planner.items()})
         registry.gauge("service.sessions_open",
                        help="sessions with an unexpired lease"
                        ).set_fn(lambda: float(len(self._sessions)))
@@ -564,6 +495,32 @@ class QueryService:
         registry.gauge("service.cache_hit_rate",
                        help="fraction of admissions served from the cache"
                        ).set_fn(lambda: self._cache.hit_rate)
+
+    def _bind_counts(self) -> None:
+        """(Re)bind every counter series to the fields, under the name."""
+        unbind(self._bindings)
+        self._bindings = (
+            bind_counts(self._registry, self._counts, _INSTANCE_COUNTERS,
+                        instance=self._name or "default")
+            + bind_counts(self._registry, self._counts, _RESILIENCE_COUNTERS))
+
+    @property
+    def name(self) -> str:
+        """Optional instance name.
+
+        The cluster coordinator names each shard service (``shard-00``...)
+        and prefixes it onto ticket ids, so a cluster ticket is traceable
+        to the shard that owns it.  Renaming moves the ``instance``-
+        labelled series to the new name.
+        """
+        return self._name
+
+    @name.setter
+    def name(self, name: str) -> None:
+        with self._lock:
+            self._name = name
+            if not self._crashed:
+                self._bind_counts()
 
     @property
     def optimizer(self) -> BaseStationOptimizer:
@@ -655,7 +612,7 @@ class QueryService:
         try:
             if self._op_depth == 1 and record is not None:
                 journal.append(record)
-                self._m_res["wal_records"].inc()
+                self._counts.wal_records += 1
             yield
         finally:
             self._op_depth -= 1
@@ -671,7 +628,7 @@ class QueryService:
 
     def _checkpoint(self, now: float) -> None:
         self._journal.checkpoint(self._snapshot_state(now))
-        self._m_res["snapshots"].inc()
+        self._counts.snapshots += 1
 
     def _snapshot_state(self, now: float) -> dict:
         return {
@@ -709,16 +666,8 @@ class QueryService:
                 "batches_flushed": self._batcher.batches_flushed,
                 "max_batch_size": self._batcher.max_batch_size,
             },
-            "counters": {
-                key: self._delta(counter.value, key)
-                for key, counter in (
-                    ("submissions", self._m_submissions),
-                    ("admitted", self._m_admitted),
-                    ("registrations", self._m_registrations),
-                    ("injected", self._m_injected),
-                    ("absorbed", self._m_absorbed),
-                    ("terminations", self._m_terminations),
-                    ("delivered", self._m_delivered))},
+            "counters": {key: getattr(self._counts, key)
+                         for key in _SNAPSHOT_COUNTERS},
             "latency": self._lat_local.state_dict(),
             "breaker": {
                 "state": self._breaker.state.value,
@@ -762,11 +711,8 @@ class QueryService:
         self._batcher.restore_window(
             batcher["window_opened_ms"],
             int(batcher["batches_flushed"]), int(batcher["max_batch_size"]))
-        # Counters are shared registry series; shifting the baseline down
-        # by the snapshot delta makes stats() report the restored totals
-        # without perturbing the exported aggregates.
         for key, value in snap["counters"].items():
-            self._baseline[key] -= int(value)
+            setattr(self._counts, key, int(value))
         self._lat_local.load_state(snap["latency"])
         breaker = snap["breaker"]
         self._breaker.state = BreakerState(breaker["state"])
@@ -853,12 +799,13 @@ class QueryService:
         reconcile = getattr(backend, "reconcile_queries", None)
         if callable(reconcile) and backend.optimizer is not None:
             report.reinjected, report.zombies_aborted = reconcile()
-        service._m_res["recoveries"].inc()
-        service._m_res["wal_torn_records"].inc(report.torn_records)
-        service._m_res["wal_stale_records"].inc(report.stale_ops)
-        service._m_res["replayed_ops"].inc(report.replayed_ops)
-        service._m_res["reinjected"].inc(report.reinjected)
-        service._m_res["zombie_aborts"].inc(report.zombies_aborted)
+        counts = service._counts
+        counts.recoveries += 1
+        counts.wal_torn_records += report.torn_records
+        counts.wal_stale_records += report.stale_ops
+        counts.replayed_ops += report.replayed_ops
+        counts.reinjected += report.reinjected
+        counts.zombie_aborts += report.zombies_aborted
         service.last_recovery = report
         return service
 
@@ -990,7 +937,7 @@ class QueryService:
                 )
                 self._tickets[ticket.ticket_id] = ticket
                 session.tickets.add(ticket.ticket_id)
-                self._m_submissions.inc()
+                self._counts.submissions += 1
                 price = self._planner.price(canonical).radio_s_per_epoch
                 reason = self._backlog_reason(qos, price)
                 if reason is not None and self._overload.cost_weighted_shedding:
@@ -1010,7 +957,7 @@ class QueryService:
                     ticket.status = TicketStatus.SHED
                     ticket.error = shed_reason
                     if quota_shed:
-                        self._m_planner["quota_rejections"].inc()
+                        self._counts.quota_rejections += 1
                     else:
                         self._count_shed(qos)
                     return ticket
@@ -1114,16 +1061,16 @@ class QueryService:
             f"shed: evicted by cost-weighted backlog (price "
             f"{best_price:.3f} radio-s/epoch vs newcomer "
             f"{price_radio_s:.3f}, {qos.value})")
-        self._m_planner["cost_sheds"].inc()
+        self._counts.cost_sheds += 1
         self._count_shed(QoSClass.BEST_EFFORT)
         self._session_drop(ticket)
         return True
 
     def _count_shed(self, qos: QoSClass) -> None:
         if qos is QoSClass.RELIABLE:
-            self._m_res["shed_reliable"].inc()
+            self._counts.shed_reliable += 1
         else:
-            self._m_res["shed_best_effort"].inc()
+            self._counts.shed_best_effort += 1
 
     def flush(self, now_ms: Optional[float] = None) -> int:
         """Admit every pending submission now; returns the batch size."""
@@ -1163,7 +1110,7 @@ class QueryService:
                     f"shed: waited {now - pending.submitted_ms:.1f} ms in "
                     f"the batch window, over the "
                     f"{self._overload.submit_deadline_ms:.1f} ms deadline")
-                self._m_res["deadline_shed"].inc()
+                self._counts.deadline_shed += 1
                 self._count_shed(qos)
                 self._session_drop(ticket)
                 continue
@@ -1186,11 +1133,11 @@ class QueryService:
                     ticket.error = str(exc)
                     self._session_drop(ticket)
                     continue
-                self._m_registrations.inc()
+                self._counts.registrations += 1
                 if self.optimizer.network_operations > ops_before:
-                    self._m_injected.inc()
+                    self._counts.injected += 1
                 else:
-                    self._m_absorbed.inc()
+                    self._counts.absorbed += 1
                 entry = self._cache.insert(pending.key, anchor)
             else:
                 ticket.cache_hit = True
@@ -1198,7 +1145,7 @@ class QueryService:
             ticket.anchor = entry.anchor
             ticket.status = TicketStatus.LIVE
             ticket.admitted_ms = now
-            self._m_admitted.inc()
+            self._counts.admitted += 1
             self._m_latency.observe(now - pending.submitted_ms)
             self._lat_local.observe(now - pending.submitted_ms)
         return len(batch)
@@ -1228,13 +1175,13 @@ class QueryService:
             self._backend.register(anchor, qos=qos)
             return
         fallback(anchor, qos=qos)
-        self._m_res["passthrough_registrations"].inc()
+        self._counts.passthrough_registrations += 1
 
     def _breaker_failure(self, now: float) -> None:
         opens_before = self._breaker.opens_total
         self._breaker.record_failure(now)
         if self._breaker.opens_total > opens_before:
-            self._m_res["breaker_opens"].inc()
+            self._counts.breaker_opens += 1
 
     # ------------------------------------------------------------------
     # EXPLAIN: priced what-if admission
@@ -1312,7 +1259,7 @@ class QueryService:
             quota_reason = self._quota_reason(client, price.radio_s_per_epoch)
             would_shed = (self._backlog_reason(qos, price.radio_s_per_epoch)
                           or self._latency_reason(qos) or quota_reason)
-            self._m_planner["explains"].inc()
+            self._counts.explains += 1
             return ExplainReport(
                 text=str(canonical),
                 action=action,
@@ -1358,7 +1305,7 @@ class QueryService:
             dead = self._cache.release(ticket.key)
             if dead is not None:
                 self._backend.terminate(dead.anchor_qid)
-            self._m_terminations.inc()
+            self._counts.terminations += 1
         else:
             return  # already terminal
         ticket.status = status
@@ -1500,10 +1447,10 @@ class QueryService:
                             pushed += 1
                         except queue.Full:
                             dropped += 1
-            self._m_mapped.inc(mapper.items_mapped)
-            self._m_delivered.inc(pushed)
-            if dropped:
-                self._m_res["subscriber_drops"].inc(dropped)
+            counts = self._counts
+            counts.mapped += mapper.items_mapped
+            counts.delivered += pushed
+            counts.subscriber_drops += dropped
             return pushed
 
     # ------------------------------------------------------------------
@@ -1547,10 +1494,12 @@ class QueryService:
         No batch flush, no ticket termination, no final snapshot — the
         WAL handle is simply released (every append already flushed, so
         the on-disk state is exactly what an OS would keep of a killed
-        process).  The instance is dead afterwards; a new one must be
-        built with :meth:`recover` over the same durability directory.
+        process), and the counter series stop reading this instance.
+        The instance is dead afterwards; a new one must be built with
+        :meth:`recover` over the same durability directory.
         """
         with self._lock:
+            unbind(self._bindings)
             if self._journal is not None:
                 self._journal.close()
                 self._journal = None
@@ -1586,34 +1535,30 @@ class QueryService:
                           if s.client_id == client_id)
 
     def stats(self) -> ServiceStats:
-        """A consistent snapshot of the registry-backed counters.
+        """A consistent snapshot of this instance's counters.
 
         Takes the service lock, so every field is read from the same
-        quiescent state; the values are the very series ``python -m repro
-        obs`` exports.
+        quiescent state; the counts are the very fields the ``service.*``
+        series ``python -m repro obs`` exports read.
         """
         with self._lock:
+            counts = self._counts
+            recovery = self._backend_recovery()
             return ServiceStats(
                 sessions_open=len(self._sessions),
                 sessions_opened_total=self._sessions.opened_total,
                 sessions_expired_total=self._sessions.expired_total,
-                submissions_total=self._delta(self._m_submissions.value,
-                                              "submissions"),
-                admitted_total=self._delta(self._m_admitted.value,
-                                           "admitted"),
+                submissions_total=counts.submissions,
+                admitted_total=counts.admitted,
                 pending=len(self._batcher),
                 cache_hits=self._cache.hits,
                 cache_misses=self._cache.misses,
                 cache_hit_rate=self._cache.hit_rate,
                 live_cached_queries=len(self._cache),
-                registrations=self._delta(self._m_registrations.value,
-                                          "registrations"),
-                injected_registrations=self._delta(self._m_injected.value,
-                                                   "injected"),
-                absorbed_registrations=self._delta(self._m_absorbed.value,
-                                                   "absorbed"),
-                terminations=self._delta(self._m_terminations.value,
-                                         "terminations"),
+                registrations=counts.registrations,
+                injected_registrations=counts.injected,
+                absorbed_registrations=counts.absorbed,
+                terminations=counts.terminations,
                 admission_latency_p50_ms=self._lat_local.quantile(50.0),
                 admission_latency_p95_ms=self._lat_local.quantile(95.0),
                 batches_flushed=self._batcher.batches_flushed,
@@ -1625,13 +1570,15 @@ class QueryService:
                 live_synthetic_queries=self.optimizer.synthetic_count(),
                 network_operations=self.optimizer.network_operations,
                 absorbed_operations=self.optimizer.absorbed_operations,
-                results_delivered=self._delta(self._m_delivered.value,
-                                              "delivered"),
-                recovery_app_retries=self._recovery_delta("app_retries"),
-                recovery_evictions=self._recovery_delta("evictions"),
-                recovery_readmissions=self._recovery_delta("readmissions"),
-                recovery_redisseminations=self._recovery_delta(
-                    "redisseminations"),
+                results_delivered=counts.delivered,
+                recovery_app_retries=recovery.get(
+                    "recovery.app_retries_total", 0),
+                recovery_evictions=recovery.get(
+                    "recovery.evictions_total", 0),
+                recovery_readmissions=recovery.get(
+                    "recovery.readmissions_total", 0),
+                recovery_redisseminations=recovery.get(
+                    "recovery.redisseminations_total", 0),
                 row_completeness=self._backend_completeness(),
             )
 
@@ -1644,63 +1591,28 @@ class QueryService:
         asserts.
         """
         with self._lock:
-            d = self._res_delta
             return ResilienceStats(
-                wal_records=d("wal_records"),
-                wal_torn_records=d("wal_torn_records"),
-                wal_stale_records=d("wal_stale_records"),
-                snapshots=d("snapshots"),
-                recoveries=d("recoveries"),
-                replayed_ops=d("replayed_ops"),
-                shed_best_effort=d("shed_best_effort"),
-                shed_reliable=d("shed_reliable"),
-                deadline_shed=d("deadline_shed"),
-                subscriber_drops=d("subscriber_drops"),
                 breaker_state=self._breaker.state.value,
-                breaker_opens=d("breaker_opens"),
-                passthrough_registrations=d("passthrough_registrations"),
-                reinjected=d("reinjected"),
-                zombie_aborts=d("zombie_aborts"),
-            )
+                **{field: getattr(self._counts, field)
+                   for field, *_ in _RESILIENCE_COUNTERS})
 
     def planner_stats(self) -> PlannerStats:
         """Instance-scoped snapshot of the ``planner.*`` counters."""
         with self._lock:
+            counts = self._counts
             return PlannerStats(
-                explains=self._planner_delta("explains"),
-                quota_rejections=self._planner_delta("quota_rejections"),
-                cost_sheds=self._planner_delta("cost_sheds"),
+                explains=counts.explains,
+                quota_rejections=counts.quota_rejections,
+                cost_sheds=counts.cost_sheds,
                 priced_backlog_radio_s=self._pending_cost_radio_s(),
                 live_cost_radio_s=self._live_cost_radio_s(),
             )
 
-    def _delta(self, value: float, key: str) -> int:
-        """Instance delta against the construction-time baseline.
-
-        Counters live in the registry current at construction; if a
-        scoped registry is reset mid-run (chaos cells recovering twice do
-        this), a later reading can come from a *fresh* series sitting
-        below the remembered baseline.  Going negative there poisoned
-        every later stats() call — instead, re-anchor the baseline to
-        zero so deltas restart from the reset point, and clamp the
-        result.  A baseline deliberately pushed negative by
-        :meth:`_restore_snapshot` (to surface restored totals) is
-        unaffected: the live value never sinks below it.
-        """
-        base = self._baseline.get(key, 0.0)
-        if value < base:
-            self._baseline[key] = base = 0.0
-        return max(int(value - base), 0)
-
-    def _res_delta(self, key: str) -> int:
-        return self._delta(self._m_res[key].value, f"res_{key}")
-
-    def _recovery_delta(self, key: str) -> int:
-        total = sum(c.value for c in self._m_recovery[key])
-        return self._delta(total, f"recovery_{key}")
-
-    def _planner_delta(self, key: str) -> int:
-        return self._delta(self._m_planner[key].value, f"planner_{key}")
+    def _backend_recovery(self) -> Dict[str, int]:
+        """The backend simulation's ``recovery.*`` tally (none without
+        one)."""
+        fn = getattr(self._backend, "recovery_counts", None)
+        return fn() if callable(fn) else {}
 
     def _backend_completeness(self) -> float:
         fn = getattr(self._backend, "row_completeness", None)

@@ -133,10 +133,10 @@ class TinyDBNodeApp(NodeApp):
         delay = self.params.link_retry_base_ms * (2.0 ** attempts)
         obs = getattr(self.node, "obs", None)
         if obs is not None:
-            obs.registry.counter(
+            obs.count_recovery(
                 "recovery.app_retries_total",
-                help="app-level retransmissions after MAC give-up",
-                layer="tinydb").inc()
+                "app-level retransmissions after MAC give-up",
+                layer="tinydb")
         self.node.after(delay, self._resend_to_parent, msg.payload,
                         attempts + 1)
 

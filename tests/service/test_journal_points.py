@@ -14,7 +14,9 @@ recovered twice, and:
   uncrashed script's state just before or just after that op;
 * ``validate()`` passes; for the cluster ``orphan_anchors() == []`` too,
   and no shard still runs a ticket no live cluster ticket claims;
-* the second recovery lands on exactly the first one's state.
+* the second recovery lands on exactly the first one's state;
+* after each recovery the ``service.*`` counter series read exactly the
+  recovered state's ``counters``: the crashed instance exports nothing.
 
 The tier-1 tests run short scripts; the ``slow`` variants run longer
 seeded ones.
@@ -169,6 +171,25 @@ def _service_apply(service):
     return apply
 
 
+#: The ``service.*`` series behind each snapshot counter.
+COUNTER_SERIES = {
+    "submissions": "service.submissions_total",
+    "admitted": "service.admitted_total",
+    "registrations": "service.registrations_total",
+    "injected": "service.registrations_injected_total",
+    "absorbed": "service.registrations_absorbed_total",
+    "terminations": "service.terminations_total",
+    "delivered": "service.results_delivered_total",
+}
+
+
+def _assert_series_are_counters(registry, service, instance="default"):
+    values = {entry["name"]: entry["value"] for entry in registry.snapshot()
+              if entry["labels"] == {"instance": instance}}
+    assert {key: values[name] for key, name in COUNTER_SERIES.items()} == \
+        service._snapshot_state(0.0)["counters"], instance
+
+
 def _service_state(service):
     state = service._snapshot_state(0.0)
     state.pop("saved_ms")
@@ -203,7 +224,7 @@ def _check_service_crash_points(tmp_path, script, kill_switch):
     assert writes > len(script)  # the checkpoints' saves and rotates too
     for kill_at in range(1, writes + 1):
         directory = tmp_path / f"kill-{kill_at}"
-        with scoped(), fresh_qids():
+        with scoped() as registry, fresh_qids():
             service = _new_service(directory)
             in_flight = kill_switch.run(script, _service_apply(service),
                                         kill_at)
@@ -211,6 +232,7 @@ def _check_service_crash_points(tmp_path, script, kill_switch):
             service.simulate_crash()
             first = QueryService.recover(_backend(), str(directory))
             first.validate()
+            _assert_series_are_counters(registry, first)
             state = _service_state(first)
             assert state in (states[in_flight], states[in_flight + 1]), (
                 f"write {kill_at} (op {in_flight}: {script[in_flight]}): "
@@ -218,6 +240,7 @@ def _check_service_crash_points(tmp_path, script, kill_switch):
             first.simulate_crash()
             second = QueryService.recover(_backend(), str(directory))
             second.validate()
+            _assert_series_are_counters(registry, second)
             assert _service_state(second) == state, f"write {kill_at}"
             second.shutdown()
 
@@ -344,13 +367,12 @@ def _cluster_full_state(coordinator):
     Shard optimizer tables are left out.  Shards share the process-wide
     qid counter, so a replayed shard ``terminate`` re-derives its
     synthetic queries under whatever qids the counter holds at replay
-    time; a recovered shard's counters likewise ride the unnamed metric
-    series (it is named after ``QueryService.recover`` built it).
+    time.
     """
     shards = []
     for service in coordinator.shard_services():
         shard = service._snapshot_state(0.0)
-        for key in ("saved_ms", "next_qid", "counters", "optimizer"):
+        for key in ("saved_ms", "next_qid", "optimizer"):
             shard.pop(key)
         shards.append(shard)
     root = coordinator._root_snapshot_state(0.0)
@@ -377,13 +399,15 @@ def _unclaimed_shard_tickets(coordinator):
             if (shard_id, t.ticket_id) not in claimed]
 
 
-def _recover_cluster(directory):
+def _recover_cluster(directory, registry):
     with fresh_qids():
         coordinator = ClusterCoordinator.recover(
             _backends(), directory, partition=FieldPartition(8, 2))
     coordinator.validate()
     assert coordinator.orphan_anchors() == []
     assert _unclaimed_shard_tickets(coordinator) == []
+    for service in coordinator.shard_services():
+        _assert_series_are_counters(registry, service, service.name)
     return coordinator
 
 
@@ -409,21 +433,21 @@ def _check_cluster_crash_points(tmp_path, script, kill_switch):
     assert writes > len(script)
     for kill_at in range(1, writes + 1):
         directory = tmp_path / f"kill-{kill_at}"
-        with scoped():
+        with scoped() as registry:
             with fresh_qids():
                 coordinator = _new_cluster(directory)
                 in_flight = kill_switch.run(
                     script, _cluster_apply(coordinator), kill_at)
             assert in_flight is not None
             _crash_cluster(coordinator)
-            first = _recover_cluster(directory)
+            first = _recover_cluster(directory, registry)
             view = _cluster_view(first)
             assert view in (views[in_flight], views[in_flight + 1]), (
                 f"write {kill_at} (op {in_flight}: {script[in_flight]}): "
                 f"recovered a state the script never passed through")
             full = _cluster_full_state(first)
             _crash_cluster(first)
-            second = _recover_cluster(directory)
+            second = _recover_cluster(directory, registry)
             assert _cluster_full_state(second) == full, f"write {kill_at}"
             _crash_cluster(second)
 

@@ -1,4 +1,4 @@
-"""Planner unit tests: EXPLAIN, priced admission quotas, stats baselines.
+"""Planner unit tests: EXPLAIN, priced admission quotas, stats views.
 
 Covers the three service-facing planner contracts:
 
@@ -11,9 +11,9 @@ Covers the three service-facing planner contracts:
   the tenant's PENDING+LIVE tickets, surface a ``quota:`` error, count in
   ``planner.quota_rejections_total`` (not ``resilience.shed``), and
   release their charge on terminate/expiry.
-* ``stats()`` delta baselines survive a scoped-registry reset mid-run
-  (the chaos-cell double-recovery flake): a live counter reading below
-  its remembered baseline re-anchors to zero instead of going negative.
+* ``stats()``, ``resilience_stats()`` and ``planner_stats()`` read the
+  service's own counts, so swapping the current registry mid-run (the
+  chaos-cell double recovery) changes none of them.
 
 Plus ``collect_statistics``: what it stores is the sampled deployment's
 own traffic, whatever else ran in the process-wide registry.
@@ -237,39 +237,32 @@ class TestPlannerOverrides:
             QueryPlanner(optimizer.cost_model, calibration=0.0)
 
 
-class TestStatsBaselineReset:
-    """Satellite fix: delta baselines vs. mid-run registry resets."""
-
-    def test_counter_reset_below_baseline_clamps_then_reanchors(self):
+class TestStatsAcrossRegistrySwaps:
+    def test_swapping_the_registry_keeps_every_view(self):
+        """Chaos cells that recover twice swap the current registry
+        mid-run.  A service's counts are its own fields, so every
+        ``*stats()`` view reads the same before and after, and keeps
+        counting from there."""
         with scoped():
-            service = make_service()
-            sid = service.open_session("alice", now_ms=0.0)
-            service.submit(sid, Q_LIGHT, now_ms=1.0)
-            assert service.stats().submissions_total == 1
+            service = make_service(
+                quotas=TenantQuotas(per_client={"mallory": 1e-6}))
+            alice = service.open_session("alice", now_ms=0.0)
+            service.submit(alice, Q_LIGHT, now_ms=1.0)
+            service.explain(Q_TEMP)
+            mallory = service.open_session("mallory", now_ms=2.0)
+            service.submit(mallory, Q_WIDE, now_ms=3.0)
 
-            # A scoped-registry reset mid-run (chaos cells recovering
-            # twice) hands the service a fresh series at zero — below
-            # the remembered baseline when the baseline was restored
-            # from a snapshot.  Simulate the poisoned read directly.
-            service._baseline["submissions"] = 100.0
-            stats = service.stats()
-            # Never negative: the baseline re-anchors to zero and the
-            # fresh series counts from the reset point.
-            assert stats.submissions_total == 1
-            assert service._baseline["submissions"] == 0.0
+            def views():
+                return (service.stats(), service.resilience_stats(),
+                        service.planner_stats())
 
-            # Later deltas stay sane instead of poisoned forever.
-            service.submit(sid, Q_TEMP, now_ms=2.0)
-            assert service.stats().submissions_total == 2
-
-    def test_negative_baseline_from_restore_is_preserved(self):
-        """_restore_snapshot pushes baselines negative on purpose (to
-        surface restored totals); the clamp must not re-anchor those."""
+            before = views()
+            assert before[0].submissions_total == 2
+            assert before[2].explains == before[2].quota_rejections == 1
         with scoped():
-            service = make_service()
-            service._baseline["submissions"] = -5.0
-            assert service.stats().submissions_total == 5
-            assert service._baseline["submissions"] == -5.0
+            assert views() == before
+            service.submit(alice, Q_TEMP, now_ms=4.0)
+            assert service.stats().submissions_total == 3
 
 
 class TestExplainQidHygiene:

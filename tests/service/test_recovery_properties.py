@@ -198,9 +198,6 @@ class TestTornWrites:
             assert recovered.last_recovery.torn_records == 1
             assert recovered.last_recovery.replayed_ops == len(ops) - 1
             recovered.validate()
-            # Counter snapshots are deltas against each service's own
-            # construction-time baseline, so capture the recovered state
-            # before the twin run bumps the shared metric families.
             recovered_state = _durable_state(recovered)
             # A fresh run of every op but the torn one is the same state.
             with fresh_qids():
