@@ -24,9 +24,11 @@ session/ticket API shaped like the single-station service:
   bookkeeping (session opens, fan-out anchor creation/refcounts,
   terminates) to a **root WAL** under ``<durability_dir>/root`` through
   the same :class:`~repro.service.durability.Journal` the shards use.
-  :meth:`recover` rebuilds every shard, then restores anchors, watchers'
-  tickets, and refcounts from the root log and sweeps shard-side zombies
-  the crash orphaned;
+  Each record kind changes root state through one transition, shared by
+  the live operation and the replay.  :meth:`recover` rebuilds every
+  shard, replays the root log through those transitions, relinks each
+  shard's live tickets, and sweeps the shard-side sessions and tickets
+  no root record claims;
 * **fault tolerance** — shards marked down (by the
   :class:`~repro.cluster.supervisor.ShardSupervisor` failure detector or
   by a failed call) are routed around: fan-outs skip them, merges
@@ -270,7 +272,9 @@ class _RootAnchor:
     key: CanonicalKey
     fan_query: Query
     targets: Tuple[int, ...]
-    #: shard id -> the shard-level Ticket of the subquery.
+    #: shard id -> shard ticket id of the subquery, as journaled.
+    sub_ids: Dict[int, int] = field(default_factory=dict)
+    #: shard id -> the live shard-level Ticket of the subquery (linked).
     subtickets: Dict[int, Ticket] = field(default_factory=dict)
     #: shard id -> root subscription queue (results-capable shards only).
     queues: Dict[int, SubscriberQueue] = field(default_factory=dict)
@@ -325,6 +329,17 @@ class ClusterStats:
     @property
     def live_synthetic_queries(self) -> int:
         return sum(s.live_synthetic_queries for s in self.per_shard)
+
+
+#: A shard-side release a root transition implies: ``(shard id, shard
+#: session id, shard ticket id)`` terminates that ticket, and a ``None``
+#: ticket id closes the session.
+_Release = Tuple[int, Optional[str], Optional[int]]
+
+
+def _local_shard_ticket(ticket: ClusterTicket) -> int:
+    """The shard ticket id a LOCAL cluster ticket's id carries."""
+    return int(ticket.ticket_id.rsplit(":", 1)[1])
 
 
 @dataclass
@@ -409,16 +424,6 @@ class ClusterCoordinator:
         #: The root WAL + snapshot journal (``None`` without durability,
         #: while :meth:`recover` replays, and once shut down or crashed).
         self._root_journal: Optional[Journal] = None
-        #: Recovery bookkeeping: anchor key -> shard id -> shard ticket
-        #: id, resolved into live Tickets by :meth:`_relink_shards`.
-        self._sub_ids: Dict[CanonicalKey, Dict[int, int]] = {}
-        #: Same for LOCAL cluster tickets: cluster ticket id -> shard id
-        #: -> shard ticket id.
-        self._ticket_sub_ids: Dict[str, Dict[int, int]] = {}
-        #: (shard id, shard session id, client id) of tenant shard
-        #: sessions a replayed close/expire released; the crash may have
-        #: cut their shard-side close short.
-        self._released_shard_sessions: List[Tuple[int, str, str]] = []
         #: Set by :meth:`recover` when the root WAL was replayed.
         self.last_root_recovery: Optional[RecoveryReport] = None
         self._init_metrics(get_registry())
@@ -470,33 +475,28 @@ class ClusterCoordinator:
         """The ring's home shard for a tenant."""
         return self._by_name[self.ring.shard_for(client_id)].shard_id
 
-    def _tenant_shard_session(self, session_id: str, client_id: str,
-                              shard: _Shard, now: float) -> str:
-        """The tenant's session on ``shard``, opened on first use.
+    def _shard_session(self, shard: _Shard, now: float,
+                       session_id: Optional[str] = None,
+                       client_id: str = ROOT_CLIENT) -> str:
+        """Tenant ``session_id``'s session on ``shard`` (the root's own
+        fan-out session when ``None``), opened on first use.
 
         Shard-level leases are effectively infinite: the *root* enforces
         the tenant's TTL and cascades close/expiry down to the shards.
         """
-        per_shard = self._shard_sessions.setdefault(session_id, {})
-        shard_sid = per_shard.get(shard.shard_id)
+        held = (self._root_sessions if session_id is None
+                else self._shard_sessions.get(session_id, {}))
+        shard_sid = held.get(shard.shard_id)
         if shard_sid is None:
             shard_sid = shard.service.open_session(
                 client_id, ttl_ms=ROOT_TTL_MS, now_ms=now)
-            per_shard[shard.shard_id] = shard_sid
-            self._journal({"op": "shard_session", "sid": session_id,
-                           "shard": shard.shard_id, "shard_sid": shard_sid,
-                           "now": now})
+            record = {"op": "root_session", "shard": shard.shard_id,
+                      "shard_sid": shard_sid, "now": now}
+            if session_id is not None:
+                record.update(op="shard_session", sid=session_id)
+            self._journal(record)
+            self._adopt_shard_session(session_id, shard.shard_id, shard_sid)
         return shard_sid
-
-    def _root_session(self, shard: _Shard, now: float) -> str:
-        root_sid = self._root_sessions.get(shard.shard_id)
-        if root_sid is None:
-            root_sid = shard.service.open_session(
-                ROOT_CLIENT, ttl_ms=ROOT_TTL_MS, now_ms=now)
-            self._root_sessions[shard.shard_id] = root_sid
-            self._journal({"op": "root_session", "shard": shard.shard_id,
-                           "shard_sid": root_sid, "now": now})
-        return root_sid
 
     # ------------------------------------------------------------------
     # Root WAL (the protocol lives in service/durability.py)
@@ -504,10 +504,16 @@ class ClusterCoordinator:
     def _journal(self, record: dict) -> None:
         """Append one bookkeeping record to the root WAL (if attached).
 
-        Called *after* the root state transition and its shard-side
-        effects: a journaled record is an acknowledged operation, and
-        replay applies it to root bookkeeping directly (never back
-        through the shards — their own WALs already hold the effects).
+        A journaled record is an acknowledged operation.  ``terminate``,
+        ``close`` and ``expire`` are journaled before their shard-side
+        releases (the record implies every release a crash cuts short,
+        and the recovery sweep finishes them).  ``open``, ``renew``,
+        ``submit``, ``shard_session``, ``root_session``, ``abort_orphans``
+        and ``fanout_sub`` are journaled after their effects, and
+        ``shutdown`` after its releases but before the shards shut down.
+        Replay applies a record through the same root transition as the
+        live operation, never back through the shards: their own WALs
+        already hold the effects.
         """
         if self._root_journal is not None:
             self._root_journal.append(record)
@@ -540,8 +546,8 @@ class ClusterCoordinator:
                 "fan_query": query_to_dict(anchor.fan_query),
                 "targets": list(anchor.targets),
                 "subtickets": {
-                    str(sid): sub.ticket_id
-                    for sid, sub in sorted(anchor.subtickets.items())},
+                    str(shard_id): shard_tid
+                    for shard_id, shard_tid in sorted(anchor.sub_ids.items())},
             })
         return {
             "format": FORMAT_VERSION,
@@ -568,13 +574,9 @@ class ClusterCoordinator:
                 for shard_id, sids in self._pending_closes.items()},
         }
 
-    def _ticket_to_dict(self, ticket: ClusterTicket) -> dict:
-        subs: Dict[str, int] = {}
-        if ticket.scope == ClusterScope.LOCAL and ticket.shard_tickets:
-            subs[str(ticket.targets[0])] = ticket.shard_tickets[0].ticket_id
-        elif ticket.ticket_id in self._ticket_sub_ids:
-            subs = {str(shard_id): tid for shard_id, tid in
-                    self._ticket_sub_ids[ticket.ticket_id].items()}
+    def _ticket_to_dict(self, ticket: ClusterTicket,
+                        anchor: Optional[_RootAnchor] = None) -> dict:
+        """``anchor`` is a fan-out's new anchor, not yet admitted."""
         payload = {
             "ticket_id": ticket.ticket_id,
             "session_id": ticket.session_id,
@@ -582,21 +584,24 @@ class ClusterCoordinator:
             "scope": ticket.scope,
             "targets": list(ticket.targets),
             "pruned": list(ticket.pruned),
-            "subtickets": subs,
+            "subtickets": (
+                {str(ticket.targets[0]): _local_shard_ticket(ticket)}
+                if ticket.scope == ClusterScope.LOCAL else {}),
             "submitted_ms": ticket.submitted_ms,
             "cache_hit": ticket.cache_hit,
             "terminated": ticket.terminated,
         }
         if ticket.fan_key is not None:
-            anchor = self._anchors.get(ticket.fan_key)
+            anchor = anchor or self._anchors.get(ticket.fan_key)
             if anchor is not None:
                 payload["fan_query"] = query_to_dict(anchor.fan_query)
         return payload
 
-    def _ticket_from_dict(self, payload: dict) -> ClusterTicket:
+    @staticmethod
+    def _ticket_from_dict(payload: dict) -> ClusterTicket:
         query = query_from_dict(payload["query"])
         fan_payload = payload.get("fan_query")
-        ticket = ClusterTicket(
+        return ClusterTicket(
             ticket_id=payload["ticket_id"],
             session_id=payload["session_id"],
             query=query,
@@ -611,11 +616,16 @@ class ClusterCoordinator:
                      if fan_payload is not None else None),
             terminated=bool(payload["terminated"]),
         )
-        subs = {int(shard_id): tid for shard_id, tid
-                in payload.get("subtickets", {}).items()}
-        if subs and not ticket.terminated:
-            self._ticket_sub_ids[ticket.ticket_id] = subs
-        return ticket
+
+    @staticmethod
+    def _anchor_from_dict(fan_payload: dict, targets, sub_ids: dict
+                          ) -> _RootAnchor:
+        fan_query = query_from_dict(fan_payload)
+        return _RootAnchor(key=canonical_key(fan_query), fan_query=fan_query,
+                           targets=tuple(targets),
+                           sub_ids={int(shard_id): int(shard_tid)
+                                    for shard_id, shard_tid
+                                    in sub_ids.items()})
 
     # ------------------------------------------------------------------
     # Shard health
@@ -673,14 +683,17 @@ class ClusterCoordinator:
         with self._lock:
             self._ensure_root_open()
             now = self._now(now_ms)
-            session = self._sessions.get(session_id)
+            self._sessions.get(session_id)  # unknown: raise, journal nothing
             # Journaled before the shard-side releases: on replay the
             # close record implies every release the crash may have cut
-            # short, and the zombie sweep catches the shard-side strays.
+            # short, and the recovery sweep finishes them.
             self._journal({"op": "close", "sid": session_id, "now": now})
-            self._release_session(session.session_id, session.tickets, now)
-            self._sessions.close(session_id)
+            self._release_session(session_id, now)
             self._checkpoint()
+
+    def _release_session(self, session_id: str, now: float) -> None:
+        """The ``close`` transition, then its shard-side releases."""
+        self._release(self._close(session_id), now)
 
     def expire_leases(self, now_ms: Optional[float] = None) -> List[str]:
         """Cascade root-lease expiry down to the shards; idempotent."""
@@ -689,37 +702,12 @@ class ClusterCoordinator:
             return self._expire(self._now(now_ms))
 
     def _expire(self, now: float) -> List[str]:
-        expired = self._sessions.expired(now)
-        if not expired:
-            return []
-        self._journal({"op": "expire",
-                       "sids": [s.session_id for s in expired],
-                       "now": now})
-        expired_ids = []
-        for session in expired:
-            self._release_session(session.session_id, session.tickets, now)
-            self._sessions.close(session.session_id)
-            self._sessions.expired_total += 1
-            expired_ids.append(session.session_id)
-        return expired_ids
-
-    def _release_session(self, session_id: str, ticket_ids, now: float) -> None:
-        for ticket_id in sorted(ticket_ids):
-            self._terminate_ticket(self._tickets[ticket_id], now)
-        ticket_ids.clear()
-        for shard_id, shard_sid in sorted(
-                self._shard_sessions.pop(session_id, {}).items()):
-            if shard_id in self._down_shards:
-                self._pending_closes.setdefault(shard_id,
-                                                []).append(shard_sid)
-                continue
-            try:
-                self._shard(shard_id).service.close_session(shard_sid,
-                                                            now_ms=now)
-            except ServiceClosed:
-                self._mark_down(shard_id)
-                self._pending_closes.setdefault(shard_id,
-                                                []).append(shard_sid)
+        expired = [session.session_id
+                   for session in self._sessions.expired(now)]
+        if expired:
+            self._journal({"op": "expire", "sids": expired, "now": now})
+            self._release(self._expire_sessions(expired), now)
+        return expired
 
     # ------------------------------------------------------------------
     # Query admission
@@ -739,41 +727,42 @@ class ClusterCoordinator:
             session = self._sessions.get(session_id)
             if isinstance(query, str):
                 query = parse_query(query)
-            if self._rewriter is None:
-                canonical = canonicalize(query)
-                targets: Tuple[int, ...] = (
-                    self.home_shard(session.client_id),)
-                pruned: Tuple[int, ...] = ()
-                fan_query = canonical
-            else:
-                plan = self._rewriter.plan(query)
-                canonical, fan_query = plan.canonical, plan.fan_query
-                targets, pruned = plan.targets, plan.pruned
+            canonical, fan_query, targets, pruned = self._plan(
+                query, session.client_id)
+            anchor = None
             if len(targets) == 1:
                 ticket = self._submit_local(session_id, session.client_id,
                                             canonical, targets, pruned,
                                             now, qos)
                 self._counts.local += 1
             else:
-                ticket = self._submit_fanout(session_id, canonical,
-                                             fan_query, targets, pruned,
-                                             now, qos)
+                ticket, anchor = self._submit_fanout(
+                    session_id, canonical, fan_query, targets, pruned, now,
+                    qos)
                 self._counts.fanout += 1
-            self._tickets[ticket.ticket_id] = ticket
-            session.tickets.add(ticket.ticket_id)
             # Journal point == ack point: every shard-side submit above
             # succeeded, so the record makes the admission durable.
             record = {"op": "submit",
-                      "ticket": self._ticket_to_dict(ticket), "now": now}
-            if (ticket.scope == ClusterScope.FANOUT
-                    and not ticket.cache_hit):
-                anchor = self._anchors[ticket.fan_key]
+                      "ticket": self._ticket_to_dict(ticket, anchor),
+                      "now": now}
+            if anchor is not None:
                 record["anchor_subs"] = {
-                    str(sid): sub.ticket_id
-                    for sid, sub in sorted(anchor.subtickets.items())}
+                    str(shard_id): shard_tid
+                    for shard_id, shard_tid in sorted(anchor.sub_ids.items())}
             self._journal(record)
+            self._admit(ticket, anchor)
             self._checkpoint()
             return ticket
+
+    def _plan(self, query: Query, client_id: str
+              ) -> Tuple[Query, Query, Tuple[int, ...], Tuple[int, ...]]:
+        """``(canonical, fan_query, targets, pruned)``: the root rewrite
+        pass, or the tenant's ring home when there is no partition."""
+        if self._rewriter is None:
+            canonical = canonicalize(query)
+            return canonical, canonical, (self.home_shard(client_id),), ()
+        plan = self._rewriter.plan(query)
+        return plan.canonical, plan.fan_query, plan.targets, plan.pruned
 
     def _submit_local(self, session_id: str, client_id: str,
                       canonical: Query, targets: Tuple[int, ...],
@@ -784,8 +773,8 @@ class ClusterCoordinator:
             raise ShardDownError(
                 f"shard {shard.name} is down; retry after recovery")
         try:
-            shard_sid = self._tenant_shard_session(session_id, client_id,
-                                                   shard, now)
+            shard_sid = self._shard_session(shard, now, session_id,
+                                            client_id)
             local = shard.service.submit(shard_sid, canonical, now_ms=now,
                                          qos=qos)
         except ServiceClosed as exc:
@@ -808,12 +797,13 @@ class ClusterCoordinator:
 
     def _submit_fanout(self, session_id: str, canonical: Query,
                        fan_query: Query, targets: Tuple[int, ...],
-                       pruned: Tuple[int, ...], now: float,
-                       qos: QoSClass) -> ClusterTicket:
+                       pruned: Tuple[int, ...], now: float, qos: QoSClass
+                       ) -> Tuple[ClusterTicket, Optional[_RootAnchor]]:
+        """The fan-out's ticket, and its anchor when the fan-out is new."""
         fan_key = canonical_key(fan_query)
-        entry = self._root_cache.lookup(fan_key)
-        dedup_hit = entry is not None
-        if entry is None:
+        anchor = self._anchors.get(fan_key)
+        dedup_hit = anchor is not None
+        if anchor is None:
             anchor = _RootAnchor(key=fan_key, fan_query=fan_query,
                                  targets=targets)
             for shard_id in targets:
@@ -821,30 +811,23 @@ class ClusterCoordinator:
                     continue  # degraded fan-out: healed on shard return
                 shard = self._shard(shard_id)
                 try:
-                    root_sid = self._root_session(shard, now)
-                    sub = shard.service.submit(root_sid, fan_query,
-                                               now_ms=now, qos=qos)
+                    sub = shard.service.submit(
+                        self._shard_session(shard, now), fan_query,
+                        now_ms=now, qos=qos)
                 except ServiceClosed:
                     self._mark_down(shard_id)
                     continue
-                anchor.subtickets[shard_id] = sub
+                anchor.sub_ids[shard_id] = sub.ticket_id
+                self._link(anchor, shard, sub)
                 self._counts.subqueries += 1
-                if shard.has_results:
-                    anchor.queues[shard_id] = shard.service.subscribe(
-                        root_sid, sub.ticket_id, maxsize=0)
             if not anchor.subtickets:
                 raise ShardDownError(
                     f"every target shard of the fan-out is down "
                     f"({sorted(targets)}); retry after recovery")
-            entry = self._root_cache.insert(fan_key, fan_query)
-            self._anchors[fan_key] = anchor
         else:
-            anchor = self._anchors[fan_key]
             self._counts.dedup += 1
-        self._root_cache.acquire(entry)
-        self._fan_seq += 1
-        return ClusterTicket(
-            ticket_id=f"root:{self._fan_seq}",
+        ticket = ClusterTicket(
+            ticket_id=f"root:{self._fan_seq + 1}",
             session_id=session_id,
             query=canonical,
             key=canonical_key(canonical),
@@ -857,6 +840,7 @@ class ClusterCoordinator:
             cache_hit=dedup_hit,
             fan_key=fan_key,
         )
+        return ticket, None if dedup_hit else anchor
 
     # ------------------------------------------------------------------
     # EXPLAIN: shard-aware pricing
@@ -883,18 +867,9 @@ class ClusterCoordinator:
                 client = self._sessions.get(session_id).client_id
             if isinstance(query, str):
                 query = parse_query(query, qid=EXPLAIN_PROBE_QID)
-            if self._rewriter is None:
-                canonical = canonicalize(query, qid=EXPLAIN_PROBE_QID)
-                targets: Tuple[int, ...] = (self.home_shard(client),)
-                pruned: Tuple[int, ...] = ()
-                fan_query = canonical
-            else:
-                plan = self._rewriter.plan(query)
-                canonical = canonicalize(plan.canonical,
-                                         qid=EXPLAIN_PROBE_QID)
-                fan_query = canonicalize(plan.fan_query,
-                                         qid=EXPLAIN_PROBE_QID)
-                targets, pruned = plan.targets, plan.pruned
+            canonical, fan_query, targets, pruned = self._plan(query, client)
+            canonical = canonicalize(canonical, qid=EXPLAIN_PROBE_QID)
+            fan_query = canonicalize(fan_query, qid=EXPLAIN_PROBE_QID)
             scope = (ClusterScope.LOCAL if len(targets) == 1
                      else ClusterScope.FANOUT)
             probe = canonical if scope == ClusterScope.LOCAL else fan_query
@@ -952,75 +927,56 @@ class ClusterCoordinator:
             if not ticket.terminated:
                 self._journal({"op": "terminate", "ticket_id": ticket_id,
                                "now": now})
-            self._terminate_ticket(ticket, now)
-            session.tickets.discard(ticket_id)
+            self._release(self._terminate(ticket), now)
             self._checkpoint()
 
-    def _terminate_ticket(self, ticket: ClusterTicket, now: float) -> None:
-        if ticket.terminated:
-            return
-        # Root bookkeeping is released exactly once, up front: a shard
-        # outage below must not leave the ticket half-terminated (the
-        # refcount-leak bug this PR fixes) — the shard-side terminate is
-        # queued per shard and retried on heal instead.
-        ticket.terminated = True
-        if ticket.scope == ClusterScope.LOCAL:
-            shard = self._shard(ticket.targets[0])
-            shard_sid = self._shard_sessions[ticket.session_id][
-                shard.shard_id]
-            self._shard_terminate(shard.shard_id, shard_sid,
-                                  ticket.shard_tickets[0].ticket_id, now)
-        else:
-            dead = self._root_cache.release(ticket.fan_key)
-            anchor = self._anchors.get(ticket.fan_key)
-            if anchor is not None:
-                anchor.watchers = [w for w in anchor.watchers
-                                   if w.ticket_id != ticket.ticket_id]
-            if dead is not None and anchor is not None:
-                del self._anchors[ticket.fan_key]
-                self._sub_ids.pop(ticket.fan_key, None)
-                for shard_id in sorted(anchor.subtickets):
-                    self._shard_terminate(
-                        shard_id, self._root_sessions[shard_id],
-                        anchor.subtickets[shard_id].ticket_id, now)
-                anchor.queues.clear()
-        self._ticket_sub_ids.pop(ticket.ticket_id, None)
+    def _release(self, releases: List[_Release], now: float) -> None:
+        """Run shard-side releases in order.  A down shard's are queued
+        and retried when it heals, so root bookkeeping, already released
+        exactly once, never waits on a shard."""
+        for shard_id, shard_sid, shard_tid in releases:
+            if shard_id not in self._down_shards:
+                service = self._shard(shard_id).service
+                try:
+                    if shard_tid is None:
+                        service.close_session(shard_sid, now_ms=now)
+                    else:
+                        service.terminate(shard_sid, shard_tid, now_ms=now)
+                    continue
+                except KeyError:
+                    continue  # the shard no longer holds it
+                except ServiceClosed:
+                    self._mark_down(shard_id)
+            if shard_tid is None:
+                self._pending_closes.setdefault(shard_id, []).append(
+                    shard_sid)
+            else:
+                self._pending_terminates.setdefault(shard_id, []).append(
+                    (shard_sid, shard_tid))
 
-    def _shard_terminate(self, shard_id: int, shard_sid: str,
-                         shard_ticket_id: int, now: float) -> None:
-        """Terminate a shard-level ticket, queueing if the shard is down."""
-        if shard_id in self._down_shards:
-            self._pending_terminates.setdefault(shard_id, []).append(
-                (shard_sid, shard_ticket_id))
-            return
-        try:
-            self._shard(shard_id).service.terminate(
-                shard_sid, shard_ticket_id, now_ms=now)
-        except ServiceClosed:
-            self._mark_down(shard_id)
-            self._pending_terminates.setdefault(shard_id, []).append(
-                (shard_sid, shard_ticket_id))
-
-    def _drain_pending(self, shard_id: int, now: float) -> None:
-        """Retry terminates/closes queued while ``shard_id`` was down."""
-        service = self._shard(shard_id).service
-        for shard_sid, shard_tid in self._pending_terminates.pop(
-                shard_id, []):
-            try:
-                service.terminate(shard_sid, shard_tid, now_ms=now)
-            except (KeyError, ServiceClosed):
-                pass  # session/ticket did not survive the shard's crash
-        for shard_sid in self._pending_closes.pop(shard_id, []):
-            try:
-                service.close_session(shard_sid, now_ms=now)
-            except (KeyError, ServiceClosed):
-                pass
-
-    def _retry_pending(self, now: float) -> None:
+    def _drain_pending(self, now: float) -> None:
+        """Retry the terminates/closes queued while a shard, now up, was
+        down."""
         for shard_id in sorted(set(self._pending_terminates)
                                | set(self._pending_closes)):
             if shard_id not in self._down_shards:
-                self._drain_pending(shard_id, now)
+                self._release(
+                    [(shard_id, shard_sid, shard_tid) for shard_sid, shard_tid
+                     in self._pending_terminates.pop(shard_id, [])]
+                    + [(shard_id, shard_sid, None) for shard_sid
+                       in self._pending_closes.pop(shard_id, [])], now)
+
+    def _on_up_shards(self, call: Callable[[_Shard], object]) -> list:
+        """``call`` each up shard, by id; one that dies mid-call is marked
+        down.  Returns the results."""
+        results = []
+        for shard in self._shards:
+            if shard.shard_id not in self._down_shards:
+                try:
+                    results.append(call(shard))
+                except ServiceClosed:
+                    self._mark_down(shard.shard_id)
+        return results
 
     # ------------------------------------------------------------------
     # Housekeeping
@@ -1035,14 +991,8 @@ class ClusterCoordinator:
             self._ensure_root_open()
             now = self._now(now_ms)
             self._expire(now)
-            for shard in self._shards:
-                if shard.shard_id in self._down_shards:
-                    continue
-                try:
-                    shard.service.tick(now_ms=now)
-                except ServiceClosed:
-                    self._mark_down(shard.shard_id)
-            self._retry_pending(now)
+            self._on_up_shards(lambda shard: shard.service.tick(now_ms=now))
+            self._drain_pending(now)
             self._checkpoint()
 
     def flush(self, now_ms: Optional[float] = None) -> int:
@@ -1050,15 +1000,8 @@ class ClusterCoordinator:
         with self._lock:
             self._ensure_root_open()
             now = self._now(now_ms)
-            admitted = 0
-            for shard in self._shards:
-                if shard.shard_id in self._down_shards:
-                    continue
-                try:
-                    admitted += shard.service.flush(now_ms=now)
-                except ServiceClosed:
-                    self._mark_down(shard.shard_id)
-            return admitted
+            return sum(self._on_up_shards(
+                lambda shard: shard.service.flush(now_ms=now)))
 
     # ------------------------------------------------------------------
     # Results: pump + merge
@@ -1127,13 +1070,8 @@ class ClusterCoordinator:
             self._ensure_root_open()
             now = self._now(now_ms)
             self._expire(now)
-            for shard in self._shards:
-                if (shard.has_results
-                        and shard.shard_id not in self._down_shards):
-                    try:
-                        shard.service.pump(now_ms=now)
-                    except ServiceClosed:
-                        self._mark_down(shard.shard_id)
+            self._on_up_shards(lambda shard: shard.has_results
+                               and shard.service.pump(now_ms=now))
             return self._merge(float("inf") if final else now)
 
     def _merge(self, cutoff: float) -> int:
@@ -1245,23 +1183,16 @@ class ClusterCoordinator:
     # Shutdown / durability
     # ------------------------------------------------------------------
     def shutdown(self, now_ms: Optional[float] = None) -> List[str]:
-        """Release every cluster ticket, then shut every shard down."""
+        """Release every cluster ticket and every anchor no ticket
+        references, then shut every shard down."""
         with self._lock:
             now = self._now(now_ms)
-            terminated = []
-            for ticket_id in sorted(self._tickets):
-                ticket = self._tickets[ticket_id]
-                if not ticket.terminated:
-                    self._terminate_ticket(ticket, now)
-                    terminated.append(ticket_id)
+            terminated = [ticket_id for ticket_id in sorted(self._tickets)
+                          if not self._tickets[ticket_id].terminated]
+            self._release(self._shutdown(), now)
             self._journal({"op": "shutdown", "now": now})
-            for shard in self._shards:
-                if shard.shard_id in self._down_shards:
-                    continue
-                try:
-                    shard.service.shutdown(now_ms=now)
-                except ServiceClosed:
-                    self._mark_down(shard.shard_id)
+            self._on_up_shards(
+                lambda shard: shard.service.shutdown(now_ms=now))
             if self._root_journal is not None:
                 self._checkpoint(now, force=True)
                 self._root_journal.close()
@@ -1300,10 +1231,11 @@ class ClusterCoordinator:
         machinery) unless already-recovered ``services`` are supplied
         (coordinator-only crash: the shard processes never died).  The
         root then restores its *own* bookkeeping — sessions, tickets,
-        anchors, refcounts — from the root WAL under
-        ``<durability_dir>/root`` and relinks anchors to the shards'
-        live subtickets by id; shard-side tickets the crash orphaned
-        (no surviving root claim) are swept.  A directory without a root
+        anchors, refcounts — from the root snapshot, and decodes each
+        root WAL record into the transition its live operation runs.  One
+        relink per shard resolves the recovered shard ticket ids into live
+        handles, and a sweep ends what the shards still run that no root
+        record claims (:meth:`_sweep`).  A directory without a root
         journal raises ``ValueError`` before any shard is touched: the
         constructor writes the root boot record before acknowledging any
         operation, so such a directory was never a coordinator's.
@@ -1339,8 +1271,9 @@ class ClusterCoordinator:
             coordinator._restore_root_snapshot(backlog.snapshot)
         # No journal is attached yet, so replay logs nothing.
         report, seq = backlog.replay(coordinator._apply_root_record)
-        report.reinjected, report.zombies_aborted = \
-            coordinator._relink_shards()
+        report.reinjected = sum(coordinator._relink(shard_id)
+                                for shard_id in range(coordinator.n_shards))
+        report.zombies_aborted = coordinator._sweep()
         coordinator._root_journal = Journal(config, seq=seq,
                                             snapshot_dir_fsync=True)
         coordinator._checkpoint(force=True)
@@ -1366,15 +1299,11 @@ class ClusterCoordinator:
             ticket = self._ticket_from_dict(payload)
             self._tickets[ticket.ticket_id] = ticket
         for payload in state.get("anchors", []):
-            fan_query = query_from_dict(payload["fan_query"])
-            key = canonical_key(fan_query)
-            anchor = _RootAnchor(key=key, fan_query=fan_query,
-                                 targets=tuple(payload["targets"]))
-            self._anchors[key] = anchor
-            self._root_cache.insert(key, fan_query)
-            self._sub_ids[key] = {
-                int(shard_id): tid
-                for shard_id, tid in payload["subtickets"].items()}
+            anchor = self._anchor_from_dict(payload["fan_query"],
+                                            payload["targets"],
+                                            payload["subtickets"])
+            self._anchors[anchor.key] = anchor
+            self._root_cache.insert(anchor.key, anchor.fan_query)
         for ticket in self._tickets.values():
             if (ticket.scope == ClusterScope.FANOUT
                     and not ticket.terminated
@@ -1390,6 +1319,9 @@ class ClusterCoordinator:
             for shard_id, sids in state.get("pending_closes", {}).items()}
 
     def _apply_root_record(self, rec: dict) -> None:
+        """Decode one root WAL record and run its transition.  The
+        releases a transition returns are not run: :meth:`_sweep` finds
+        every one the crash cut short."""
         op = rec.get("op")
         if op == "open":
             session = self._sessions.open(rec["client"], rec["now"],
@@ -1401,223 +1333,235 @@ class ClusterCoordinator:
         elif op == "renew":
             self._sessions.renew(rec["sid"], rec["now"], rec.get("ttl"))
         elif op == "close":
-            self._replay_close(rec["sid"])
+            self._close(rec["sid"])
         elif op == "expire":
-            for sid in rec["sids"]:
-                self._replay_close(sid)
-                self._sessions.expired_total += 1
-        elif op == "shard_session":
-            self._shard_sessions.setdefault(
-                rec["sid"], {})[int(rec["shard"])] = rec["shard_sid"]
-        elif op == "root_session":
-            self._root_sessions[int(rec["shard"])] = rec["shard_sid"]
+            self._expire_sessions(rec["sids"])
+        elif op in ("shard_session", "root_session"):
+            self._adopt_shard_session(rec.get("sid"), int(rec["shard"]),
+                                      rec["shard_sid"])
         elif op == "submit":
-            self._replay_submit(rec)
+            payload = rec["ticket"]
+            ticket = self._ticket_from_dict(payload)
+            anchor = None
+            if (ticket.fan_key is not None
+                    and ticket.fan_key not in self._anchors):
+                anchor = self._anchor_from_dict(payload["fan_query"],
+                                                ticket.targets,
+                                                rec.get("anchor_subs", {}))
+            self._admit(ticket, anchor)
         elif op == "terminate":
-            ticket = self._tickets.get(rec["ticket_id"])
-            if ticket is not None and not ticket.terminated:
-                self._release_ticket_bookkeeping(ticket)
-                try:
-                    self._sessions.get(ticket.session_id).tickets.discard(
-                        ticket.ticket_id)
-                except Exception:
-                    pass
+            self._terminate(self._tickets[rec["ticket_id"]])
         elif op == "fanout_sub":
             key = canonical_key(query_from_dict(rec["fan_query"]))
             if key in self._anchors:
-                self._sub_ids.setdefault(key, {})[int(rec["shard"])] = \
+                self._anchors[key].sub_ids[int(rec["shard"])] = \
                     int(rec["shard_ticket"])
         elif op == "abort_orphans":
-            for key in [k for k, e in self._root_cache.entries().items()
-                        if e.refcount == 0]:
-                entry = self._root_cache.entries()[key]
-                self._root_cache.acquire(entry)
-                self._root_cache.release(key)
-                self._anchors.pop(key, None)
-                self._sub_ids.pop(key, None)
+            self._abort_orphans()
         elif op == "shutdown":
-            for ticket in self._tickets.values():
-                ticket.terminated = True
-            self._anchors.clear()
-            self._sub_ids.clear()
-            self._ticket_sub_ids.clear()
-            for key in list(self._root_cache.entries()):
-                entry = self._root_cache.entries()[key]
-                if entry.refcount == 0:
-                    self._root_cache.acquire(entry)
-                while key in self._root_cache.entries():
-                    self._root_cache.release(key)
+            self._shutdown()
         else:
             raise ValueError(f"unknown root WAL op {op!r}")
 
-    def _replay_close(self, sid: str) -> None:
-        try:
-            session = self._sessions.get(sid)
-        except Exception:
-            return
-        for ticket_id in sorted(session.tickets):
-            ticket = self._tickets.get(ticket_id)
-            if ticket is not None:
-                self._release_ticket_bookkeeping(ticket)
-        session.tickets.clear()
-        for shard_id, shard_sid in sorted(
-                self._shard_sessions.pop(sid, {}).items()):
-            self._released_shard_sessions.append(
-                (shard_id, shard_sid, session.client_id))
-        self._sessions.close(sid)
+    # ------------------------------------------------------------------
+    # Root transitions.  Each root WAL record kind changes root state
+    # through one of these (``open``/``renew`` through the
+    # SessionManager's own), called by the live operation after its
+    # shard-side calls and its record, and by the replay after decoding
+    # the record.  None calls a shard: the shard-side releases a
+    # transition implies are returned, for the live operation to run.
+    # ------------------------------------------------------------------
+    def _adopt_shard_session(self, session_id: Optional[str], shard_id: int,
+                             shard_sid: str) -> None:
+        """``shard_session``: a tenant's session on a shard;
+        ``root_session`` (``session_id`` None): the root's own."""
+        if session_id is None:
+            self._root_sessions[shard_id] = shard_sid
+        else:
+            self._shard_sessions.setdefault(session_id, {})[shard_id] = \
+                shard_sid
 
-    def _release_ticket_bookkeeping(self, ticket: ClusterTicket) -> None:
-        """Replay-side mirror of :meth:`_terminate_ticket`: root state
-        only, no shard calls (the shards' own WALs hold those)."""
-        if ticket.terminated:
-            return
-        ticket.terminated = True
-        if ticket.scope == ClusterScope.FANOUT \
-                and ticket.fan_key is not None:
-            try:
-                dead = self._root_cache.release(ticket.fan_key)
-            except KeyError:
-                dead = None
-            anchor = self._anchors.get(ticket.fan_key)
-            if anchor is not None:
-                anchor.watchers = [w for w in anchor.watchers
-                                   if w.ticket_id != ticket.ticket_id]
-            if dead is not None and anchor is not None:
-                del self._anchors[ticket.fan_key]
-                self._sub_ids.pop(ticket.fan_key, None)
-                anchor.queues.clear()
-        self._ticket_sub_ids.pop(ticket.ticket_id, None)
-
-    def _replay_submit(self, rec: dict) -> None:
-        ticket = self._ticket_from_dict(rec["ticket"])
+    def _admit(self, ticket: ClusterTicket,
+               anchor: Optional[_RootAnchor]) -> None:
+        """``submit``: register the ticket.  A fan-out takes a reference
+        on its anchor, which ``anchor`` brings when the fan-out is new."""
+        self._sessions.get(ticket.session_id).tickets.add(ticket.ticket_id)
         self._tickets[ticket.ticket_id] = ticket
-        try:
-            self._sessions.get(ticket.session_id).tickets.add(
-                ticket.ticket_id)
-        except Exception:
-            pass
-        if ticket.ticket_id.startswith("root:"):
-            self._fan_seq = max(self._fan_seq,
-                                int(ticket.ticket_id.split(":", 1)[1]))
-        if ticket.scope != ClusterScope.FANOUT or ticket.terminated:
-            return
-        entry = self._root_cache.lookup(ticket.fan_key)
-        if entry is None:
-            fan_query = query_from_dict(rec["ticket"]["fan_query"])
-            anchor = _RootAnchor(key=ticket.fan_key, fan_query=fan_query,
-                                 targets=ticket.targets)
-            self._anchors[ticket.fan_key] = anchor
-            entry = self._root_cache.insert(ticket.fan_key, fan_query)
-            self._sub_ids[ticket.fan_key] = {
-                int(shard_id): tid
-                for shard_id, tid in (rec.get("anchor_subs")
-                                      or {}).items()}
-        self._root_cache.acquire(entry)
-
-    def _relink_shards(self) -> Tuple[int, int]:
-        """Resolve recovered ticket ids into live shard tickets; sweep
-        shard-side zombies with no surviving root claim.  Returns
-        ``(queues_reinjected, zombies_aborted)``."""
-        now = self._clock()
-        relinked = 0
-        claimed: Dict[int, Set[int]] = {}
-        for key, subs in sorted(self._sub_ids.items(), key=lambda i:
-                                repr(i[0])):
-            anchor = self._anchors.get(key)
+        if ticket.scope == ClusterScope.FANOUT:
+            self._fan_seq += 1
             if anchor is None:
+                entry = self._root_cache.lookup(ticket.fan_key)
+            else:
+                self._anchors[anchor.key] = anchor
+                entry = self._root_cache.insert(anchor.key, anchor.fan_query)
+            self._root_cache.acquire(entry)
+
+    def _terminate(self, ticket: ClusterTicket) -> List[_Release]:
+        """``terminate``: end the ticket and drop it from its session."""
+        releases = self._end_ticket(ticket)
+        self._sessions.get(ticket.session_id).tickets.discard(
+            ticket.ticket_id)
+        return releases
+
+    def _close(self, session_id: str) -> List[_Release]:
+        """``close``: end the session's tickets, then drop it and its
+        shard sessions."""
+        session = self._sessions.get(session_id)
+        releases: List[_Release] = []
+        for ticket_id in sorted(session.tickets):
+            releases += self._end_ticket(self._tickets[ticket_id])
+        session.tickets.clear()
+        releases += [(shard_id, shard_sid, None) for shard_id, shard_sid
+                     in sorted(self._shard_sessions.pop(session_id,
+                                                        {}).items())]
+        self._sessions.close(session_id)
+        return releases
+
+    def _expire_sessions(self, session_ids: List[str]) -> List[_Release]:
+        """``expire``: close each lapsed session."""
+        releases: List[_Release] = []
+        for session_id in session_ids:
+            releases += self._close(session_id)
+            self._sessions.expired_total += 1
+        return releases
+
+    def _abort_orphans(self) -> List[_Release]:
+        """``abort_orphans``: drop every anchor no live ticket references."""
+        releases: List[_Release] = []
+        for key in self.orphan_anchors():
+            # insert() left refcount 0; bump to 1 so release() drops the
+            # entry through the ordinary path.
+            self._root_cache.acquire(self._root_cache.lookup(key))
+            self._root_cache.release(key)
+            releases += self._drop_anchor(key)
+        return releases
+
+    def _shutdown(self) -> List[_Release]:
+        """``shutdown``: end every ticket, then drop the anchors left
+        without a reference, as :meth:`abort_orphans` would."""
+        releases: List[_Release] = []
+        for ticket_id in sorted(self._tickets):
+            releases += self._end_ticket(self._tickets[ticket_id])
+        return releases + self._abort_orphans()
+
+    def _end_ticket(self, ticket: ClusterTicket) -> List[_Release]:
+        """Release a ticket's root bookkeeping exactly once: a shard
+        outage must not leave it half-terminated, so its shard-side
+        terminates are returned for :meth:`_release` to run or queue."""
+        if ticket.terminated:
+            return []
+        ticket.terminated = True
+        if ticket.scope == ClusterScope.LOCAL:
+            shard_id = ticket.targets[0]
+            shard_sid = self._shard_sessions.get(ticket.session_id,
+                                                 {}).get(shard_id)
+            return [(shard_id, shard_sid, _local_shard_ticket(ticket))]
+        anchor = self._anchors[ticket.fan_key]
+        anchor.watchers = [w for w in anchor.watchers
+                           if w.ticket_id != ticket.ticket_id]
+        if self._root_cache.release(ticket.fan_key) is None:
+            return []
+        return self._drop_anchor(ticket.fan_key)
+
+    def _drop_anchor(self, key: CanonicalKey) -> List[_Release]:
+        anchor = self._anchors.pop(key)
+        anchor.queues.clear()
+        return [(shard_id, self._root_sessions.get(shard_id), shard_tid)
+                for shard_id, shard_tid in sorted(anchor.sub_ids.items())]
+
+    # ------------------------------------------------------------------
+    # Relink and sweep (recovery and shard healing)
+    # ------------------------------------------------------------------
+    def _link(self, anchor: _RootAnchor, shard: _Shard, sub: Ticket) -> int:
+        """Make ``sub`` the anchor's subquery on ``shard`` and feed the
+        merge from it; returns 1 when a merge queue was subscribed."""
+        anchor.subtickets[shard.shard_id] = sub
+        anchor.queues.pop(shard.shard_id, None)
+        if not shard.has_results or sub.status not in (TicketStatus.LIVE,
+                                                       TicketStatus.PENDING):
+            return 0
+        try:
+            anchor.queues[shard.shard_id] = shard.service.subscribe(
+                self._root_sessions.get(shard.shard_id), sub.ticket_id,
+                maxsize=0)
+        except (KeyError, ValueError):
+            return 0
+        return 1
+
+    def _relink(self, shard_id: int) -> int:
+        """Point the root at ``shard_id``'s current service: link each
+        anchor's journaled subquery there (one the service does not hold
+        stays unlinked), then refresh every live ticket it serves.
+        Returns the merge queues subscribed."""
+        shard = self._shard(shard_id)
+        subscribed = 0
+        for anchor in self._anchors.values():
+            try:
+                sub = shard.service.ticket(anchor.sub_ids.get(shard_id))
+            except KeyError:
+                anchor.subtickets.pop(shard_id, None)
+                anchor.queues.pop(shard_id, None)
                 continue
-            for shard_id, shard_tid in sorted(subs.items()):
-                if shard_id in self._down_shards:
-                    continue
-                shard = self._shard(shard_id)
-                try:
-                    sub = shard.service.ticket(shard_tid)
-                except KeyError:
-                    continue
-                anchor.subtickets[shard_id] = sub
-                claimed.setdefault(shard_id, set()).add(shard_tid)
-                root_sid = self._root_sessions.get(shard_id)
-                if (shard.has_results and root_sid is not None
-                        and sub.status in (TicketStatus.LIVE,
-                                           TicketStatus.PENDING)):
-                    try:
-                        anchor.queues[shard_id] = shard.service.subscribe(
-                            root_sid, sub.ticket_id, maxsize=0)
-                        relinked += 1
-                    except (KeyError, ValueError):
-                        pass
+            subscribed += self._link(anchor, shard, sub)
         for ticket in self._tickets.values():
-            if ticket.terminated:
+            if ticket.terminated or shard_id not in ticket.targets:
                 continue
-            subs = self._ticket_sub_ids.get(ticket.ticket_id)
-            if ticket.scope == ClusterScope.LOCAL and subs:
-                handles = []
-                for shard_id, shard_tid in sorted(subs.items()):
-                    if shard_id in self._down_shards:
-                        continue
-                    try:
-                        handles.append(
-                            self._shard(shard_id).service.ticket(shard_tid))
-                        claimed.setdefault(shard_id, set()).add(shard_tid)
-                    except KeyError:
-                        pass
-                ticket.shard_tickets = tuple(handles)
-            elif (ticket.scope == ClusterScope.FANOUT
-                    and ticket.fan_key in self._anchors):
+            if ticket.scope == ClusterScope.LOCAL:
+                try:
+                    ticket.shard_tickets = (shard.service.ticket(
+                        _local_shard_ticket(ticket)),)
+                except KeyError:
+                    pass  # lost with the shard; the old handle stays
+            else:
                 anchor = self._anchors[ticket.fan_key]
                 ticket.shard_tickets = tuple(
                     anchor.subtickets[s] for s in ticket.targets
                     if s in anchor.subtickets)
-        self._sub_ids.clear()
-        self._ticket_sub_ids.clear()
-        zombies = 0
-        # A close/expire is journaled before its shard-side releases, so
-        # a crash between them leaves the tenant's shard session running
-        # its queries: finish the close.
-        for shard_id, shard_sid, client in self._released_shard_sessions:
-            service = self._shard(shard_id).service
-            if (shard_id in self._down_shards
-                    or shard_sid not in service.find_sessions(client)):
-                continue
-            zombies += sum(1 for sub in service.live_tickets()
-                           if sub.session_id == shard_sid)
-            service.close_session(shard_sid, now_ms=now)
-        self._released_shard_sessions.clear()
-        # Zombie sweep: shard tickets under root fan-out sessions that no
-        # recovered anchor claims were orphaned by the crash (e.g. a
-        # submit that died before its journal record landed).
-        root_sids = {sid for sid in self._root_sessions.values()}
-        tenant_sids: Set[str] = set()
-        for per in self._shard_sessions.values():
-            tenant_sids.update(per.values())
-        claimed_tenant: Dict[int, Set[int]] = {}
-        for ticket in self._tickets.values():
-            if ticket.scope == ClusterScope.LOCAL \
-                    and not ticket.terminated:
-                for handle in ticket.shard_tickets:
-                    claimed_tenant.setdefault(
-                        ticket.targets[0], set()).add(handle.ticket_id)
+        return subscribed
+
+    def _sweep(self) -> int:
+        """End what the shards run that no root record claims; returns
+        the shard tickets ended.
+
+        A coordinator-owned shard session (leased for ``ROOT_TTL_MS``)
+        that is neither a tenant's nor the root's own is closed: a
+        replayed close/expire released it before the crash cut its
+        shard-side close short, or the crash came between the shard's
+        ``open_session`` and the root's record of it.  A shard ticket
+        under a held session that no anchor or live ticket claims is
+        terminated: a replayed terminate released it, or its submit died
+        before the root's record.
+        """
+        now = self._clock()
+        ended = 0
         for shard in self._shards:
-            if shard.shard_id in self._down_shards:
+            shard_id, service = shard.shard_id, shard.service
+            held = {self._root_sessions.get(shard_id)}
+            held.update(per.get(shard_id)
+                        for per in self._shard_sessions.values())
+            claimed = {anchor.sub_ids.get(shard_id)
+                       for anchor in self._anchors.values()}
+            claimed.update(
+                _local_shard_ticket(ticket)
+                for ticket in self._tickets.values()
+                if not ticket.terminated and ticket.targets == (shard_id,)
+                and ticket.scope == ClusterScope.LOCAL)
+            live = len(service.live_tickets())
+            try:
+                for session in service.sessions():
+                    if (session.ttl_ms == ROOT_TTL_MS
+                            and session.session_id not in held):
+                        service.close_session(session.session_id,
+                                              now_ms=now)
+                for sub in service.live_tickets():
+                    if (sub.session_id in held
+                            and sub.ticket_id not in claimed):
+                        service.terminate(sub.session_id, sub.ticket_id,
+                                          now_ms=now)
+            except (KeyError, ServiceClosed):
                 continue
-            for sub in shard.service.live_tickets():
-                shard_claimed = claimed.get(shard.shard_id, set())
-                tenant_claimed = claimed_tenant.get(shard.shard_id, set())
-                if sub.session_id in root_sids:
-                    if sub.ticket_id in shard_claimed:
-                        continue
-                elif sub.session_id in tenant_sids:
-                    if sub.ticket_id in tenant_claimed:
-                        continue
-                else:
-                    continue  # not a coordinator-owned ticket
-                try:
-                    shard.service.terminate(sub.session_id, sub.ticket_id,
-                                            now_ms=now)
-                    zombies += 1
-                except (KeyError, ServiceClosed):
-                    pass
-        return relinked, zombies
+            ended += live - len(service.live_tickets())
+        return ended
 
     def orphan_anchors(self) -> List[CanonicalKey]:
         """Fan-out anchors no live tenant references (post-recovery)."""
@@ -1629,21 +1573,9 @@ class ClusterCoordinator:
         """Terminate unreferenced fan-out anchors; returns the count."""
         with self._lock:
             now = self._now(now_ms)
-            aborted = 0
-            for key in self.orphan_anchors():
-                anchor = self._anchors.pop(key)
-                self._sub_ids.pop(key, None)
-                entry = self._root_cache.entries()[key]
-                # insert() left refcount 0; bump to 1 so release() drops
-                # the entry through the ordinary path.
-                self._root_cache.acquire(entry)
-                self._root_cache.release(key)
-                for shard_id in sorted(anchor.subtickets):
-                    self._shard_terminate(
-                        shard_id, self._root_sessions[shard_id],
-                        anchor.subtickets[shard_id].ticket_id, now)
-                aborted += 1
+            aborted = len(self.orphan_anchors())
             if aborted:
+                self._release(self._abort_orphans(), now)
                 self._journal({"op": "abort_orphans", "now": now})
                 self._checkpoint()
             return aborted
@@ -1656,10 +1588,10 @@ class ClusterCoordinator:
                               now_ms: Optional[float] = None) -> None:
         """Swap in a recovered/promoted service for a down shard.
 
-        Relinks every anchor's subticket on the healed shard (healing a
-        missing subquery by resubmitting the fan query when the
-        replacement lost it), refreshes tenant ticket handles, and
-        drains the terminates/closes queued during the outage.
+        Resubmits the fan query of every anchor whose subquery the
+        replacement lost (or never had), relinks the shard (anchors'
+        subtickets and merge queues, tenant ticket handles), and drains
+        the terminates/closes queued during the outage.
         """
         with self._lock:
             now = self._now(now_ms)
@@ -1667,15 +1599,11 @@ class ClusterCoordinator:
             service.name = shard.name
             shard.service = service
             self._down_shards.discard(shard_id)
-            # The replacement may have recovered different session ids:
-            # trust what it reports for the root fan-out session.
-            root_sids = service.find_sessions(ROOT_CLIENT)
-            if root_sids:
-                self._root_sessions[shard_id] = root_sids[0]
-            else:
+            # Shard sessions the replacement lost are dropped, so the
+            # next use reopens (and journals) a fresh one.
+            if (self._root_sessions.get(shard_id)
+                    not in service.find_sessions(ROOT_CLIENT)):
                 self._root_sessions.pop(shard_id, None)
-            # Tenant shard sessions that did not survive are dropped so
-            # the next submit reopens them lazily.
             for per in self._shard_sessions.values():
                 shard_sid = per.get(shard_id)
                 if shard_sid is not None:
@@ -1687,58 +1615,25 @@ class ClusterCoordinator:
                 anchor = self._anchors[key]
                 if shard_id not in anchor.targets:
                     continue
-                sub = anchor.subtickets.get(shard_id)
-                relinked = None
-                if sub is not None:
-                    try:
-                        relinked = service.ticket(sub.ticket_id)
-                    except KeyError:
-                        relinked = None
-                if relinked is None:
-                    # The replacement lost (or never had) the subquery:
-                    # heal the fan-out by resubmitting it.
-                    try:
-                        root_sid = self._root_session(shard, now)
-                        relinked = service.submit(
-                            root_sid, anchor.fan_query, now_ms=now)
-                        self._counts.subqueries += 1
-                        self._journal({
-                            "op": "fanout_sub", "shard": shard_id,
-                            "fan_query": query_to_dict(anchor.fan_query),
-                            "shard_ticket": relinked.ticket_id,
-                            "now": now})
-                    except ServiceClosed:
-                        self._mark_down(shard_id)
-                        return
-                anchor.subtickets[shard_id] = relinked
-                if shard.has_results:
-                    try:
-                        anchor.queues[shard_id] = service.subscribe(
-                            self._root_sessions[shard_id],
-                            relinked.ticket_id, maxsize=0)
-                    except (KeyError, ValueError):
-                        anchor.queues.pop(shard_id, None)
-            # Refresh stale ticket handles now that the anchor holds the
-            # replacement's Ticket objects.
-            for ticket in self._tickets.values():
-                if ticket.terminated:
+                try:
+                    service.ticket(anchor.sub_ids.get(shard_id))
                     continue
-                if (ticket.scope == ClusterScope.FANOUT
-                        and ticket.fan_key in self._anchors
-                        and shard_id in ticket.targets):
-                    anchor = self._anchors[ticket.fan_key]
-                    ticket.shard_tickets = tuple(
-                        anchor.subtickets[s] for s in ticket.targets
-                        if s in anchor.subtickets)
-                elif (ticket.scope == ClusterScope.LOCAL
-                        and ticket.targets == (shard_id,)
-                        and ticket.shard_tickets):
-                    try:
-                        ticket.shard_tickets = (service.ticket(
-                            ticket.shard_tickets[0].ticket_id),)
-                    except KeyError:
-                        pass  # did not survive; status stays visible
-            self._drain_pending(shard_id, now)
+                except KeyError:
+                    pass
+                try:
+                    sub = service.submit(self._shard_session(shard, now),
+                                         anchor.fan_query, now_ms=now)
+                except ServiceClosed:
+                    self._mark_down(shard_id)
+                    return
+                self._counts.subqueries += 1
+                self._journal({
+                    "op": "fanout_sub", "shard": shard_id,
+                    "fan_query": query_to_dict(anchor.fan_query),
+                    "shard_ticket": sub.ticket_id, "now": now})
+                anchor.sub_ids[shard_id] = sub.ticket_id
+            self._relink(shard_id)
+            self._drain_pending(now)
 
     def shard_backends(self) -> List[object]:
         """The per-shard backends, by shard id (supervisor restarts)."""

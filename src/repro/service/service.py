@@ -79,7 +79,7 @@ from .planner import (
     QueryPlanner,
     TenantQuotas,
 )
-from .session import DEFAULT_TTL_MS, SessionError, SessionManager
+from .session import DEFAULT_TTL_MS, Session, SessionError, SessionManager
 from .subscriber import SubscriberQueue
 
 #: Keep at most this many admission-latency samples (most recent).
@@ -1522,6 +1522,11 @@ class QueryService:
         with self._lock:
             return [t for t in self._tickets.values()
                     if t.status is TicketStatus.LIVE]
+
+    def sessions(self) -> List[Session]:
+        """Every registered session (treat as read-only)."""
+        with self._lock:
+            return self._sessions.sessions()
 
     def find_sessions(self, client_id: str) -> List[str]:
         """Ids of registered sessions opened by ``client_id``, sorted.

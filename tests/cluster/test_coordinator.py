@@ -1,5 +1,6 @@
 """Root coordinator behaviour over pure tier-1 admission shards."""
 
+import json
 import threading
 
 import pytest
@@ -507,3 +508,136 @@ class TestRecovery:
             for service in coordinator.shard_services():
                 assert service.live_tickets() == []
             coordinator.validate()
+
+    def test_fanout_healed_after_an_outage_survives_a_root_crash(
+            self, tmp_path):
+        """The heal's ``fanout_sub`` record brings the healed subquery
+        back: both subtickets are linked after a root crash."""
+        from repro.service import QueryService
+
+        with fresh_qids():
+            coordinator = ClusterCoordinator(
+                make_backends(2), partition=FieldPartition(8, 2),
+                durability_dir=tmp_path)
+            sid = coordinator.open_session("alice", now_ms=0.0)
+            coordinator.shard_services()[1].simulate_crash()
+            fanout = coordinator.submit(sid, Q_GLOBAL, now_ms=1.0)
+            assert coordinator.down_shards == (1,)
+            assert len(fanout.shard_tickets) == 1
+            replacement = QueryService.recover(
+                coordinator.shard_backends()[1], tmp_path / "shard-01")
+            coordinator.replace_shard_service(1, replacement, now_ms=2.0)
+            assert len(fanout.shard_tickets) == 2
+            _crash(coordinator)
+        ops = [json.loads(line.split(" ", 1)[1])["op"] for line in
+               (tmp_path / "root" / "wal.jsonl").read_text().splitlines()]
+        assert ops[-1] == "fanout_sub"
+
+        with fresh_qids():
+            recovered = ClusterCoordinator.recover(
+                make_backends(2), tmp_path, partition=FieldPartition(8, 2))
+        recovered.validate()
+        assert recovered.orphan_anchors() == []
+        ticket = recovered.ticket(fanout.ticket_id)
+        anchor = recovered._anchors[ticket.fan_key]
+        assert sorted(anchor.subtickets) == [0, 1]
+        assert ticket.shard_tickets == (anchor.subtickets[0],
+                                        anchor.subtickets[1])
+        assert ticket.status is TicketStatus.LIVE
+        for shard_id, service in enumerate(recovered.shard_services()):
+            assert [t.ticket_id for t in service.live_tickets()] == [
+                anchor.subtickets[shard_id].ticket_id]
+
+    def test_abort_orphans_is_replayed(self, tmp_path):
+        """An ``abort_orphans`` record drops the anchor again on replay."""
+        key = _orphan_directory(tmp_path)
+        with fresh_qids():
+            coordinator = ClusterCoordinator.recover(
+                make_backends(2), tmp_path, partition=FieldPartition(8, 2))
+            assert coordinator.orphan_anchors() == [key]
+            assert coordinator.abort_orphans(now_ms=3.0) == 1
+            _crash(coordinator)
+        with fresh_qids():
+            recovered = ClusterCoordinator.recover(
+                make_backends(2), tmp_path, partition=FieldPartition(8, 2))
+        assert recovered.last_root_recovery.replayed_ops == 1
+        assert recovered.orphan_anchors() == []
+        assert recovered.stats().live_anchors == 0
+        for service in recovered.shard_services():
+            assert service.live_tickets() == []
+        recovered.validate()
+
+    def test_shutdown_drains_orphan_anchors_live_and_replayed(
+            self, tmp_path, monkeypatch):
+        """Shutdown releases refcount-0 anchors along with every ticket,
+        and a replayed ``shutdown`` record lands on the same root state."""
+        import shutil
+
+        from repro.service import QueryService
+
+        key = _orphan_directory(tmp_path / "live")
+        shutil.copytree(tmp_path / "live", tmp_path / "replayed")
+
+        def _state(coordinator):
+            state = coordinator._root_snapshot_state(0.0)
+            state.pop("saved_ms")
+            state.pop("op_seq")
+            return state
+
+        with fresh_qids():
+            live = ClusterCoordinator.recover(
+                make_backends(2), tmp_path / "live",
+                partition=FieldPartition(8, 2))
+            assert live.orphan_anchors() == [key]
+            live.shutdown(now_ms=3.0)
+        assert live.orphan_anchors() == []
+        assert live.stats().live_anchors == 0
+        for service in live.shard_services():
+            assert service.live_tickets() == []
+
+        def killed(*args, **kwargs):
+            raise RuntimeError("killed after the shutdown record")
+
+        with fresh_qids():
+            doomed = ClusterCoordinator.recover(
+                make_backends(2), tmp_path / "replayed",
+                partition=FieldPartition(8, 2))
+            with monkeypatch.context() as patch:
+                patch.setattr(QueryService, "shutdown", killed)
+                with pytest.raises(RuntimeError):
+                    doomed.shutdown(now_ms=3.0)
+            _crash(doomed)
+        with fresh_qids():
+            replayed = ClusterCoordinator.recover(
+                make_backends(2), tmp_path / "replayed",
+                partition=FieldPartition(8, 2))
+        assert replayed.last_root_recovery.replayed_ops == 1
+        assert replayed.orphan_anchors() == []
+        assert _state(replayed) == _state(live)
+        replayed.validate()
+
+
+def _crash(coordinator):
+    for service in coordinator.shard_services():
+        service.simulate_crash()
+    coordinator.simulate_crash()
+
+
+def _orphan_directory(directory):
+    """A crashed cluster whose root snapshot holds one fan-out anchor that
+    no live ticket claims (an older coordinator could leave one); its
+    shard subqueries still run.  Returns the anchor's key."""
+    with fresh_qids():
+        coordinator = ClusterCoordinator(
+            make_backends(2), partition=FieldPartition(8, 2),
+            durability_dir=directory)
+        sid = coordinator.open_session("alice", now_ms=0.0)
+        key = coordinator.submit(sid, Q_GLOBAL, now_ms=1.0).fan_key
+        coordinator.snapshot(now_ms=2.0)
+        _crash(coordinator)
+    path = directory / "root" / "snapshot.json"
+    state = json.loads(path.read_text())
+    for ticket in state["tickets"]:
+        ticket["terminated"] = True
+    path.write_text(json.dumps(state, sort_keys=True))
+    return key

@@ -11,9 +11,12 @@ recovered twice, and:
 
 * every op acknowledged before the kill is present, and the op in flight
   is fully there or fully absent — the recovered state equals the
-  uncrashed script's state just before or just after that op;
+  uncrashed script's state just before or just after that op (for a
+  cluster op that first sweeps lapsed leases, also just after that
+  sweep: the root journals it as an ``expire`` record of its own);
 * ``validate()`` passes; for the cluster ``orphan_anchors() == []`` too,
-  and no shard still runs a ticket no live cluster ticket claims;
+  no shard still runs a ticket no live cluster ticket claims, and every
+  session on every shard is one the root holds;
 * the second recovery lands on exactly the first one's state;
 * after each recovery the ``service.*`` counter series read exactly the
   recovered state's ``counters``: the crashed instance exports nothing.
@@ -278,29 +281,47 @@ CLUSTER_SCRIPT = (
 )
 
 
+#: Each root record kind a fresh coordinator writes: tenant 1's lease
+#: (55 ms from t=20) lapses at t=75, after its ticket's terminate and
+#: before the tick at t=80.
+CLUSTER_KINDS_SCRIPT = (
+    ("open", 0), ("open", 1, 55.0), ("open", 2), ("submit", 1, 5),
+    ("submit", 0, 0), ("renew", 0), ("terminate", 1, 0), ("tick",),
+    ("close", 2), ("shutdown",),
+)
+
+
 def _cluster_script(n_ops, seed):
     rng = random.Random(seed)
     script = [("open", 0), ("open", 1)]
-    while len(script) < n_ops:
-        kind = rng.choice(("open", "submit", "submit", "submit",
-                           "terminate", "terminate", "close", "tick",
-                           "abort_orphans", "snapshot_root",
+    while len(script) < n_ops - 1:
+        kind = rng.choice(("open", "open_short", "submit", "submit",
+                           "submit", "renew", "terminate", "terminate",
+                           "close", "tick", "abort_orphans", "snapshot_root",
                            "snapshot_shard"))
         if kind == "open":
             script.append(("open", rng.randrange(5)))
+        elif kind == "open_short":
+            script.append(("open", rng.randrange(5),
+                           rng.choice((30.0, 60.0))))
         elif kind == "submit":
             script.append(("submit", rng.randrange(6),
                            rng.randrange(len(POOL))))
         elif kind == "terminate":
             script.append(("terminate", rng.randrange(6),
                            rng.randrange(len(script))))
-        elif kind == "close":
-            script.append(("close", rng.randrange(6)))
+        elif kind in ("renew", "close"):
+            script.append((kind, rng.randrange(6)))
         elif kind == "snapshot_shard":
             script.append(("snapshot_shard", rng.randrange(2)))
         else:
             script.append((kind,))
+    script.append(("shutdown",))
     return tuple(script)
+
+
+#: Read-only to the coordinator, so every cluster here shares one.
+PARTITION = FieldPartition(8, 2)
 
 
 def _backends():
@@ -308,22 +329,35 @@ def _backends():
 
 
 def _new_cluster(directory):
-    return ClusterCoordinator(_backends(), partition=FieldPartition(8, 2),
+    return ClusterCoordinator(_backends(), partition=PARTITION,
                               durability_dir=directory)
 
 
-def _cluster_apply(coordinator):
+#: Cluster ops that first sweep lapsed leases.  The root journals the
+#: sweep as an ``expire`` record of its own, before the op's records.
+SWEEPING_OPS = ("open", "renew", "submit", "terminate", "tick")
+
+
+def _cluster_apply(coordinator, swept=None):
+    """The script's driver; ``swept`` receives op index -> the view after
+    the lease sweep a sweeping op runs first, here as a step of its own
+    (the op's own sweep then finds nothing: same records, same order)."""
     sessions, tickets = [], []
 
     def apply(op, index):
         now = 10.0 * (index + 1)
         kind = op[0]
+        if kind in SWEEPING_OPS:
+            coordinator.expire_leases(now_ms=now)
+            if swept is not None:
+                swept[index] = _cluster_view(coordinator)
         try:
-            if kind == "open":
+            if kind == "open":  # ("open", tenant[, ttl_ms])
                 sessions.append(coordinator.open_session(
-                    f"tenant-{op[1]}", now_ms=now))
-            elif kind == "tick":
-                coordinator.tick(now_ms=now)
+                    f"tenant-{op[1]}", ttl_ms=op[2] if len(op) > 2 else None,
+                    now_ms=now))
+            elif kind in ("tick", "shutdown"):
+                getattr(coordinator, kind)(now_ms=now)
             elif kind == "abort_orphans":
                 coordinator.abort_orphans(now_ms=now)
             elif kind == "snapshot_root":
@@ -338,6 +372,8 @@ def _cluster_apply(coordinator):
                 elif kind == "terminate" and tickets:
                     owner, ticket_id = tickets[op[2] % len(tickets)]
                     coordinator.terminate(owner, ticket_id, now_ms=now)
+                elif kind == "renew":
+                    coordinator.renew_session(sid, now_ms=now)
                 elif kind == "close":
                     coordinator.close_session(sid, now_ms=now)
         except (SessionError, KeyError):
@@ -399,13 +435,25 @@ def _unclaimed_shard_tickets(coordinator):
             if (shard_id, t.ticket_id) not in claimed]
 
 
+def _unclaimed_shard_sessions(coordinator):
+    """Shard sessions that are neither a tenant's nor the root's own."""
+    claimed = set(coordinator._root_sessions.items())
+    for per_shard in coordinator._shard_sessions.values():
+        claimed.update(per_shard.items())
+    return [(shard_id, entry["session_id"])
+            for shard_id, service in enumerate(coordinator.shard_services())
+            for entry in service._snapshot_state(0.0)["sessions"]["sessions"]
+            if (shard_id, entry["session_id"]) not in claimed]
+
+
 def _recover_cluster(directory, registry):
     with fresh_qids():
         coordinator = ClusterCoordinator.recover(
-            _backends(), directory, partition=FieldPartition(8, 2))
+            _backends(), directory, partition=PARTITION)
     coordinator.validate()
     assert coordinator.orphan_anchors() == []
     assert _unclaimed_shard_tickets(coordinator) == []
+    assert _unclaimed_shard_sessions(coordinator) == []
     for service in coordinator.shard_services():
         _assert_series_are_counters(registry, service, service.name)
     return coordinator
@@ -420,8 +468,8 @@ def _crash_cluster(coordinator):
 def _check_cluster_crash_points(tmp_path, script, kill_switch):
     with scoped(), fresh_qids():
         coordinator = _new_cluster(tmp_path / "reference")
-        views = [_cluster_view(coordinator)]
-        apply = _cluster_apply(coordinator)
+        views, swept = [_cluster_view(coordinator)], {}
+        apply = _cluster_apply(coordinator, swept)
 
         def apply_and_keep(op, index):
             apply(op, index)
@@ -442,7 +490,10 @@ def _check_cluster_crash_points(tmp_path, script, kill_switch):
             _crash_cluster(coordinator)
             first = _recover_cluster(directory, registry)
             view = _cluster_view(first)
-            assert view in (views[in_flight], views[in_flight + 1]), (
+            passed = [views[in_flight], views[in_flight + 1]]
+            if in_flight in swept:
+                passed.append(swept[in_flight])
+            assert view in passed, (
                 f"write {kill_at} (op {in_flight}: {script[in_flight]}): "
                 f"recovered a state the script never passed through")
             full = _cluster_full_state(first)
@@ -457,8 +508,13 @@ class TestClusterJournalPoints:
                                                    kill_switch):
         _check_cluster_crash_points(tmp_path, CLUSTER_SCRIPT, kill_switch)
 
+    def test_every_journal_point_of_the_record_kinds_script(self, tmp_path,
+                                                            kill_switch):
+        _check_cluster_crash_points(tmp_path, CLUSTER_KINDS_SCRIPT,
+                                    kill_switch)
+
     @pytest.mark.slow
     def test_every_journal_point_of_a_long_script(self, tmp_path,
                                                   kill_switch):
-        _check_cluster_crash_points(tmp_path, _cluster_script(30, seed=1),
+        _check_cluster_crash_points(tmp_path, _cluster_script(30, seed=7),
                                     kill_switch)
