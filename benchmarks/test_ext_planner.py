@@ -98,20 +98,20 @@ def _replay(workload, qos_stream, cost_weighted):
                 arrivals += 1
                 ticket = service.submit(sid, event.query, now_ms=now,
                                         qos=qos)
-                tickets[event.query.qid] = (ticket.ticket_id, qos)
+                # The submitted ticket: a retired one's tombstone in
+                # service.ticket() no longer carries its query.
+                tickets[event.query.qid] = (ticket, qos)
             else:
-                ticket_id, _ = tickets[event.query.qid]
-                if service.ticket(ticket_id).status in (
-                        TicketStatus.PENDING, TicketStatus.LIVE):
-                    service.terminate(sid, ticket_id, now_ms=now)
+                ticket, _ = tickets[event.query.qid]
+                if ticket.status in (TicketStatus.PENDING, TicketStatus.LIVE):
+                    service.terminate(sid, ticket.ticket_id, now_ms=now)
         service.tick(now_ms=workload.duration_ms + BATCH_WINDOW_MS)
         service.validate()
 
         completed = {QoSClass.BEST_EFFORT: 0, QoSClass.RELIABLE: 0}
         shed = {QoSClass.BEST_EFFORT: 0, QoSClass.RELIABLE: 0}
         shed_prices, kept_prices = [], []
-        for ticket_id, qos in tickets.values():
-            ticket = service.ticket(ticket_id)
+        for ticket, qos in tickets.values():
             price = service.explain(ticket.query).price.radio_s_per_epoch
             if ticket.status is TicketStatus.SHED:
                 shed[qos] += 1

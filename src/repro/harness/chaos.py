@@ -825,7 +825,10 @@ def _cluster_sigkill_child(state_dir: str, seed: int) -> None:
     ``<state_dir>/acked`` (``sub <ticket_id>`` after submit returns,
     ``term <ticket_id>`` after terminate returns) so the parent can
     check zero acknowledged admissions are lost, and bumps
-    ``<state_dir>/progress`` once per loop.
+    ``<state_dir>/progress`` once per loop.  ``ending <ticket_id>`` is
+    logged before a terminate: the root journals it before returning, so
+    a kill in between leaves a terminate the client never saw
+    acknowledged, and either outcome is then correct.
     """
     from ..cluster import ClusterCoordinator, FieldPartition
 
@@ -847,6 +850,8 @@ def _cluster_sigkill_child(state_dir: str, seed: int) -> None:
         live.append(ticket.ticket_id)
         if len(live) > 6:
             victim = live.pop(0)
+            acked_log.write(f"ending {victim}\n")
+            acked_log.flush()
             coordinator.terminate(session, victim)
             acked_log.write(f"term {victim}\n")
             acked_log.flush()
@@ -907,13 +912,16 @@ def run_cluster_sigkill_crash(min_ops: int = 10, seed: int = 0,
         os.kill(child.pid, signal.SIGKILL)
         child.wait(timeout=30.0)
 
-        acked: Dict[str, bool] = {}  # ticket id -> terminated?
+        #: ticket id -> terminated? (None: terminate in flight at the kill)
+        acked: Dict[str, Optional[bool]] = {}
         try:
             for line in (Path(state_dir) / "acked").read_text(
                     encoding="utf-8").splitlines():
                 op, _, tid = line.partition(" ")
                 if op == "sub":
                     acked[tid] = False
+                elif op == "ending":
+                    acked[tid] = None
                 elif op == "term":
                     acked[tid] = True
         except OSError:
@@ -941,7 +949,9 @@ def run_cluster_sigkill_crash(min_ops: int = 10, seed: int = 0,
             lost = 0
             for tid, terminated in sorted(acked.items()):
                 try:
-                    if first.ticket(tid).terminated != terminated:
+                    ticket = first.ticket(tid)
+                    if (terminated is not None
+                            and ticket.terminated != terminated):
                         lost += 1
                 except KeyError:
                     lost += 1

@@ -34,9 +34,11 @@ from .replication import (
     StandbyServer,
 )
 from .service import (
+    RETIRED_RING_SIZE,
     OptimizerBackend,
     QueryService,
     ResilienceStats,
+    RetiredTicket,
     ServiceClosed,
     ServiceStats,
     Ticket,
@@ -67,8 +69,10 @@ __all__ = [
     "QueryPlanner",
     "QueryPrice",
     "QueryService",
+    "RETIRED_RING_SIZE",
     "RecoveryReport",
     "ResilienceStats",
+    "RetiredTicket",
     "ServiceClosed",
     "ServiceStats",
     "Session",

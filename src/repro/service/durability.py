@@ -236,7 +236,8 @@ class SnapshotStore:
 
     @staticmethod
     def save(path, state: dict, *, fsync_dir: bool = True) -> None:
-        """Write ``state`` atomically: temp file, fsync, rename.
+        """Write ``state`` atomically: encode once, write the temp file,
+        fsync, rename.
 
         ``fsync_dir`` additionally forces the parent directory's entry
         table to stable storage after the rename — without it the rename
@@ -248,8 +249,11 @@ class SnapshotStore:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(path.suffix + ".tmp")
+        # ``json.dumps`` runs the C encoder; ``json.dump`` would stream the
+        # same bytes through the pure-Python one, chunk by chunk.
+        document = json.dumps(state, sort_keys=True)
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(state, fh, sort_keys=True)
+            fh.write(document)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

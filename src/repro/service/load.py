@@ -183,7 +183,7 @@ def run_scripted_load(
         outcome = ClientOutcome(client_id=client_id, query_text=text,
                                 ticket_id=ticket.ticket_id)
         outcomes.append(outcome)
-        queues[ticket.ticket_id] = (session_id, subscriber, outcome)
+        queues[ticket.ticket_id] = (session_id, subscriber, outcome, ticket)
 
     for index in range(n_clients):
         sim.engine.schedule_at(1000.0 + index * spacing, _connect, index)
@@ -204,7 +204,7 @@ def run_scripted_load(
     n_early = int(n_clients * early_terminate_fraction)
 
     def _disconnect(position: int) -> None:
-        session_id, _, outcome = queues[outcomes[position].ticket_id]
+        session_id, _, outcome, _ = queues[outcomes[position].ticket_id]
         outcome.terminated_early = True
         service.terminate(session_id, outcomes[position].ticket_id)
 
@@ -238,9 +238,10 @@ def run_scripted_load(
         for signum, handler in previous_handlers.items():
             signal.signal(signum, handler)
 
-    for ticket_id, (session_id, subscriber, outcome) in queues.items():
+    for session_id, subscriber, outcome, ticket in queues.values():
+        # The submitted ticket itself: ``service.ticket()`` forgets an id
+        # once the retired ring has moved past it.
         outcome.results_received = subscriber.qsize()
-        ticket = service.ticket(ticket_id)
         outcome.cache_hit = ticket.cache_hit
 
     stats = service.stats()

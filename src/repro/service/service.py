@@ -41,6 +41,7 @@ import math
 import queue
 import threading
 import time
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -82,8 +83,23 @@ from .planner import (
 from .session import DEFAULT_TTL_MS, Session, SessionError, SessionManager
 from .subscriber import SubscriberQueue
 
-#: Keep at most this many admission-latency samples (most recent).
+#: Keep at most this many admission-latency samples (most recent) in the
+#: exported ``service.admission_latency_ms`` histogram.
 LATENCY_SAMPLE_CAP = 10_000
+
+#: The most recent admission latencies the p95 shedding brake and
+#: ``stats()``'s p50/p95 read (the 95th percentile of 256 is the 13th
+#: largest).  A snapshot carries them, so they are bounded like the
+#: retired ring, not by the exported histogram's cap.
+LATENCY_WINDOW = 256
+
+#: How many let-go terminal tickets :meth:`QueryService.ticket` still
+#: answers for; the oldest tombstone is evicted first.  Clients look a
+#: retired ticket up soon after it ended: the farthest any test under
+#: ``tests/`` reads back (other than the ones probing the bound) is 89
+#: retirements.  Every snapshot encodes the whole ring, about 3 us a
+#: row, so the bound is that distance with room to spare, not more.
+RETIRED_RING_SIZE = 256
 
 #: ``(field, family, help, labels)`` of the counters labelled with the
 #: service's ``instance`` name; each series reads the field of that name.
@@ -239,6 +255,46 @@ class Ticket:
         if self.admitted_ms is None:
             return None
         return self.admitted_ms - self.submitted_ms
+
+    @property
+    def terminated(self) -> bool:
+        """Whether the ticket reached a terminal status."""
+        return self.status not in (TicketStatus.PENDING, TicketStatus.LIVE)
+
+
+class RetiredTicket(NamedTuple):
+    """What the service remembers of a ticket after its terminal status.
+
+    The query and the anchor are gone with the ticket; the tombstone
+    answers ``ticket(id)``'s status questions until the retired ring
+    evicts it.  The service keeps it as its compact row (:func:`_row`),
+    which is also its snapshot encoding.
+    """
+
+    ticket_id: int
+    session_id: str
+    status: TicketStatus
+    error: Optional[str]
+    cache_hit: bool
+    submitted_ms: float
+    admitted_ms: Optional[float]
+
+    terminated = True
+
+    @classmethod
+    def from_row(cls, row: list) -> "RetiredTicket":
+        ticket_id, session_id, status, error, cache_hit, submitted, \
+            admitted = row
+        return cls(int(ticket_id), session_id, TicketStatus(status), error,
+                   bool(cache_hit), float(submitted), admitted)
+
+
+def _row(ticket: Ticket) -> list:
+    """A terminal ticket's tombstone: one JSON array, in the order of
+    :class:`RetiredTicket`'s fields."""
+    return [ticket.ticket_id, ticket.session_id, ticket.status.value,
+            ticket.error, ticket.cache_hit, ticket.submitted_ms,
+            ticket.admitted_ms]
 
 
 def _ticket_to_dict(ticket: Ticket) -> dict:
@@ -398,7 +454,15 @@ class QueryService:
         self._sessions = SessionManager(default_ttl_ms)
         self._cache = CanonicalQueryCache()
         self._batcher = AdmissionBatcher(batch_window_ms)
+        #: The ledger: PENDING and LIVE tickets only.  A terminal ticket
+        #: leaves it as a tombstone row (see :meth:`_retire`): ``_held``
+        #: while its session still lists it (shed and failed tickets,
+        #: until the client terminates them or the session ends), then
+        #: the retired ring ``_retired``, oldest first, at most
+        #: :data:`RETIRED_RING_SIZE` of them.
         self._tickets: Dict[int, Ticket] = {}
+        self._held: Dict[int, list] = {}
+        self._retired: "OrderedDict[int, list]" = OrderedDict()
         self._next_ticket = 0
         self._ticket_qos: Dict[int, QoSClass] = {}
         self._subs: Dict[int, List[SubscriberQueue]] = {}
@@ -477,7 +541,7 @@ class QueryService:
                        ).set_fn(self._live_cost_radio_s)
         #: This instance's admission latencies: snapshot state, and what
         #: the p95 shedding brake reads.
-        self._lat_local = Histogram(sample_cap=LATENCY_SAMPLE_CAP)
+        self._lat_local = Histogram(sample_cap=LATENCY_WINDOW)
         registry.gauge("service.sessions_open",
                        help="sessions with an unexpired lease"
                        ).set_fn(lambda: float(len(self._sessions)))
@@ -644,6 +708,8 @@ class QueryService:
             "next_ticket": self._next_ticket,
             "tickets": [_ticket_to_dict(self._tickets[tid])
                         for tid in sorted(self._tickets)],
+            "held": [self._held[tid] for tid in sorted(self._held)],
+            "retired": list(self._retired.values()),
             "ticket_qos": {str(tid): qos.value
                            for tid, qos in sorted(self._ticket_qos.items())},
             "cache": {
@@ -686,8 +752,29 @@ class QueryService:
         set_next_qid(int(snap["next_qid"]))
         self._sessions.restore(snap["sessions"])
         self._next_ticket = int(snap["next_ticket"])
-        self._tickets = {entry["ticket_id"]: _ticket_from_dict(entry)
-                         for entry in snap["tickets"]}
+        self._tickets = {}
+        self._held = {}
+        self._retired = OrderedDict()
+        for entry in snap["tickets"]:
+            ticket = _ticket_from_dict(entry)
+            if not ticket.terminated:
+                self._tickets[ticket.ticket_id] = ticket
+                continue
+            # A snapshot written before tickets retired lists them all:
+            # its terminal ones are held while their session lists them,
+            # and fold into the ring by id otherwise.
+            try:
+                owner = self._sessions.get(ticket.session_id).tickets
+            except SessionError:
+                owner = set()
+            if ticket.ticket_id in owner:
+                self._held[ticket.ticket_id] = _row(ticket)
+            else:
+                self._bury(_row(ticket))
+        for row in snap.get("held", ()):
+            self._held[row[0]] = row
+        for row in snap.get("retired", ()):
+            self._bury(row)
         self._ticket_qos = {int(tid): QoSClass(value)
                             for tid, value in snap["ticket_qos"].items()}
         cache = snap["cache"]
@@ -729,8 +816,6 @@ class QueryService:
         self._quota_spend = {}
         for tid in sorted(self._tickets):
             ticket = self._tickets[tid]
-            if ticket.status not in (TicketStatus.PENDING, TicketStatus.LIVE):
-                continue
             price = self._planner.price(ticket.query).radio_s_per_epoch
             try:
                 client = self._sessions.get(ticket.session_id).client_id
@@ -871,12 +956,8 @@ class QueryService:
         with self._lock:
             self._ensure_alive()
             with self._op({"op": "close", "sid": session_id}):
-                session = self._sessions.get(session_id)
-                for ticket_id in sorted(session.tickets):
-                    self._terminate_ticket(self._tickets[ticket_id],
-                                           TicketStatus.TERMINATED)
-                session.tickets.clear()
-                self._sessions.close(session_id)
+                self._end_session(self._sessions.get(session_id),
+                                  TicketStatus.TERMINATED)
 
     def expire_leases(self, now_ms: Optional[float] = None) -> List[str]:
         """Auto-terminate the queries of every session whose lease lapsed.
@@ -895,14 +976,17 @@ class QueryService:
     def _expire(self, now: float) -> List[str]:
         expired_ids: List[str] = []
         for session in self._sessions.expired(now):
-            for ticket_id in sorted(session.tickets):
-                self._terminate_ticket(self._tickets[ticket_id],
-                                       TicketStatus.EXPIRED)
-            session.tickets.clear()
-            self._sessions.close(session.session_id)
+            self._end_session(session, TicketStatus.EXPIRED)
             self._sessions.expired_total += 1
             expired_ids.append(session.session_id)
         return expired_ids
+
+    def _end_session(self, session: Session, status: TicketStatus) -> None:
+        """End the session's PENDING/LIVE tickets with ``status``, drop it."""
+        for ticket_id in sorted(session.tickets & self._tickets.keys()):
+            self._terminate_ticket(self._tickets[ticket_id], status)
+        self._let_go(session, sorted(session.tickets))
+        self._sessions.close(session.session_id)
 
     # ------------------------------------------------------------------
     # Query admission
@@ -954,8 +1038,7 @@ class QueryService:
                     shed_reason = self._quota_reason(session.client_id, price)
                     quota_shed = shed_reason is not None
                 if shed_reason is not None:
-                    ticket.status = TicketStatus.SHED
-                    ticket.error = shed_reason
+                    self._retire(ticket, TicketStatus.SHED, shed_reason)
                     if quota_shed:
                         self._counts.quota_rejections += 1
                     else:
@@ -1054,16 +1137,14 @@ class QueryService:
             return False
         if qos is not QoSClass.RELIABLE and best_price <= price_radio_s:
             return False
-        ticket = self._tickets[best.ticket_id]
         self._batcher.cancel(best.ticket_id)
-        ticket.status = TicketStatus.SHED
-        ticket.error = (
+        self._retire(
+            self._tickets[best.ticket_id], TicketStatus.SHED,
             f"shed: evicted by cost-weighted backlog (price "
             f"{best_price:.3f} radio-s/epoch vs newcomer "
             f"{price_radio_s:.3f}, {qos.value})")
         self._counts.cost_sheds += 1
         self._count_shed(QoSClass.BEST_EFFORT)
-        self._session_drop(ticket)
         return True
 
     def _count_shed(self, qos: QoSClass) -> None:
@@ -1105,14 +1186,13 @@ class QueryService:
             if now - pending.submitted_ms > self._overload.submit_deadline_ms:
                 qos = self._ticket_qos.get(pending.ticket_id,
                                            QoSClass.BEST_EFFORT)
-                ticket.status = TicketStatus.SHED
-                ticket.error = (
+                self._retire(
+                    ticket, TicketStatus.SHED,
                     f"shed: waited {now - pending.submitted_ms:.1f} ms in "
                     f"the batch window, over the "
                     f"{self._overload.submit_deadline_ms:.1f} ms deadline")
                 self._counts.deadline_shed += 1
                 self._count_shed(qos)
-                self._session_drop(ticket)
                 continue
             entry = self._cache.lookup(pending.key)
             if entry is None:
@@ -1129,9 +1209,7 @@ class QueryService:
                 except Exception as exc:  # noqa: BLE001 - isolate bad query
                     if full_path:
                         self._breaker_failure(now)
-                    ticket.status = TicketStatus.FAILED
-                    ticket.error = str(exc)
-                    self._session_drop(ticket)
+                    self._retire(ticket, TicketStatus.FAILED, str(exc))
                     continue
                 self._counts.registrations += 1
                 if self.optimizer.network_operations > ops_before:
@@ -1291,27 +1369,39 @@ class QueryService:
                            "ticket": ticket_id, "now": now}):
                 self._expire(now)
                 session = self._sessions.get(session_id)
-                ticket = self._tickets.get(ticket_id)
-                if ticket is None or ticket.ticket_id not in session.tickets:
+                if ticket_id not in session.tickets:
                     raise KeyError(
                         f"session {session_id!r} owns no ticket {ticket_id}")
-                self._terminate_ticket(ticket, TicketStatus.TERMINATED)
-                session.tickets.discard(ticket_id)
+                ticket = self._tickets.get(ticket_id)
+                if ticket is not None:  # else it was shed or failed
+                    self._terminate_ticket(ticket, TicketStatus.TERMINATED)
+                self._let_go(session, (ticket_id,))
 
     def _terminate_ticket(self, ticket: Ticket, status: TicketStatus) -> None:
+        """End a ledger ticket: cancel it if PENDING, release its anchor
+        (Algorithm 2 once the last holder lets go) if LIVE."""
         if ticket.status is TicketStatus.PENDING:
             self._batcher.cancel(ticket.ticket_id)
-        elif ticket.status is TicketStatus.LIVE:
+        else:
             dead = self._cache.release(ticket.key)
             if dead is not None:
                 self._backend.terminate(dead.anchor_qid)
             self._counts.terminations += 1
-        else:
-            return  # already terminal
-        ticket.status = status
-        self._session_drop(ticket)
+        self._retire(ticket, status)
 
-    def _session_drop(self, ticket: Ticket) -> None:
+    def _retire(self, ticket: Ticket, status: TicketStatus,
+                error: Optional[str] = None) -> None:
+        """The one transition into a terminal ``status``.
+
+        Releases the ticket's read cursors, price and quota charge, then
+        moves it out of the ledger: its tombstone is held while the
+        session lists it (:meth:`_let_go` moves it on to the retired
+        ring).  So the ledger holds PENDING/LIVE tickets only, and a
+        snapshot costs what is live (tickets, and the ids sessions list)
+        plus the bounded ring.
+        """
+        ticket.status = status
+        ticket.error = error
         if (self._subs.pop(ticket.ticket_id, None) is not None
                 and self._cursors.pop(ticket.ticket_id, None) is None):
             # A caught-up ticket: the last one to leave releases its
@@ -1331,6 +1421,23 @@ class QueryService:
                 # Drop the ledger entry at zero so float dust can't
                 # accumulate into a phantom quota charge.
                 self._quota_spend.pop(client, None)
+        del self._tickets[ticket.ticket_id]
+        self._held[ticket.ticket_id] = _row(ticket)
+
+    def _let_go(self, session: Session, ticket_ids) -> None:
+        """``session`` stops listing ``ticket_ids`` (all terminal by now);
+        their tombstones move on to the retired ring in that order."""
+        for ticket_id in ticket_ids:
+            session.tickets.discard(ticket_id)
+            row = self._held.pop(ticket_id, None)
+            if row is not None:
+                self._bury(row)
+
+    def _bury(self, row: list) -> None:
+        """Append to the retired ring, evicting its oldest past the bound."""
+        self._retired[row[0]] = row
+        if len(self._retired) > RETIRED_RING_SIZE:
+            self._retired.popitem(last=False)
 
     # ------------------------------------------------------------------
     # Result subscriptions
@@ -1372,9 +1479,8 @@ class QueryService:
             bound = (self._overload.subscriber_queue_maxsize
                      if maxsize is None else maxsize)
             subscriber = SubscriberQueue(bound)
-            if self._tickets[ticket_id].status not in (TicketStatus.PENDING,
-                                                        TicketStatus.LIVE):
-                return subscriber
+            if ticket_id not in self._tickets:
+                return subscriber  # it ended: nothing will ever arrive
             subscribers = self._subs.get(ticket_id)
             if subscribers is None:
                 self._subs[ticket_id] = [subscriber]
@@ -1470,17 +1576,13 @@ class QueryService:
             if self._closed:
                 return []
             now = self._now(now_ms)
-            terminated: List[int] = []
             with self._op({"op": "shutdown", "now": now}):
                 self._expire(now)
                 self._flush(now)
-                for ticket_id in sorted(self._tickets):
-                    ticket = self._tickets[ticket_id]
-                    if ticket.status in (TicketStatus.PENDING,
-                                         TicketStatus.LIVE):
-                        self._terminate_ticket(ticket,
-                                               TicketStatus.TERMINATED)
-                        terminated.append(ticket_id)
+                terminated = sorted(self._tickets)
+                for ticket_id in terminated:
+                    self._terminate_ticket(self._tickets[ticket_id],
+                                           TicketStatus.TERMINATED)
                 self._closed = True
             if self._journal is not None:
                 self._checkpoint(now)
@@ -1509,13 +1611,23 @@ class QueryService:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def ticket(self, ticket_id: int) -> Ticket:
-        """Look up a ticket by id; raises ``KeyError`` if unknown."""
+    def ticket(self, ticket_id: int) -> Union[Ticket, RetiredTicket]:
+        """Look up a ticket by id; raises ``KeyError`` if unknown.
+
+        A PENDING/LIVE ticket is answered with its :class:`Ticket`; a
+        terminal one with its :class:`RetiredTicket` tombstone (same
+        ``status``, ``error``, ``cache_hit`` and ``terminated``) while its
+        session lists it and then for as long as the retired ring holds
+        it.  An evicted id is unknown.
+        """
         with self._lock:
             ticket = self._tickets.get(ticket_id)
-            if ticket is None:
+            if ticket is not None:
+                return ticket
+            row = self._held.get(ticket_id) or self._retired.get(ticket_id)
+            if row is None:
                 raise KeyError(f"unknown ticket {ticket_id}")
-            return ticket
+            return RetiredTicket.from_row(row)
 
     def live_tickets(self) -> List[Ticket]:
         """All tickets currently in the LIVE state."""
@@ -1627,8 +1739,26 @@ class QueryService:
         """Cross-layer invariants (used by the concurrency stress test)."""
         with self._lock:
             self.optimizer.table.validate()
+            assert len(self._retired) <= RETIRED_RING_SIZE, (
+                f"retired ring holds {len(self._retired)} tombstones, "
+                f"over its bound {RETIRED_RING_SIZE}")
+            listed = {tid for session in self._sessions.sessions()
+                      for tid in session.tickets}
+            assert listed == self._tickets.keys() | self._held.keys(), (
+                f"sessions list {sorted(listed)}, ledger and held tickets "
+                f"are {sorted(self._tickets.keys() | self._held.keys())}")
+            assert not self._retired.keys() & listed, (
+                f"retired tickets still listed by a session: "
+                f"{sorted(self._retired.keys() & listed)}")
+            for tid, row in self._held.items():
+                owner = RetiredTicket.from_row(row).session_id
+                assert tid in self._sessions.get(owner).tickets, (
+                    f"held ticket {tid} is not its session's")
             live_by_key: Dict[CanonicalKey, int] = {}
             for ticket in self._tickets.values():
+                assert not ticket.terminated, (
+                    f"ticket {ticket.ticket_id} is {ticket.status.value} "
+                    f"but still in the ledger")
                 if ticket.status is TicketStatus.LIVE:
                     live_by_key[ticket.key] = live_by_key.get(ticket.key, 0) + 1
             entries = self._cache.entries()
@@ -1650,11 +1780,9 @@ class QueryService:
                 f"{sorted(self._cursors.keys() - self._subs.keys())}")
             caught_up: Dict[int, Set[int]] = {}
             for ticket_id in self._subs:
+                assert ticket_id in self._tickets, (
+                    f"ticket {ticket_id} retired but still subscribed")
                 ticket = self._tickets[ticket_id]
-                assert ticket.status in (TicketStatus.PENDING,
-                                         TicketStatus.LIVE), (
-                    f"ticket {ticket_id} is {ticket.status.value} but "
-                    f"still subscribed")
                 if ticket_id not in self._cursors:
                     assert ticket.status is TicketStatus.LIVE, (
                         f"ticket {ticket_id} caught up while "

@@ -548,6 +548,43 @@ class TestRecovery:
             assert [t.ticket_id for t in service.live_tickets()] == [
                 anchor.subtickets[shard_id].ticket_id]
 
+    def test_heal_reads_a_failed_subquery_however_much_the_shard_retired(
+            self, tmp_path):
+        """A shard ticket the root still holds stays answerable by
+        ``ticket(id)`` after the shard has retired more tickets than its
+        ring keeps: healing finds the failed subquery and resubmits
+        nothing, and the fan-out still reads FAILED."""
+        from repro.service import RETIRED_RING_SIZE, QueryService
+
+        class RejectsLight(OptimizerBackend):
+            def register(self, query, qos=None):
+                if "light" in str(query):
+                    raise RuntimeError("shard refuses light")
+                super().register(query, qos=qos)
+
+        backends = make_backends(2)
+        backends[1] = RejectsLight(backends[1].optimizer)
+        with fresh_qids():
+            coordinator = ClusterCoordinator(
+                backends, partition=FieldPartition(8, 2),
+                durability_dir=tmp_path)
+            sid = coordinator.open_session("alice", now_ms=0.0)
+            fanout = coordinator.submit(sid, Q_GLOBAL, now_ms=1.0)
+            assert fanout.status is TicketStatus.FAILED
+            for i in range(RETIRED_RING_SIZE + 1):
+                local = coordinator.submit(sid, Q_BAND1, now_ms=2.0 + i)
+                assert local.targets == (1,)
+                coordinator.terminate(sid, local.ticket_id, now_ms=2.0 + i)
+            coordinator.shard_services()[1].simulate_crash()
+            submitted = coordinator.stats().fanout_subqueries
+            replacement = QueryService.recover(
+                coordinator.shard_backends()[1], tmp_path / "shard-01")
+            coordinator.replace_shard_service(1, replacement, now_ms=500.0)
+            assert coordinator.stats().fanout_subqueries == submitted
+            assert fanout.status is TicketStatus.FAILED
+            coordinator.validate()
+            _crash(coordinator)
+
     def test_abort_orphans_is_replayed(self, tmp_path):
         """An ``abort_orphans`` record drops the anchor again on replay."""
         key = _orphan_directory(tmp_path)

@@ -152,14 +152,15 @@ class TestSeededBurstReconciliation:
                    else QoSClass.BEST_EFFORT)
             ticket = service.submit(rng.choice(sids), rng.choice(POOL),
                                     now_ms=float(step), qos=qos)
-            tickets.append((ticket.ticket_id, qos))
+            tickets.append((ticket, qos))
         return service, tickets
 
     def test_counters_reconcile_with_ticket_outcomes(self):
         with scoped():
             service, tickets = self._run_burst()
-            shed = [service.ticket(tid) for tid, _ in tickets
-                    if service.ticket(tid).status is TicketStatus.SHED]
+            shed = [service.ticket(t.ticket_id) for t, _ in tickets
+                    if service.ticket(t.ticket_id).status
+                    is TicketStatus.SHED]
             assert shed, "burst was supposed to overload the service"
 
             res = service.resilience_stats()
@@ -182,12 +183,13 @@ class TestSeededBurstReconciliation:
         with scoped():
             service, tickets = self._run_burst()
             prices = {text: _price(service, text) for text in POOL}
-            by_id = {tid: service.ticket(tid) for tid, _ in tickets}
-            evicted = [t for t in by_id.values()
+            # The submitted tickets, not service.ticket(): a shed ticket's
+            # tombstone no longer carries its query.
+            evicted = [t for t, _ in tickets
                        if t.status is TicketStatus.SHED
                        and "evicted by cost-weighted" in (t.error or "")]
             pending_be = [
-                t for (tid, qos), t in zip(tickets, by_id.values())
+                t for t, qos in tickets
                 if t.status is TicketStatus.PENDING
                 and qos is QoSClass.BEST_EFFORT]
             assert evicted
@@ -204,8 +206,9 @@ class TestSeededBurstReconciliation:
         with scoped():
             service, tickets = self._run_burst(
                 quotas=TenantQuotas(default_radio_s_per_epoch=0.2))
-            shed = [service.ticket(tid) for tid, _ in tickets
-                    if service.ticket(tid).status is TicketStatus.SHED]
+            shed = [service.ticket(t.ticket_id) for t, _ in tickets
+                    if service.ticket(t.ticket_id).status
+                    is TicketStatus.SHED]
             quota_shed = [t for t in shed
                           if (t.error or "").startswith("quota:")]
             assert quota_shed, "quota was supposed to bind"
@@ -218,8 +221,10 @@ class TestSeededBurstReconciliation:
     def test_burst_is_deterministic(self):
         with scoped():
             first, tickets_a = self._run_burst(seed=99)
-            outcomes_a = [first.ticket(tid).status for tid, _ in tickets_a]
+            outcomes_a = [first.ticket(t.ticket_id).status
+                          for t, _ in tickets_a]
         with scoped():
             second, tickets_b = self._run_burst(seed=99)
-            outcomes_b = [second.ticket(tid).status for tid, _ in tickets_b]
+            outcomes_b = [second.ticket(t.ticket_id).status
+                          for t, _ in tickets_b]
         assert outcomes_a == outcomes_b

@@ -38,6 +38,7 @@ from repro.service import (
     DurabilityConfig,
     OptimizerBackend,
     QueryService,
+    RetiredTicket,
     SessionError,
     TicketStatus,
 )
@@ -254,13 +255,17 @@ class TestServiceJournalPoints:
         _check_service_crash_points(tmp_path, SERVICE_SCRIPT, kill_switch)
 
     def test_the_short_script_is_not_vacuous(self, tmp_path, kill_switch):
-        """Its tickets go LIVE and get released."""
+        """Its tickets go LIVE and get released (into the retired ring)."""
         states, _ = _service_reference(tmp_path, SERVICE_SCRIPT,
                                        kill_switch)
-        statuses = {t["status"] for t in states[-1]["tickets"]}
+        final = states[-1]
+        tickets = final["tickets"] + [
+            {"status": RetiredTicket.from_row(row).status.value}
+            for row in final["retired"]]
+        statuses = {t["status"] for t in tickets}
         assert TicketStatus.LIVE.value in statuses
         assert TicketStatus.TERMINATED.value in statuses
-        assert len(states[-1]["tickets"]) >= 8
+        assert len(tickets) >= 8
 
     @pytest.mark.slow
     def test_every_journal_point_of_a_long_script(self, tmp_path,

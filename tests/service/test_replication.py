@@ -8,6 +8,7 @@ import pytest
 from repro.core.basestation import BaseStationOptimizer
 from repro.harness.tier1_sim import default_cost_model
 from repro.service import (
+    RETIRED_RING_SIZE,
     DurabilityConfig,
     OptimizerBackend,
     PrimaryReplicator,
@@ -206,6 +207,49 @@ class TestPromotion:
                     == {t.ticket_id: t.status
                         for t in promoted.live_tickets()})
             twin.shutdown()
+        finally:
+            promoted.shutdown()
+
+    def test_promoted_standby_answers_retired_tickets_as_the_primary(
+            self, tmp_path):
+        """The primary retires more tickets than the ring holds, across
+        snapshot rotations: the promoted standby answers ``ticket(id)``
+        for every ring id exactly as the primary did, and raises the same
+        ``KeyError`` for the evicted ones."""
+
+        def answer(service, ticket_id):
+            try:
+                ticket = service.ticket(ticket_id)
+            except KeyError as exc:
+                return ("KeyError", str(exc))
+            return (ticket.status, ticket.error, ticket.cache_hit,
+                    ticket.terminated)
+
+        service, replicator, standby = make_pair(tmp_path)
+        sid = service.open_session("alice")
+        service.submit(sid, Q_LIGHT)  # keeps the anchor: cache hits after
+        for i in range(RETIRED_RING_SIZE + 50):
+            ticket = service.submit(sid, Q_LIGHT if i % 3 else Q_TEMP)
+            service.terminate(sid, ticket.ticket_id)
+        ids = range(1, ticket.ticket_id + 1)
+        on_primary = {tid: answer(service, tid) for tid in ids}
+        assert replicator.wait_acked(replicator.last_seq, timeout=10.0)
+        replicator.kill()
+        assert not replicator._thread.is_alive()
+        service.simulate_crash()
+
+        ring = [tid for tid, a in on_primary.items()
+                if a[0] is TicketStatus.TERMINATED]
+        evicted = [tid for tid, a in on_primary.items() if a[0] == "KeyError"]
+        assert len(ring) == RETIRED_RING_SIZE
+        assert evicted == list(range(2, 52))
+        promoted = standby.promote(make_backend())
+        try:
+            assert promoted.last_recovery.replay_errors == 0
+            promoted.validate()
+            for tid in ring + [evicted[0], evicted[-1]]:
+                assert answer(promoted, tid) == on_primary[tid], tid
+            assert answer(promoted, 1)[0] is TicketStatus.LIVE
         finally:
             promoted.shutdown()
 
