@@ -53,13 +53,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 from ..core.basestation import MappedAggregates, MappedRow, RootRewriter
 from ..core.qos import QoSClass
 from ..obs import Counts, bind_counts, get_registry, unbind
-from ..queries.ast import (
-    Query,
-    peek_qid,
-    query_from_dict,
-    query_to_dict,
-    set_next_qid,
-)
+from ..queries.ast import Query, query_from_dict, query_to_dict
 from ..queries.canonical import CanonicalKey, canonical_key, canonicalize
 from ..queries.parser import parse_query
 from ..service import (
@@ -80,7 +74,6 @@ from ..service.durability import (
     Journal,
     RecoveryReport,
 )
-from ..service.planner import EXPLAIN_PROBE_QID
 from ..service.service import ServiceClosed, _wall_clock_ms
 from .merge import combine_shard_aggregates, user_aggregates_view
 from .partition import FieldPartition
@@ -96,6 +89,9 @@ ROOT_TTL_MS = 1e15
 ROOT_DIR_NAME = "root"
 #: Root WAL records between automatic root snapshots.
 ROOT_SNAPSHOT_EVERY_OPS = 64
+#: The qid a query text parses under at the root.  A qid names a query in
+#: one shard's optimizer, and each shard names its own copy.
+ROOT_QID = 0
 
 #: ``(field, family, help, labels)`` of every ``cluster.*`` counter; each
 #: series reads the coordinator's field of that name.
@@ -726,7 +722,7 @@ class ClusterCoordinator:
             self._expire(now)
             session = self._sessions.get(session_id)
             if isinstance(query, str):
-                query = parse_query(query)
+                query = parse_query(query, qid=ROOT_QID)
             canonical, fan_query, targets, pruned = self._plan(
                 query, session.client_id)
             anchor = None
@@ -858,7 +854,7 @@ class ClusterCoordinator:
         each against its own optimizer table, statistics, and tenant
         ledger — so the report compares what the same question costs per
         region before a single flood goes out.  Read-only at every tier:
-        the probe qid is pinned and no shard session is opened.
+        no shard session is opened, and each shard names its probe.
         """
         with self._lock:
             now = self._now(now_ms)
@@ -866,10 +862,8 @@ class ClusterCoordinator:
             if session_id is not None:
                 client = self._sessions.get(session_id).client_id
             if isinstance(query, str):
-                query = parse_query(query, qid=EXPLAIN_PROBE_QID)
+                query = parse_query(query, qid=ROOT_QID)
             canonical, fan_query, targets, pruned = self._plan(query, client)
-            canonical = canonicalize(canonical, qid=EXPLAIN_PROBE_QID)
-            fan_query = canonicalize(fan_query, qid=EXPLAIN_PROBE_QID)
             scope = (ClusterScope.LOCAL if len(targets) == 1
                      else ClusterScope.FANOUT)
             probe = canonical if scope == ClusterScope.LOCAL else fan_query
@@ -1247,20 +1241,10 @@ class ClusterCoordinator:
                 f"{str(root)!r} holds no coordinator journal (no "
                 f"{ROOT_DIR_NAME}/ WAL or snapshot); refusing to recover")
         if services is None:
-            recovered: List[QueryService] = []
-            high_qid = peek_qid()
-            for shard_id, backend in enumerate(backends):
-                service = QueryService.recover(
-                    backend, root / f"shard-{shard_id:02d}",
-                    clock=clock, overload=overload)
-                high_qid = max(high_qid, peek_qid())
-                recovered.append(service)
-            # Each shard recovery pins the global qid counter to its own
-            # snapshot's value; keep the maximum so post-recovery
-            # canonicalization can never reissue a shard's live qid.
-            if peek_qid() < high_qid:
-                set_next_qid(high_qid)
-            services = recovered
+            services = [QueryService.recover(
+                backend, root / f"shard-{shard_id:02d}",
+                clock=clock, overload=overload)
+                for shard_id, backend in enumerate(backends)]
         coordinator = cls(backends, partition=partition,
                           batch_window_ms=batch_window_ms,
                           default_ttl_ms=default_ttl_ms, clock=clock,

@@ -36,7 +36,6 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
 from ..obs import get_registry
-from ..queries.ast import peek_qid, set_next_qid
 from ..service import QueryService
 from .coordinator import ClusterCoordinator
 
@@ -269,14 +268,8 @@ class ShardSupervisor:
         watch.backoff_ms = 0.0
 
     def _restart(self, shard_id: int) -> Optional[QueryService]:
-        """One restart attempt; ``None`` means try again after backoff.
-
-        The global qid counter is guarded across the attempt: a replay
-        that pins it backwards must not let the coordinator reissue a
-        qid some *other* shard is still running.
-        """
+        """One restart attempt; ``None`` means try again after backoff."""
         watch = self._watches[shard_id]
-        before = peek_qid()
         service: Optional[QueryService] = None
         try:
             standby = self._standbys.pop(shard_id, None)
@@ -298,9 +291,6 @@ class ShardSupervisor:
                 watch.incident.mode = "recover"
         except Exception:
             service = None
-        finally:
-            if peek_qid() < before:
-                set_next_qid(before)
         return service
 
     # ------------------------------------------------------------------

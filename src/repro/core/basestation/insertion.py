@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ...queries.ast import Query
+from ...queries.ast import QidAllocator, Query
 from .cost_model import CostModel
 from .query_table import QueryTable, SyntheticQueryRecord
 from .rewriter import (
@@ -34,17 +34,18 @@ from .rewriter import (
 
 
 def insert_query(query: Query, from_map: Dict[int, Query], table: QueryTable,
-                 cost_model: CostModel) -> SyntheticQueryRecord:
+                 cost_model: CostModel,
+                 qids: QidAllocator) -> SyntheticQueryRecord:
     """Insert ``query`` (serving the user queries in ``from_map``).
 
     ``query`` is a plain user query on the outer call and a merged synthetic
     query on recursive calls.  Returns the synthetic record that ends up
     serving ``from_map``; ``table`` is updated in place (user ``qid'``
-    mappings included).
+    mappings included).  New synthetic qids come from ``qids``.
     """
     candidates = sorted(table.synthetic.values(), key=lambda r: r.qid)
     if not candidates:
-        return _add_as_new(query, from_map, table)
+        return _add_as_new(query, from_map, table, qids)
 
     best_rate = 0.0
     best_record: Optional[SyntheticQueryRecord] = None
@@ -59,7 +60,7 @@ def insert_query(query: Query, from_map: Dict[int, Query], table: QueryTable,
                 break  # covered: cannot do better
 
     if best_record is None or best_assessment is None:
-        return _add_as_new(query, from_map, table)
+        return _add_as_new(query, from_map, table, qids)
 
     if best_assessment.is_cover:
         for user_query in from_map.values():
@@ -71,12 +72,12 @@ def insert_query(query: Query, from_map: Dict[int, Query], table: QueryTable,
     assert best_assessment.plan is not None
     table.remove_synthetic(best_record.qid)
     merged_query, combined_from = integrate(best_record, best_assessment.plan,
-                                            from_map)
-    return insert_query(merged_query, combined_from, table, cost_model)
+                                            from_map, qids)
+    return insert_query(merged_query, combined_from, table, cost_model, qids)
 
 
-def _add_as_new(query: Query, from_map: Dict[int, Query],
-                table: QueryTable) -> SyntheticQueryRecord:
-    record = new_synthetic_record(query, from_map)
+def _add_as_new(query: Query, from_map: Dict[int, Query], table: QueryTable,
+                qids: QidAllocator) -> SyntheticQueryRecord:
+    record = new_synthetic_record(query, from_map, qids)
     table.add_synthetic(record)
     return record

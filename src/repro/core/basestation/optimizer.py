@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from ...obs import get_registry
-from ...queries.ast import Query, query_from_dict, query_to_dict
+from ...queries.ast import QidAllocator, Query, query_from_dict, query_to_dict
 from ..qos import QoSClass, QoSRegistry
 from .cost_model import CostModel
 from .insertion import insert_query
@@ -62,6 +62,9 @@ class BaseStationOptimizer:
         self.cost_model = cost_model
         self.alpha = alpha
         self.table = QueryTable()
+        #: Issues this optimizer's synthetic qids, and the user qids of a
+        #: query service in front of it: qids name queries in one table.
+        self.qids = QidAllocator()
         #: Serializes table mutations and snapshot reads.  Algorithms 1/2
         #: mutate several records per step; a concurrent reader (or second
         #: writer) mid-step would observe a table that violates
@@ -124,14 +127,16 @@ class BaseStationOptimizer:
         synthetic query serving it reliable (multipath delivery in tier 2).
 
         A previously terminated qid may be re-registered; it is treated as
-        a brand-new arrival.
+        a brand-new arrival.  The qid allocator moves past the user qid,
+        so no synthetic query issued afterwards shares it.
         """
         with self.lock:
             before = self._running_qids()
+            self.qids.claim(query.qid)
             self.table.add_user(query)
             self.qos_registry.register_user(query.qid, qos)
             insert_query(query, {query.qid: query}, self.table,
-                         self.cost_model)
+                         self.cost_model, self.qids)
             self.qos_registry.sync_with_table(self.table)
             self._m_registrations.inc()
             return self._diff(before)
@@ -151,9 +156,11 @@ class BaseStationOptimizer:
         """
         with self.lock:
             before = self._running_qids()
+            self.qids.claim(query.qid)
             self.table.add_user(query)
             self.qos_registry.register_user(query.qid, qos)
-            record = new_synthetic_record(query, {query.qid: query})
+            record = new_synthetic_record(query, {query.qid: query},
+                                          self.qids)
             self.table.add_synthetic(record)
             self.qos_registry.sync_with_table(self.table)
             self._m_registrations.inc()
@@ -167,7 +174,8 @@ class BaseStationOptimizer:
                     f"unknown user query {user_qid}: never registered or "
                     f"already terminated")
             before = self._running_qids()
-            terminate_query(user_qid, self.table, self.cost_model, self.alpha)
+            terminate_query(user_qid, self.table, self.cost_model, self.alpha,
+                            self.qids)
             self.qos_registry.forget_user(user_qid)
             self.qos_registry.sync_with_table(self.table)
             self._m_terminations.inc()
@@ -267,6 +275,7 @@ class BaseStationOptimizer:
         """
         with self.lock:
             self.table = QueryTable()
+            self.qids = QidAllocator()
             self.qos_registry.reset()
             self._mapping_history = {}
             self._synthetic_snapshots = {}

@@ -20,7 +20,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ...queries.ast import Query, next_qid
+from ...queries.ast import QidAllocator, Query
 from ...queries.semantics import MergePlan, covers, merge, merge_all
 from .cost_model import CostModel
 from .query_table import SyntheticQueryRecord, SyntheticStatus
@@ -62,14 +62,15 @@ def beneficial(q_new: Query, record: SyntheticQueryRecord,
 
 
 def integrate(record: SyntheticQueryRecord, plan: MergePlan,
-              extra_from: Dict[int, Query]) -> Tuple[Query, Dict[int, Query]]:
+              extra_from: Dict[int, Query],
+              qids: QidAllocator) -> Tuple[Query, Dict[int, Query]]:
     """The paper's ``Integrate``: materialise the merged synthetic query.
 
-    Returns the merged query (with a freshly allocated qid) and the combined
-    from_list.  The caller removes ``record`` from the table and re-inserts
-    the merged query per Algorithm 1 line 14.
+    Returns the merged query (with a fresh qid from ``qids``) and the
+    combined from_list.  The caller removes ``record`` from the table and
+    re-inserts the merged query per Algorithm 1 line 14.
     """
-    merged = dataclasses.replace(plan.merged, qid=next_qid())
+    merged = dataclasses.replace(plan.merged, qid=next(qids))
     combined: Dict[int, Query] = dict(record.from_list)
     combined.update(extra_from)
     return merged, combined
@@ -88,14 +89,15 @@ def update_count(record: SyntheticQueryRecord, user_query: Query,
         record.remove_user_query(user_query.qid)
 
 
-def new_synthetic_record(query: Query, from_map: Dict[int, Query]) -> SyntheticQueryRecord:
-    """Wrap a query as a brand-new synthetic query (fresh qid, PENDING).
+def new_synthetic_record(query: Query, from_map: Dict[int, Query],
+                         qids: QidAllocator) -> SyntheticQueryRecord:
+    """Wrap a query as a brand-new synthetic query (qid from ``qids``, PENDING).
 
     The synthetic form is the canonical fold of the query (``merge_all`` of
     the singleton), so an acquisition synthetic always requests its
     predicate attributes too — the uniform convention that keeps every user
     predicate re-evaluable at the base station after later widenings.
     """
-    synthetic = merge_all([query], qid=next_qid())
+    synthetic = merge_all([query], qid=next(qids))
     return SyntheticQueryRecord(query=synthetic, from_list=dict(from_map),
                                 flag=SyntheticStatus.PENDING)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ...queries.ast import Query
+from ...queries.ast import QidAllocator, Query
 from .cost_model import CostModel
 from .insertion import insert_query
 from .query_table import QueryTable, SyntheticQueryRecord
@@ -40,11 +40,12 @@ def synthetic_benefit(record: SyntheticQueryRecord, cost_model: CostModel) -> fl
 
 
 def terminate_query(user_qid: int, table: QueryTable, cost_model: CostModel,
-                    alpha: float) -> None:
+                    alpha: float, qids: QidAllocator) -> None:
     """Run Algorithm 2 for the termination of user query ``user_qid``.
 
     Mutates ``table`` in place; the optimizer facade derives the network
-    abort/inject operations from the before/after synthetic sets.
+    abort/inject operations from the before/after synthetic sets.  A
+    rebuild draws its new synthetic qids from ``qids``.
     """
     record = table.synthetic_for(user_qid)
     user = table.remove_user(user_qid)
@@ -77,4 +78,4 @@ def terminate_query(user_qid: int, table: QueryTable, cost_model: CostModel,
     for query in survivors:
         table.assign(query.qid, None)
     for query in survivors:
-        insert_query(query, {query.qid: query}, table, cost_model)
+        insert_query(query, {query.qid: query}, table, cost_model, qids)

@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from ..queries.ast import fresh_qids
 from ..service.durability import WAL_FILENAME, DurabilityConfig
 from ..service.service import OptimizerBackend, QueryService, TicketStatus
 from ..sim import RadioParams
@@ -239,127 +238,126 @@ def _drive(spec: ChaosCellSpec, crash: bool) -> _DriveOutcome:
     outcome = _DriveOutcome()
     state_dir = tempfile.mkdtemp(prefix="repro-chaos-")
     try:
-        with fresh_qids():
-            config = DeploymentConfig(
-                side=spec.side, seed=seed,
-                radio_params=(RadioParams(loss_rate=spec.loss_rate)
-                              if spec.loss_rate else None))
-            deployment = Deployment(Strategy.TTMQO, config)
-            sim = deployment.sim
-            durability = DurabilityConfig(
-                directory=state_dir,
-                snapshot_every_ops=spec.snapshot_every_ops)
-            service = QueryService(
-                deployment, batch_window_ms=spec.batch_window_ms,
-                default_ttl_ms=duration_ms * 10.0,
-                clock=lambda: sim.now, durability=durability)
-            # The crash replaces the live service mid-run; every scheduled
-            # callback goes through the holder so post-crash events land
-            # on the recovered instance.
-            holder = {"service": service}
-            clients: List[Tuple[str, int]] = []
-            rng = random.Random(seed ^ 0xC4A05)
+        config = DeploymentConfig(
+            side=spec.side, seed=seed,
+            radio_params=(RadioParams(loss_rate=spec.loss_rate)
+                          if spec.loss_rate else None))
+        deployment = Deployment(Strategy.TTMQO, config)
+        sim = deployment.sim
+        durability = DurabilityConfig(
+            directory=state_dir,
+            snapshot_every_ops=spec.snapshot_every_ops)
+        service = QueryService(
+            deployment, batch_window_ms=spec.batch_window_ms,
+            default_ttl_ms=duration_ms * 10.0,
+            clock=lambda: sim.now, durability=durability)
+        # The crash replaces the live service mid-run; every scheduled
+        # callback goes through the holder so post-crash events land
+        # on the recovered instance.
+        holder = {"service": service}
+        clients: List[Tuple[str, int]] = []
+        rng = random.Random(seed ^ 0xC4A05)
 
-            def _connect(index: int) -> None:
-                svc = holder["service"]
-                text = _variant(_QUERY_POOL[index % spec.n_unique], rng)
-                session_id = svc.open_session(f"client-{index:03d}")
-                ticket = svc.submit(session_id, text)
-                svc.subscribe(session_id, ticket.ticket_id)
-                clients.append((session_id, ticket.ticket_id))
+        def _connect(index: int) -> None:
+            svc = holder["service"]
+            text = _variant(_QUERY_POOL[index % spec.n_unique], rng)
+            session_id = svc.open_session(f"client-{index:03d}")
+            ticket = svc.submit(session_id, text)
+            svc.subscribe(session_id, ticket.ticket_id)
+            clients.append((session_id, ticket.ticket_id))
 
-            arrival_span = duration_ms * 0.4
-            spacing = arrival_span / max(spec.n_clients, 1)
-            for index in range(spec.n_clients):
-                sim.engine.schedule_at(1000.0 + index * spacing,
-                                       _connect, index)
+        arrival_span = duration_ms * 0.4
+        spacing = arrival_span / max(spec.n_clients, 1)
+        for index in range(spec.n_clients):
+            sim.engine.schedule_at(1000.0 + index * spacing,
+                                   _connect, index)
 
-            def _tick() -> None:
-                holder["service"].tick()
+        def _tick() -> None:
+            holder["service"].tick()
 
-            def _pump() -> None:
-                holder["service"].pump()
+        def _pump() -> None:
+            holder["service"].pump()
 
-            tick_period = max(spec.batch_window_ms, 64.0)
-            t = 1000.0
-            while t < duration_ms:
-                sim.engine.schedule_at(t + tick_period * 0.999, _tick)
-                t += tick_period
-            t = 2048.0
-            while t < duration_ms:
-                sim.engine.schedule_at(t + 1.0, _pump)
-                t += 2048.0
+        tick_period = max(spec.batch_window_ms, 64.0)
+        t = 1000.0
+        while t < duration_ms:
+            sim.engine.schedule_at(t + tick_period * 0.999, _tick)
+            t += tick_period
+        t = 2048.0
+        while t < duration_ms:
+            sim.engine.schedule_at(t + 1.0, _pump)
+            t += 2048.0
 
-            # A few clients disconnect late (exercises Algorithm 2 and
-            # refcounted release on both sides of the crash boundary).
-            n_early = max(1, spec.n_clients // 6)
-            early = rng.sample(range(spec.n_clients), n_early)
+        # A few clients disconnect late (exercises Algorithm 2 and
+        # refcounted release on both sides of the crash boundary).
+        n_early = max(1, spec.n_clients // 6)
+        early = rng.sample(range(spec.n_clients), n_early)
 
-            def _disconnect(position: int) -> None:
-                if position >= len(clients):
-                    return  # connect for this slot never ran (shed etc.)
-                session_id, ticket_id = clients[position]
+        def _disconnect(position: int) -> None:
+            if position >= len(clients):
+                return  # connect for this slot never ran (shed etc.)
+            session_id, ticket_id = clients[position]
+            try:
+                holder["service"].terminate(session_id, ticket_id)
+            except KeyError:
+                pass  # its session already lapsed or closed
+        for position in early:
+            sim.engine.schedule_at(duration_ms * rng.uniform(0.7, 0.95),
+                                   _disconnect, position)
+
+        def _crash() -> None:
+            old = holder["service"]
+            now = sim.now
+            pre = _durable_state(old, now)
+            old.simulate_crash()
+            recovered = QueryService.recover(
+                deployment, durability, clock=lambda: sim.now)
+            holder["service"] = recovered
+            outcome.parity_failures = _diff_keys(
+                pre, _durable_state(recovered, now))
+            outcome.zombies_after = _zombie_count(deployment)
+            try:
+                recovered.validate()
+            except AssertionError as exc:
+                outcome.refcounts_ok = False
+                outcome.parity_failures.append(f"validate: {exc}")
+            report = recovered.last_recovery
+            outcome.wal_records = report.wal_records
+            outcome.replayed_ops = report.replayed_ops
+            outcome.torn_records = report.torn_records
+            outcome.reinjected = report.reinjected
+            outcome.zombies_aborted = report.zombies_aborted
+            # Clients re-subscribe (their old queues died with the old
+            # process); dedup state is gone, so delivery restarts from
+            # scratch — at-least-once, never silent loss.
+            for session_id, ticket_id in clients:
                 try:
-                    holder["service"].terminate(session_id, ticket_id)
+                    if (recovered.ticket(ticket_id).status
+                            is TicketStatus.LIVE):
+                        recovered.subscribe(session_id, ticket_id)
                 except KeyError:
-                    pass  # its session already lapsed or closed
-            for position in early:
-                sim.engine.schedule_at(duration_ms * rng.uniform(0.7, 0.95),
-                                       _disconnect, position)
+                    pass
 
-            def _crash() -> None:
-                old = holder["service"]
-                now = sim.now
-                pre = _durable_state(old, now)
-                old.simulate_crash()
-                recovered = QueryService.recover(
-                    deployment, durability, clock=lambda: sim.now)
-                holder["service"] = recovered
-                outcome.parity_failures = _diff_keys(
-                    pre, _durable_state(recovered, now))
-                outcome.zombies_after = _zombie_count(deployment)
-                try:
-                    recovered.validate()
-                except AssertionError as exc:
-                    outcome.refcounts_ok = False
-                    outcome.parity_failures.append(f"validate: {exc}")
-                report = recovered.last_recovery
-                outcome.wal_records = report.wal_records
-                outcome.replayed_ops = report.replayed_ops
-                outcome.torn_records = report.torn_records
-                outcome.reinjected = report.reinjected
-                outcome.zombies_aborted = report.zombies_aborted
-                # Clients re-subscribe (their old queues died with the old
-                # process); dedup state is gone, so delivery restarts from
-                # scratch — at-least-once, never silent loss.
-                for session_id, ticket_id in clients:
-                    try:
-                        if (recovered.ticket(ticket_id).status
-                                is TicketStatus.LIVE):
-                            recovered.subscribe(session_id, ticket_id)
-                    except KeyError:
-                        pass
+        if crash:
+            crash_ms = max(duration_ms * spec.crash_fraction, 1500.0)
+            sim.engine.schedule_at(crash_ms + 7.0, _crash)
 
-            if crash:
-                crash_ms = max(duration_ms * spec.crash_fraction, 1500.0)
-                sim.engine.schedule_at(crash_ms + 7.0, _crash)
-
-            sim.start()
-            sim.run_until(duration_ms + 4000.0)
-            service = holder["service"]
-            service.flush()
-            service.pump()
-            stats = service.stats()
-            res = service.resilience_stats()
-            outcome.completeness = deployment.row_completeness()
-            outcome.delivered = stats.results_delivered
-            outcome.admitted = stats.admitted_total
-            outcome.shed = res.shed_total
-            outcome.sessions_opened = stats.sessions_opened_total
-            outcome.snapshots = res.snapshots
-            if not crash:
-                outcome.wal_records = res.wal_records
-            service.shutdown()
+        sim.start()
+        sim.run_until(duration_ms + 4000.0)
+        service = holder["service"]
+        service.flush()
+        service.pump()
+        stats = service.stats()
+        res = service.resilience_stats()
+        outcome.completeness = deployment.row_completeness()
+        outcome.delivered = stats.results_delivered
+        outcome.admitted = stats.admitted_total
+        outcome.shed = res.shed_total
+        outcome.sessions_opened = stats.sessions_opened_total
+        outcome.snapshots = res.snapshots
+        if not crash:
+            outcome.wal_records = res.wal_records
+        service.shutdown()
         return outcome
     finally:
         shutil.rmtree(state_dir, ignore_errors=True)
@@ -462,18 +460,16 @@ def run_sigkill_crash(min_ops: int = 8, seed: int = 0,
 
         durability = DurabilityConfig(directory=state_dir,
                                       snapshot_every_ops=5)
-        with fresh_qids():
-            first = QueryService.recover(_make_backend(), durability)
-            first.validate()
-            report = first.last_recovery
-            state_one = _durable_state(first, 0.0)
-            live = len(first.live_tickets())
-            first.simulate_crash()  # release the WAL handle
-        with fresh_qids():
-            second = QueryService.recover(_make_backend(), durability)
-            second.validate()
-            state_two = _durable_state(second, 0.0)
-            second.simulate_crash()
+        first = QueryService.recover(_make_backend(), durability)
+        first.validate()
+        report = first.last_recovery
+        state_one = _durable_state(first, 0.0)
+        live = len(first.live_tickets())
+        first.simulate_crash()  # release the WAL handle
+        second = QueryService.recover(_make_backend(), durability)
+        second.validate()
+        state_two = _durable_state(second, 0.0)
+        second.simulate_crash()
         return {
             "ops_before_kill": ops,
             "wal_records": report.wal_records,
@@ -615,114 +611,113 @@ def _drive_cluster(spec: ClusterChaosCellSpec, crash: bool) -> dict:
            "detect_ms": 0.0, "recover_ms": 0.0, "recovery_mode": "",
            "root_wal_replayed": 0, "root_wal_torn": 0}
     try:
-        with fresh_qids():
-            now = {"t": 0.0}
-            clock = lambda: now["t"]  # noqa: E731 - shared virtual clock
-            backends = [_make_backend() for _ in range(spec.n_shards)]
-            partition = FieldPartition(8, spec.n_shards)
-            holder = {"co": ClusterCoordinator(
-                backends, partition=partition, clock=clock,
-                durability_dir=state_dir, default_ttl_ms=1e12)}
-            supervisor = ShardSupervisor(
-                holder["co"],
-                config=SupervisorConfig(
-                    deadline_ms=spec.deadline_ms,
-                    restart_backoff_ms=spec.restart_backoff_ms,
-                    max_backoff_ms=4 * spec.restart_backoff_ms),
-                durability_dir=state_dir, clock=clock)
-            rng = random.Random(seed ^ 0xC7A0)
-            sessions: List[str] = []
-            #: ticket id -> owning session, for acked-and-live tickets.
-            live: Dict[str, str] = {}
-            done: List[str] = []  # deliberately terminated, in order
-            retry: List[Tuple[str, str]] = []
-            crash_step = int(spec.n_steps * spec.crash_fraction)
-            for step in range(spec.n_steps):
-                now["t"] += spec.step_ms
-                co = holder["co"]
-                if step % 4 == 0:
-                    sessions.append(co.open_session(
-                        f"tenant-{step:03d}", now_ms=now["t"]))
-                text = _variant(
-                    _CLUSTER_POOL[step % len(_CLUSTER_POOL)], rng)
-                sid = sessions[rng.randrange(len(sessions))]
-                for queued_sid, queued_text in list(retry):
-                    try:
-                        ticket = co.submit(queued_sid, queued_text,
-                                           now_ms=now["t"])
-                        live[ticket.ticket_id] = queued_sid
-                        out["acked"] += 1
-                        retry.remove((queued_sid, queued_text))
-                    except ShardDownError:
-                        pass  # still down; keep it queued
-                try:
-                    ticket = co.submit(sid, text, now_ms=now["t"])
-                    live[ticket.ticket_id] = sid
-                    out["acked"] += 1
-                except ShardDownError:
-                    out["refusals"] += 1
-                    retry.append((sid, text))
-                if step % 6 == 5 and live:
-                    victim_tid = sorted(live)[0]
-                    co.terminate(live.pop(victim_tid), victim_tid,
-                                 now_ms=now["t"])
-                    done.append(victim_tid)
-                    out["terminated"] += 1
-                if crash and step == crash_step:
-                    if spec.kill == "shard":
-                        co.shard_services()[spec.victim].simulate_crash()
-                    else:
-                        co.simulate_crash()
-                        started = time.perf_counter()
-                        recovered = ClusterCoordinator.recover(
-                            backends, state_dir, partition=partition,
-                            clock=clock, services=co.shard_services())
-                        out["recover_ms"] = (
-                            (time.perf_counter() - started) * 1000.0)
-                        out["recovery_mode"] = "root-wal"
-                        report = recovered.last_root_recovery
-                        if report is not None:
-                            out["root_wal_replayed"] = report.replayed_ops
-                            out["root_wal_torn"] = report.torn_records
-                        holder["co"] = recovered
-                        supervisor.coordinator = recovered
-                        # Acked admissions must already be back, before
-                        # any tenant resubmits (no re-adoption needed).
-                        for tid in sorted(live):
-                            try:
-                                if recovered.ticket(tid).terminated:
-                                    out["lost_acked"] += 1
-                            except KeyError:
-                                out["lost_acked"] += 1
-                supervisor.poll(now["t"])
-                holder["co"].tick(now_ms=now["t"])
+        now = {"t": 0.0}
+        clock = lambda: now["t"]  # noqa: E731 - shared virtual clock
+        backends = [_make_backend() for _ in range(spec.n_shards)]
+        partition = FieldPartition(8, spec.n_shards)
+        holder = {"co": ClusterCoordinator(
+            backends, partition=partition, clock=clock,
+            durability_dir=state_dir, default_ttl_ms=1e12)}
+        supervisor = ShardSupervisor(
+            holder["co"],
+            config=SupervisorConfig(
+                deadline_ms=spec.deadline_ms,
+                restart_backoff_ms=spec.restart_backoff_ms,
+                max_backoff_ms=4 * spec.restart_backoff_ms),
+            durability_dir=state_dir, clock=clock)
+        rng = random.Random(seed ^ 0xC7A0)
+        sessions: List[str] = []
+        #: ticket id -> owning session, for acked-and-live tickets.
+        live: Dict[str, str] = {}
+        done: List[str] = []  # deliberately terminated, in order
+        retry: List[Tuple[str, str]] = []
+        crash_step = int(spec.n_steps * spec.crash_fraction)
+        for step in range(spec.n_steps):
+            now["t"] += spec.step_ms
             co = holder["co"]
-            for incident in supervisor.incidents:
-                out["detect_ms"] = incident.time_to_detect_ms
-                if incident.time_to_recover_ms is not None:
-                    out["recover_ms"] = incident.time_to_recover_ms
-                out["recovery_mode"] = incident.mode
-            # Invariants: every acked, unterminated admission survives.
-            for tid in sorted(live):
+            if step % 4 == 0:
+                sessions.append(co.open_session(
+                    f"tenant-{step:03d}", now_ms=now["t"]))
+            text = _variant(
+                _CLUSTER_POOL[step % len(_CLUSTER_POOL)], rng)
+            sid = sessions[rng.randrange(len(sessions))]
+            for queued_sid, queued_text in list(retry):
                 try:
-                    if co.ticket(tid).terminated:
-                        out["lost_acked"] += 1
-                except KeyError:
-                    out["lost_acked"] += 1
-            for tid in done:
-                try:
-                    if not co.ticket(tid).terminated:
-                        out["validate_failures"].append(
-                            f"terminated ticket {tid} resurrected")
-                except KeyError:
-                    pass  # fully garbage-collected is fine
-            out["orphans"] = len(co.orphan_anchors())
+                    ticket = co.submit(queued_sid, queued_text,
+                                       now_ms=now["t"])
+                    live[ticket.ticket_id] = queued_sid
+                    out["acked"] += 1
+                    retry.remove((queued_sid, queued_text))
+                except ShardDownError:
+                    pass  # still down; keep it queued
             try:
-                co.validate()
-            except AssertionError as exc:
-                out["refcounts_ok"] = False
-                out["validate_failures"].append(str(exc))
-            co.shutdown(now_ms=now["t"])
+                ticket = co.submit(sid, text, now_ms=now["t"])
+                live[ticket.ticket_id] = sid
+                out["acked"] += 1
+            except ShardDownError:
+                out["refusals"] += 1
+                retry.append((sid, text))
+            if step % 6 == 5 and live:
+                victim_tid = sorted(live)[0]
+                co.terminate(live.pop(victim_tid), victim_tid,
+                             now_ms=now["t"])
+                done.append(victim_tid)
+                out["terminated"] += 1
+            if crash and step == crash_step:
+                if spec.kill == "shard":
+                    co.shard_services()[spec.victim].simulate_crash()
+                else:
+                    co.simulate_crash()
+                    started = time.perf_counter()
+                    recovered = ClusterCoordinator.recover(
+                        backends, state_dir, partition=partition,
+                        clock=clock, services=co.shard_services())
+                    out["recover_ms"] = (
+                        (time.perf_counter() - started) * 1000.0)
+                    out["recovery_mode"] = "root-wal"
+                    report = recovered.last_root_recovery
+                    if report is not None:
+                        out["root_wal_replayed"] = report.replayed_ops
+                        out["root_wal_torn"] = report.torn_records
+                    holder["co"] = recovered
+                    supervisor.coordinator = recovered
+                    # Acked admissions must already be back, before
+                    # any tenant resubmits (no re-adoption needed).
+                    for tid in sorted(live):
+                        try:
+                            if recovered.ticket(tid).terminated:
+                                out["lost_acked"] += 1
+                        except KeyError:
+                            out["lost_acked"] += 1
+            supervisor.poll(now["t"])
+            holder["co"].tick(now_ms=now["t"])
+        co = holder["co"]
+        for incident in supervisor.incidents:
+            out["detect_ms"] = incident.time_to_detect_ms
+            if incident.time_to_recover_ms is not None:
+                out["recover_ms"] = incident.time_to_recover_ms
+            out["recovery_mode"] = incident.mode
+        # Invariants: every acked, unterminated admission survives.
+        for tid in sorted(live):
+            try:
+                if co.ticket(tid).terminated:
+                    out["lost_acked"] += 1
+            except KeyError:
+                out["lost_acked"] += 1
+        for tid in done:
+            try:
+                if not co.ticket(tid).terminated:
+                    out["validate_failures"].append(
+                        f"terminated ticket {tid} resurrected")
+            except KeyError:
+                pass  # fully garbage-collected is fine
+        out["orphans"] = len(co.orphan_anchors())
+        try:
+            co.validate()
+        except AssertionError as exc:
+            out["refcounts_ok"] = False
+            out["validate_failures"].append(str(exc))
+        co.shutdown(now_ms=now["t"])
         return out
     finally:
         shutil.rmtree(state_dir, ignore_errors=True)
@@ -753,52 +748,51 @@ def run_degraded_merge_probe(seed: int = 0, n_epochs: int = 12,
         epoch_ms = 4096.0
         connect_at = 500.0
         try:
-            with fresh_qids():
-                cluster = ClusterDeployment(
-                    FieldPartition(4, 2, quality_seed=seed), seed=seed,
-                    durability_dir=state_dir)
-                co = cluster.coordinator
-                supervisor = ShardSupervisor(
-                    co,
-                    config=SupervisorConfig(deadline_ms=epoch_ms / 4,
-                                            restart_backoff_ms=256.0),
-                    durability_dir=state_dir,
-                    clock=lambda: cluster.now)
-                cluster.run_until(connect_at)
-                sid = co.open_session("probe")
-                ticket = co.submit(
-                    sid,
-                    "SELECT MAX(light) FROM sensors EPOCH DURATION 4096")
-                sink = co.subscribe(sid, ticket.ticket_id)
-                completeness: Dict[float, float] = {}
-                for epoch in range(1, n_epochs + 1):
-                    cluster.run_until(connect_at + epoch * epoch_ms)
-                    if crash and epoch == crash_epoch:
-                        co.shard_services()[1].simulate_crash()
-                    supervisor.poll(cluster.now)
-                    cluster.pump()
-                cluster.run_until(connect_at + (n_epochs + 2) * epoch_ms)
+            cluster = ClusterDeployment(
+                FieldPartition(4, 2, quality_seed=seed), seed=seed,
+                durability_dir=state_dir)
+            co = cluster.coordinator
+            supervisor = ShardSupervisor(
+                co,
+                config=SupervisorConfig(deadline_ms=epoch_ms / 4,
+                                        restart_backoff_ms=256.0),
+                durability_dir=state_dir,
+                clock=lambda: cluster.now)
+            cluster.run_until(connect_at)
+            sid = co.open_session("probe")
+            ticket = co.submit(
+                sid,
+                "SELECT MAX(light) FROM sensors EPOCH DURATION 4096")
+            sink = co.subscribe(sid, ticket.ticket_id)
+            completeness: Dict[float, float] = {}
+            for epoch in range(1, n_epochs + 1):
+                cluster.run_until(connect_at + epoch * epoch_ms)
+                if crash and epoch == crash_epoch:
+                    co.shard_services()[1].simulate_crash()
                 supervisor.poll(cluster.now)
-                cluster.pump(final=True)
-                while True:
-                    try:
-                        item = sink.get_nowait()
-                    except Exception:
-                        break
-                    completeness[item.epoch_time] = item.completeness
-                incidents = [
-                    {"detect_ms": i.time_to_detect_ms,
-                     "recover_ms": i.time_to_recover_ms, "mode": i.mode}
-                    for i in supervisor.incidents]
-                co.shutdown(now_ms=cluster.now)
-                values = [completeness[t] for t in sorted(completeness)]
-                return {
-                    "epochs": len(values),
-                    "completeness": values,
-                    "min_completeness": min(values) if values else 0.0,
-                    "healed": bool(values) and values[-1] == 1.0,
-                    "incidents": incidents,
-                }
+                cluster.pump()
+            cluster.run_until(connect_at + (n_epochs + 2) * epoch_ms)
+            supervisor.poll(cluster.now)
+            cluster.pump(final=True)
+            while True:
+                try:
+                    item = sink.get_nowait()
+                except Exception:
+                    break
+                completeness[item.epoch_time] = item.completeness
+            incidents = [
+                {"detect_ms": i.time_to_detect_ms,
+                 "recover_ms": i.time_to_recover_ms, "mode": i.mode}
+                for i in supervisor.incidents]
+            co.shutdown(now_ms=cluster.now)
+            values = [completeness[t] for t in sorted(completeness)]
+            return {
+                "epochs": len(values),
+                "completeness": values,
+                "min_completeness": min(values) if values else 0.0,
+                "healed": bool(values) and values[-1] == 1.0,
+                "incidents": incidents,
+            }
         finally:
             shutil.rmtree(state_dir, ignore_errors=True)
 
@@ -943,29 +937,27 @@ def run_cluster_sigkill_crash(min_ops: int = 10, seed: int = 0,
                 service.simulate_crash()
             coordinator.simulate_crash()
 
-        with fresh_qids():
-            first = _recover()
-            report = first.last_root_recovery
-            lost = 0
-            for tid, terminated in sorted(acked.items()):
-                try:
-                    ticket = first.ticket(tid)
-                    if (terminated is not None
-                            and ticket.terminated != terminated):
-                        lost += 1
-                except KeyError:
+        first = _recover()
+        report = first.last_root_recovery
+        lost = 0
+        for tid, terminated in sorted(acked.items()):
+            try:
+                ticket = first.ticket(tid)
+                if (terminated is not None
+                        and ticket.terminated != terminated):
                     lost += 1
-            orphans = len(first.orphan_anchors())
-            first.validate()
-            state_one = _state(first)
-            _crash(first)
-        with fresh_qids():
-            second = _recover()
-            second.validate()
-            state_two = _state(second)
-            second.abort_orphans()  # idempotence: stable when none exist
-            state_three = _state(second)
-            _crash(second)
+            except KeyError:
+                lost += 1
+        orphans = len(first.orphan_anchors())
+        first.validate()
+        state_one = _state(first)
+        _crash(first)
+        second = _recover()
+        second.validate()
+        state_two = _state(second)
+        second.abort_orphans()  # idempotence: stable when none exist
+        state_three = _state(second)
+        _crash(second)
         return {
             "ops_before_kill": ops,
             "acked_ops": len(acked),

@@ -129,6 +129,8 @@ def run_workload_live(
     """Like :func:`run_workload` but also hand back the live deployment."""
     config = config or DeploymentConfig()
     deployment = Deployment(strategy, config)
+    if deployment.optimizer is not None:
+        deployment.optimizer.qids.claim(workload.max_qid())
     sim = deployment.sim
 
     for event in workload.events:

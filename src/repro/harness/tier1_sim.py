@@ -78,6 +78,7 @@ def run_tier1(workload: Workload, cost_model: CostModel,
               alpha: float = 0.6) -> Tier1RunStats:
     """Replay a workload through Algorithms 1/2 and integrate the metrics."""
     optimizer = BaseStationOptimizer(cost_model, alpha=alpha)
+    optimizer.qids.claim(workload.max_qid())
 
     synthetic_cost_area = 0.0
     user_cost_area = 0.0

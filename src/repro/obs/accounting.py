@@ -2,9 +2,11 @@
 
 :class:`LatencyAccountant` records end-to-end result latency: the base
 station observes ``arrival_time - epoch_time`` per delivered row or
-aggregate, labelled by query id.  :class:`SimObs` bundles it with the
-registry and the record of the simulation's ``radio.tx`` spans.  Radio
-events are not accounted here: the simulation's one radio ledger is
+aggregate, labelled by its sink (the base station's node id) and query
+id: a qid names a query at one sink only, and shards of a cluster share
+one registry.  :class:`SimObs` bundles it with the registry and the
+record of the simulation's ``radio.tx`` spans.  Radio events are not
+accounted here: the simulation's one radio ledger is
 :class:`repro.sim.trace.TraceCollector`, which lends its totals to the
 ``sim.*`` series and appends each frame to the span record.  This module
 never imports the simulator, keeping ``repro.obs`` a dependency-free leaf
@@ -27,25 +29,26 @@ class LatencyAccountant:
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else get_registry()
-        self._rows: Dict[int, Histogram] = {}
-        self._aggs: Dict[int, Histogram] = {}
+        self._rows: Dict[Tuple[int, int], Histogram] = {}
+        self._aggs: Dict[Tuple[int, int], Histogram] = {}
 
-    def observe_row(self, qid: int, latency_ms: float) -> None:
-        hist = self._rows.get(qid)
+    def observe_row(self, sink: int, qid: int, latency_ms: float) -> None:
+        hist = self._rows.get((sink, qid))
         if hist is None:
-            hist = self._rows[qid] = self.registry.histogram(
+            hist = self._rows[sink, qid] = self.registry.histogram(
                 "tinydb.bs.row_latency_ms",
                 help="acquisition row latency from epoch boundary to sink",
-                unit="ms", qid=qid)
+                unit="ms", sink=sink, qid=qid)
         hist.observe(latency_ms)
 
-    def observe_aggregate(self, qid: int, latency_ms: float) -> None:
-        hist = self._aggs.get(qid)
+    def observe_aggregate(self, sink: int, qid: int,
+                          latency_ms: float) -> None:
+        hist = self._aggs.get((sink, qid))
         if hist is None:
-            hist = self._aggs[qid] = self.registry.histogram(
+            hist = self._aggs[sink, qid] = self.registry.histogram(
                 "tinydb.bs.agg_latency_ms",
                 help="aggregate result latency from epoch boundary to sink",
-                unit="ms", qid=qid)
+                unit="ms", sink=sink, qid=qid)
         hist.observe(latency_ms)
 
 

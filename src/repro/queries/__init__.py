@@ -5,6 +5,7 @@ from .ast import (
     GroupBy,
     AggregateOp,
     MIN_EPOCH_MS,
+    QidAllocator,
     Query,
     QueryValidationError,
     combined_epoch,
@@ -27,6 +28,7 @@ __all__ = [
     "MergePlan",
     "ParseError",
     "PredicateSet",
+    "QidAllocator",
     "Query",
     "QueryValidationError",
     "canonical_key",

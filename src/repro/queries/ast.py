@@ -87,13 +87,13 @@ class GroupBy:
         return f"{self.attribute} / {divisor}"
 
 
-class _QidCounter:
-    """The qid allocator: ``itertools.count`` plus peek/pin.
+class QidAllocator:
+    """Issues query ids: the next one, or past one issued elsewhere.
 
-    Durability replay (``repro.service.durability``) must reproduce the
-    exact qid sequence of the original process, so — unlike a bare
-    ``count`` — the counter can report the next value without consuming it
-    and can be pinned to a recorded value before a replayed allocation.
+    Each :class:`~repro.core.basestation.BaseStationOptimizer` owns one.
+    Its synthetic qids and, behind a query service, its users' qids come
+    from it, and a registered or replayed user qid is claimed, so an
+    optimizer's ids are a function of its own log.
     """
 
     __slots__ = ("next_value",)
@@ -106,46 +106,37 @@ class _QidCounter:
         self.next_value += 1
         return value
 
+    def claim(self, qid: int) -> None:
+        """Move past ``qid``: an id issued here, or one a log recorded."""
+        if qid >= self.next_value:
+            self.next_value = qid + 1
 
-_qid_counter = _QidCounter(1)
+
+#: The allocator of queries built outside any optimizer (parsed workloads,
+#: tests); :func:`fresh_qids` scopes it.
+_qid_counter = QidAllocator(1)
 
 
 def next_qid() -> int:
-    """Allocate a globally unique query id."""
+    """Allocate a query id from the process-wide workload allocator."""
     return next(_qid_counter)
-
-
-def peek_qid() -> int:
-    """The qid the next :func:`next_qid` call will return (not consumed)."""
-    return _qid_counter.next_value
-
-
-def set_next_qid(value: int) -> None:
-    """Pin the allocator so the next :func:`next_qid` returns ``value``.
-
-    Used only by WAL replay, which must re-allocate the qids the crashed
-    process recorded; everything else should treat qids as opaque.
-    """
-    if value < 1:
-        raise ValueError(f"qids start at 1 (got {value})")
-    _qid_counter.next_value = value
 
 
 @contextmanager
 def fresh_qids(start: int = 1):
-    """Run a block with the qid counter reset to ``start``.
+    """Run a block with the workload qid counter reset to ``start``.
 
     The sweep executor wraps every experiment cell in this scope so a cell
     builds byte-identical queries no matter which process — or how old an
     interpreter — runs it: a fresh worker and a long-lived test process both
     start the cell's queries at ``start``.  The previous counter is restored
     on exit, so qids allocated *after* the scope continue the outer
-    sequence.  Qids are only required to be unique within one deployment,
-    which the scope preserves (each cell owns its whole deployment).
+    sequence.  Optimizers and services issue their own qids
+    (:class:`QidAllocator`), so the scope names workload queries only.
     """
     global _qid_counter
     saved = _qid_counter
-    _qid_counter = _QidCounter(start)
+    _qid_counter = QidAllocator(start)
     try:
         yield
     finally:

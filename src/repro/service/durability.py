@@ -49,12 +49,13 @@ durability) and fsyncs its directory after every snapshot rename.
 
 Replay determinism
 ------------------
-Qids are allocated from a global counter shared by user submissions and
-the optimizer's synthetic queries, so WAL ``submit`` records carry the
-allocated qid and replay *pins* the counter
-(:func:`repro.queries.ast.set_next_qid`) before re-running each
-submission — the optimizer then re-derives the exact same synthetic qids
-and table state as the crashed process.
+A service's user qids and its optimizer's synthetic qids come from one
+allocator, the optimizer's own (:class:`repro.queries.ast.QidAllocator`).
+WAL ``submit`` records carry the issued qid; replay submits under it and
+moves the allocator past it, so the optimizer re-derives the exact same
+synthetic qids and table state as the crashed process.  The snapshot and
+the boot record hold the allocator's next value.  Other services in the
+process cannot move it.
 """
 
 from __future__ import annotations

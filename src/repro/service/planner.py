@@ -50,11 +50,6 @@ from ..sim import messages as wire
 from ..sim.trace import EnergyModel
 from ..workloads.spec import EventKind, Workload
 
-#: qid used for EXPLAIN probe queries.  Far above anything the global
-#: allocator hands out, so an EXPLAIN never collides with a live query
-#: and never touches the allocator (WAL replay determinism).
-EXPLAIN_PROBE_QID = 1_000_000_000
-
 #: Default bucket count for collected attribute histograms (matches
 #: ``HistogramDistribution``).
 DEFAULT_BUCKETS = 20
@@ -516,6 +511,7 @@ def estimate_workload(workload: Workload, planner: QueryPlanner, *,
     results_radio_s = 0.0
     with scoped():
         optimizer = BaseStationOptimizer(planner.cost_model, alpha=alpha)
+        optimizer.qids.claim(workload.max_qid())
         last_t = 0.0
         rate = 0.0  # radio-seconds per ms of network time
         for event in workload.events:

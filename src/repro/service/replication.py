@@ -43,7 +43,7 @@ Roles
     Stops following and rebuilds a live service from the standby
     directory through the existing
     :meth:`~repro.service.QueryService.recover` machinery — snapshot
-    restore, WAL replay with pinned qids, network reconciliation.  The
+    restore, WAL replay under the recorded qids, network reconciliation.  The
     promoted service is the new primary; a fresh replicator can be
     attached to it to re-establish redundancy.
 
@@ -455,7 +455,7 @@ class StandbyServer:
         """Stop following and bring the directory up as a live service.
 
         Runs the full :meth:`QueryService.recover` machinery over the
-        replicated state: snapshot restore, WAL replay with pinned qids,
+        replicated state: snapshot restore, WAL replay under recorded qids,
         a fresh recovery-point snapshot, and network reconciliation via
         the backend.  Returns the promoted :class:`QueryService`; its
         :attr:`last_recovery` report says what replay did.

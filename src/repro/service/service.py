@@ -54,14 +54,7 @@ from ..core.basestation import (
 )
 from ..core.qos import QoSClass
 from ..obs import Counts, Histogram, bind_counts, get_registry, scoped, unbind
-from ..queries.ast import (
-    Query,
-    next_qid,
-    peek_qid,
-    query_from_dict,
-    query_to_dict,
-    set_next_qid,
-)
+from ..queries.ast import QidAllocator, Query, query_from_dict, query_to_dict
 from ..queries.canonical import CanonicalKey, canonical_key, canonicalize
 from ..queries.parser import parse_query
 from .admission import AdmissionBatcher, PendingAdmission
@@ -74,7 +67,6 @@ from .durability import (
 )
 from .overload import BreakerState, CircuitBreaker, OverloadConfig
 from .planner import (
-    EXPLAIN_PROBE_QID,
     ExplainReport,
     PlannerStats,
     QueryPlanner,
@@ -501,7 +493,7 @@ class QueryService:
         if durability is not None:
             self._journal = Journal.boot(_coerce_durability(durability), {
                 "op": "boot", "format": FORMAT_VERSION,
-                "next_qid": peek_qid(),
+                "next_qid": self.optimizer.qids.next_value,
                 "config": {
                     "batch_window_ms": self._batcher.window_ms,
                     "default_ttl_ms": self._sessions.default_ttl_ms,
@@ -699,7 +691,7 @@ class QueryService:
             "format": FORMAT_VERSION,
             "saved_ms": now,
             "op_seq": self._journal.seq if self._journal is not None else 0,
-            "next_qid": peek_qid(),
+            "next_qid": self.optimizer.qids.next_value,
             "config": {
                 "batch_window_ms": self._batcher.window_ms,
                 "default_ttl_ms": self._sessions.default_ttl_ms,
@@ -749,7 +741,6 @@ class QueryService:
             raise ValueError(
                 f"unsupported snapshot format {snap.get('format')!r} "
                 f"(this build reads {FORMAT_VERSION})")
-        set_next_qid(int(snap["next_qid"]))
         self._sessions.restore(snap["sessions"])
         self._next_ticket = int(snap["next_ticket"])
         self._tickets = {}
@@ -808,6 +799,7 @@ class QueryService:
         self._breaker.opened_at_ms = breaker["opened_at_ms"]
         self._breaker.opens_total = int(breaker["opens_total"])
         self.optimizer.restore_state(snap["optimizer"])
+        self.optimizer.qids = QidAllocator(int(snap["next_qid"]))
         # The quota ledger is derived state: planner prices are pure
         # functions of the query, so re-pricing the restored PENDING/LIVE
         # tickets rebuilds spend exactly (nothing extra in the snapshot).
@@ -841,13 +833,13 @@ class QueryService:
         """Rebuild a service from its durability directory.
 
         Loads the snapshot (if any), replays the WAL suffix through the
-        ordinary public methods — pinning the qid allocator per recorded
-        submission so the optimizer re-derives identical synthetic qids —
-        then writes a fresh snapshot (a clean recovery point for the
-        *next* crash) and reconciles the network: RUNNING synthetic
-        queries missing from the network are re-disseminated, zombies the
-        recovered table no longer knows are aborted.  The report is left
-        on :attr:`last_recovery`.
+        ordinary operations — a replayed submission keeps its recorded qid
+        and moves the optimizer's allocator past it, so the optimizer
+        re-derives identical synthetic qids — then writes a fresh snapshot
+        (a clean recovery point for the *next* crash) and reconciles the
+        network: RUNNING synthetic queries missing from the network are
+        re-disseminated, zombies the recovered table no longer knows are
+        aborted.  The report is left on :attr:`last_recovery`.
         """
         config = _coerce_durability(durability)
         backlog = Journal.load(config)
@@ -868,10 +860,9 @@ class QueryService:
             # reused in-memory backend (in-process chaos crash) still
             # holds the pre-crash table; clear it or replay would
             # double-register every surviving query.
-            if service.optimizer is not None:
-                service.optimizer.reset()
+            service.optimizer.reset()
             if boot is not None and boot.get("next_qid") is not None:
-                set_next_qid(int(boot["next_qid"]))
+                service.optimizer.qids = QidAllocator(int(boot["next_qid"]))
         # No journal is attached yet, so replay logs nothing.
         report, seq = backlog.replay(service._replay)
         # "Closed" is a process-lifetime property, not durable state: a
@@ -895,7 +886,7 @@ class QueryService:
         return service
 
     def _replay(self, record: dict) -> None:
-        """Re-run one WAL record through the ordinary public methods."""
+        """Re-run one WAL record through the ordinary operations."""
         op = record["op"]
         if op == "open":
             self.open_session(record["client"], ttl_ms=record["ttl"],
@@ -906,9 +897,8 @@ class QueryService:
         elif op == "close":
             self.close_session(record["sid"])
         elif op == "submit":
-            set_next_qid(int(record["qid"]))
-            self.submit(record["sid"], query_from_dict(record["query"]),
-                        now_ms=record["now"], qos=QoSClass(record["qos"]))
+            self._submit(record["sid"], query_from_dict(record["query"]),
+                         record["now"], QoSClass(record["qos"]))
         elif op == "terminate":
             self.terminate(record["sid"], record["ticket"],
                            now_ms=record["now"])
@@ -997,18 +987,31 @@ class QueryService:
         """Submit a query (text or parsed) on behalf of a session.
 
         The returned :class:`Ticket` is PENDING until the batch window
-        flushes (immediately when ``batch_window_ms == 0``).
+        flushes (immediately when ``batch_window_ms == 0``).  The query is
+        named by the optimizer's next qid, issued only once the submission
+        is journaled: a query that fails to parse or validate takes none.
         """
         with self._lock:
             self._ensure_open()
-            now = self._now(now_ms)
-            if isinstance(query, str):
-                query = parse_query(query)
-            canonical = canonicalize(query, qid=next_qid())
+            return self._submit(session_id, self._canonical(query),
+                                self._now(now_ms), qos)
+
+    def _canonical(self, query: Union[str, Query]) -> Query:
+        """``query``'s canonical form, named by the optimizer's next qid."""
+        qid = self.optimizer.qids.next_value
+        if isinstance(query, str):
+            query = parse_query(query, qid=qid)
+        return canonicalize(query, qid=qid)
+
+    def _submit(self, session_id: str, canonical: Query, now: float,
+                qos: QoSClass) -> Ticket:
+        """Admit ``canonical`` under its qid: a live or a replayed submit."""
+        with self._lock:
             with self._op({"op": "submit", "sid": session_id,
                            "qid": canonical.qid,
                            "query": query_to_dict(canonical),
                            "qos": qos.value, "now": now}):
+                self.optimizer.qids.claim(canonical.qid)
                 self._expire(now)
                 session = self._sessions.get(session_id)
                 self._next_ticket += 1
@@ -1278,19 +1281,16 @@ class QueryService:
         quota headroom) — everything ``submit`` would decide, decided
         first.
 
-        Strictly read-only: the what-if registration runs on a throwaway
-        optimizer clone (restored from the live snapshot, inside a scoped
-        metrics registry) with a pinned probe qid, so the query table,
-        dedup cache, qid allocator, WAL and counters are all untouched.
+        Strictly read-only: the query is named by the qid a submission
+        would take, and the what-if registration runs on a throwaway
+        optimizer clone (restored from the live snapshot, with a copy of
+        the live qid allocator, inside a scoped metrics registry), so the
+        query table, dedup cache, qid allocator, WAL and counters are all
+        untouched.
         Works on a closed service too — it's introspection.
         """
         with self._lock:
-            if isinstance(query, str):
-                # Pin the probe qid at parse time too: parse_query with no
-                # qid draws from the global allocator, and EXPLAIN must
-                # leave it untouched (WAL replay determinism).
-                query = parse_query(query, qid=EXPLAIN_PROBE_QID)
-            canonical = canonicalize(query, qid=EXPLAIN_PROBE_QID)
+            canonical = self._canonical(query)
             key = canonical_key(canonical)
             price = self._planner.price(canonical)
             live = self.optimizer
@@ -1304,22 +1304,16 @@ class QueryService:
                 before = after = live.synthetic_count()
                 aborts, injected, marginal = 0, False, 0.0
             else:
-                # The what-if registration can mint synthetic-merge qids;
-                # rewind the allocator afterwards so an EXPLAIN changes
-                # nothing about the qids later submissions would get.
-                saved_qid = peek_qid()
-                try:
-                    with scoped():
-                        probe = BaseStationOptimizer(live.cost_model,
-                                                     alpha=live.alpha)
-                        probe.restore_state(live.snapshot_state())
-                        before = probe.synthetic_count()
-                        cost_before = probe.total_synthetic_cost()
-                        actions = probe.register(canonical, qos=qos)
-                        after = probe.synthetic_count()
-                        cost_after = probe.total_synthetic_cost()
-                finally:
-                    set_next_qid(saved_qid)
+                with scoped():
+                    probe = BaseStationOptimizer(live.cost_model,
+                                                 alpha=live.alpha)
+                    probe.restore_state(live.snapshot_state())
+                    probe.qids = QidAllocator(live.qids.next_value)
+                    before = probe.synthetic_count()
+                    cost_before = probe.total_synthetic_cost()
+                    actions = probe.register(canonical, qos=qos)
+                    after = probe.synthetic_count()
+                    cost_after = probe.total_synthetic_cost()
                 aborts = len(actions.abort_qids)
                 injected = len(actions.inject) > 0
                 action = "injected" if injected else "absorbed"

@@ -184,7 +184,8 @@ class TinyDBBaseStationApp(TinyDBNodeApp):
                             help="acquisition rows logged at the sink")
                     self._rows_received.inc()
                     obs.latency.observe_row(
-                        qid, max(now - payload.epoch_time, 0.0))
+                        self.node.node_id, qid,
+                        max(now - payload.epoch_time, 0.0))
         elif isinstance(payload, AggResultPayload):
             now = self.node.engine.now
             for group in payload.groups:
@@ -201,4 +202,5 @@ class TinyDBBaseStationApp(TinyDBNodeApp):
                                 help="aggregation partials logged at the sink")
                         self._aggregates_received.inc()
                         obs.latency.observe_aggregate(
-                            qid, max(now - payload.epoch_time, 0.0))
+                            self.node.node_id, qid,
+                            max(now - payload.epoch_time, 0.0))

@@ -58,6 +58,13 @@ class Workload:
         """Every distinct query that arrives, in arrival order."""
         return [e.query for e in self.events if e.kind is EventKind.ARRIVE]
 
+    def max_qid(self) -> int:
+        """The largest qid among the workload's queries (0 when empty).
+
+        A tier-1 replay starts its optimizer's synthetic qids past it.
+        """
+        return max((e.query.qid for e in self.events), default=0)
+
     def arrival_count(self) -> int:
         return sum(1 for e in self.events if e.kind is EventKind.ARRIVE)
 

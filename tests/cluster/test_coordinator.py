@@ -14,7 +14,7 @@ from repro.cluster import (
     ROOT_CLIENT,
 )
 from repro.harness.tier1_sim import default_cost_model
-from repro.queries.ast import AggregateOp, fresh_qids
+from repro.queries.ast import AggregateOp
 from repro.service import OptimizerBackend, SessionError, TicketStatus
 
 Q_GLOBAL = "SELECT light FROM sensors WHERE light > 300 EPOCH DURATION 4096"
@@ -154,6 +154,21 @@ class TestRootRewrite:
         sub = ticket.shard_tickets[0]
         assert [a.op for a in sub.query.aggregates] == [AggregateOp.AVG]
 
+    def test_explain_leaves_every_shard_untouched(self):
+        coordinator = make_cluster(k=2, side=8)
+        sid = coordinator.open_session("alice", now_ms=0.0)
+        coordinator.submit(sid, Q_AVG, now_ms=1.0)
+        shards = coordinator.shard_services()
+
+        def tier1():
+            return [(s.optimizer.qids.next_value, s.optimizer.table.to_dict())
+                    for s in shards]
+
+        before = tier1()
+        assert len(coordinator.explain(Q_GLOBAL, session_id=sid).shards) == 2
+        coordinator.explain(Q_AVG)  # a root dedup hit
+        assert tier1() == before
+
 
 class TestSessions:
     def test_close_session_cascades_to_shards(self):
@@ -261,21 +276,19 @@ class TestLateSubscriber:
 class TestRecovery:
     def test_root_wal_restores_sessions_and_anchors(self, tmp_path):
         """Root-WAL recovery: no orphans, no re-adoption, no re-fanning."""
-        with fresh_qids():
-            partition = FieldPartition(8, 2)
-            coordinator = ClusterCoordinator(
-                make_backends(2), partition=partition,
-                durability_dir=tmp_path)
-            sid = coordinator.open_session("alice", now_ms=0.0)
-            fanout = coordinator.submit(sid, Q_GLOBAL, now_ms=1.0)
-            local = coordinator.submit(sid, Q_BAND0, now_ms=2.0)
-            fan_key = fanout.fan_key
+        partition = FieldPartition(8, 2)
+        coordinator = ClusterCoordinator(
+            make_backends(2), partition=partition,
+            durability_dir=tmp_path)
+        sid = coordinator.open_session("alice", now_ms=0.0)
+        fanout = coordinator.submit(sid, Q_GLOBAL, now_ms=1.0)
+        local = coordinator.submit(sid, Q_BAND0, now_ms=2.0)
+        fan_key = fanout.fan_key
 
         # Crash: the root rebuilds from its own WAL; the tenant session
         # and its anchor refcount come back, so nothing is orphaned.
-        with fresh_qids():
-            recovered = ClusterCoordinator.recover(
-                make_backends(2), tmp_path, partition=FieldPartition(8, 2))
+        recovered = ClusterCoordinator.recover(
+            make_backends(2), tmp_path, partition=FieldPartition(8, 2))
         assert recovered.orphan_anchors() == []
         assert recovered.stats().sessions_open == 1
         assert recovered.stats().live_anchors == 1
@@ -307,22 +320,21 @@ class TestRecovery:
         """No root journal, no recovery — and the refusal writes nothing."""
         import shutil
 
-        with fresh_qids():
-            coordinator = ClusterCoordinator(
-                make_backends(2), partition=FieldPartition(8, 2),
-                durability_dir=tmp_path)
-            sid = coordinator.open_session("alice", now_ms=0.0)
-            coordinator.submit(sid, Q_GLOBAL, now_ms=1.0)
-            for service in coordinator.shard_services():
-                service.simulate_crash()
-            coordinator.simulate_crash()
+        coordinator = ClusterCoordinator(
+            make_backends(2), partition=FieldPartition(8, 2),
+            durability_dir=tmp_path)
+        sid = coordinator.open_session("alice", now_ms=0.0)
+        coordinator.submit(sid, Q_GLOBAL, now_ms=1.0)
+        for service in coordinator.shard_services():
+            service.simulate_crash()
+        coordinator.simulate_crash()
         shutil.rmtree(tmp_path / "root")
         shard_files = sorted(p for p in tmp_path.glob("shard-*/*")
                              if p.name in ("wal.jsonl", "snapshot.json"))
         assert shard_files
         before = {p: p.read_bytes() for p in shard_files}
 
-        with fresh_qids(), pytest.raises(ValueError, match="root"):
+        with pytest.raises(ValueError, match="root"):
             ClusterCoordinator.recover(
                 make_backends(2), tmp_path, partition=FieldPartition(8, 2))
         # Refused before any shard recovered: not one byte moved.
@@ -334,15 +346,13 @@ class TestRecovery:
 
     def test_boot_record_is_not_counted_stale(self, tmp_path):
         """Regression: root replay skipped the boot record as *stale*."""
-        with fresh_qids():
-            coordinator = ClusterCoordinator(
-                make_backends(2), partition=FieldPartition(8, 2),
-                durability_dir=tmp_path)
-            sid = coordinator.open_session("alice", now_ms=0.0)
-            coordinator.submit(sid, Q_GLOBAL, now_ms=1.0)
-        with fresh_qids():
-            recovered = ClusterCoordinator.recover(
-                make_backends(2), tmp_path, partition=FieldPartition(8, 2))
+        coordinator = ClusterCoordinator(
+            make_backends(2), partition=FieldPartition(8, 2),
+            durability_dir=tmp_path)
+        sid = coordinator.open_session("alice", now_ms=0.0)
+        coordinator.submit(sid, Q_GLOBAL, now_ms=1.0)
+        recovered = ClusterCoordinator.recover(
+            make_backends(2), tmp_path, partition=FieldPartition(8, 2))
         report = recovered.last_root_recovery
         assert report.stale_ops == 0
         assert report.replay_errors == 0
@@ -354,28 +364,26 @@ class TestRecovery:
                                                     monkeypatch):
         """Regression: a crash between the root's close record and the
         shard-side release left the tenant's local query running."""
-        with fresh_qids():
-            coordinator = ClusterCoordinator(
-                make_backends(2), partition=FieldPartition(8, 2),
-                durability_dir=tmp_path)
-            sid = coordinator.open_session("alice", now_ms=0.0)
-            coordinator.submit(sid, Q_BAND0, now_ms=1.0)
+        coordinator = ClusterCoordinator(
+            make_backends(2), partition=FieldPartition(8, 2),
+            durability_dir=tmp_path)
+        sid = coordinator.open_session("alice", now_ms=0.0)
+        coordinator.submit(sid, Q_BAND0, now_ms=1.0)
 
-            def killed(*args):
-                raise RuntimeError("killed after the close record")
+        def killed(*args):
+            raise RuntimeError("killed after the close record")
 
-            monkeypatch.setattr(coordinator, "_release_session", killed)
-            with pytest.raises(RuntimeError):
-                coordinator.close_session(sid, now_ms=2.0)
-            for service in coordinator.shard_services():
-                service.simulate_crash()
-            coordinator.simulate_crash()
+        monkeypatch.setattr(coordinator, "_release_session", killed)
+        with pytest.raises(RuntimeError):
+            coordinator.close_session(sid, now_ms=2.0)
+        for service in coordinator.shard_services():
+            service.simulate_crash()
+        coordinator.simulate_crash()
         assert len([t for s in coordinator.shard_services()
                     for t in s.live_tickets()]) == 1
 
-        with fresh_qids():
-            recovered = ClusterCoordinator.recover(
-                make_backends(2), tmp_path, partition=FieldPartition(8, 2))
+        recovered = ClusterCoordinator.recover(
+            make_backends(2), tmp_path, partition=FieldPartition(8, 2))
         assert recovered.last_root_recovery.zombies_aborted == 1
         for service in recovered.shard_services():
             assert service.live_tickets() == []
@@ -386,28 +394,26 @@ class TestRecovery:
     def test_stale_root_wal_window_is_skipped_not_reapplied(self, tmp_path):
         """Kill between the root snapshot save and the WAL rotation."""
         def _run(directory, interrupted):
-            with fresh_qids():
-                coordinator = ClusterCoordinator(
-                    make_backends(2), partition=FieldPartition(8, 2),
-                    durability_dir=directory)
-                sids = [coordinator.open_session(f"t{i}", now_ms=0.0)
-                        for i in range(2)]
-                first = coordinator.submit(sids[0], Q_GLOBAL, now_ms=1.0)
-                coordinator.submit(sids[1], Q_GLOBAL, now_ms=2.0)
-                coordinator.submit(sids[0], Q_BAND0, now_ms=3.0)
-                coordinator.terminate(sids[0], first.ticket_id, now_ms=4.0)
-                wal = directory / "root" / "wal.jsonl"
-                stale_wal = wal.read_bytes()
-                coordinator.snapshot(now_ms=5.0)  # save, then rotate
-                if interrupted:
-                    wal.write_bytes(stale_wal)  # undo the rotation only
-                for service in coordinator.shard_services():
-                    service.simulate_crash()
-                coordinator.simulate_crash()
-            with fresh_qids():
-                recovered = ClusterCoordinator.recover(
-                    make_backends(2), directory,
-                    partition=FieldPartition(8, 2))
+            coordinator = ClusterCoordinator(
+                make_backends(2), partition=FieldPartition(8, 2),
+                durability_dir=directory)
+            sids = [coordinator.open_session(f"t{i}", now_ms=0.0)
+                    for i in range(2)]
+            first = coordinator.submit(sids[0], Q_GLOBAL, now_ms=1.0)
+            coordinator.submit(sids[1], Q_GLOBAL, now_ms=2.0)
+            coordinator.submit(sids[0], Q_BAND0, now_ms=3.0)
+            coordinator.terminate(sids[0], first.ticket_id, now_ms=4.0)
+            wal = directory / "root" / "wal.jsonl"
+            stale_wal = wal.read_bytes()
+            coordinator.snapshot(now_ms=5.0)  # save, then rotate
+            if interrupted:
+                wal.write_bytes(stale_wal)  # undo the rotation only
+            for service in coordinator.shard_services():
+                service.simulate_crash()
+            coordinator.simulate_crash()
+            recovered = ClusterCoordinator.recover(
+                make_backends(2), directory,
+                partition=FieldPartition(8, 2))
             recovered.validate()
             assert recovered.orphan_anchors() == []
             state = recovered._root_snapshot_state(0.0)
@@ -439,36 +445,33 @@ class TestRecovery:
                 service.simulate_crash()
             coordinator.simulate_crash()
 
-        with fresh_qids():
-            coordinator = ClusterCoordinator(
-                make_backends(2), partition=FieldPartition(8, 2),
-                durability_dir=tmp_path)
-            sids = [coordinator.open_session(f"t{i}", now_ms=0.0)
-                    for i in range(2)]
-            first = coordinator.submit(sids[0], Q_GLOBAL, now_ms=1.0)
-            coordinator.submit(sids[1], Q_GLOBAL, now_ms=2.0)
-            coordinator.submit(sids[0], Q_BAND0, now_ms=3.0)
-            coordinator.terminate(sids[0], first.ticket_id, now_ms=4.0)
+        coordinator = ClusterCoordinator(
+            make_backends(2), partition=FieldPartition(8, 2),
+            durability_dir=tmp_path)
+        sids = [coordinator.open_session(f"t{i}", now_ms=0.0)
+                for i in range(2)]
+        first = coordinator.submit(sids[0], Q_GLOBAL, now_ms=1.0)
+        coordinator.submit(sids[1], Q_GLOBAL, now_ms=2.0)
+        coordinator.submit(sids[0], Q_BAND0, now_ms=3.0)
+        coordinator.terminate(sids[0], first.ticket_id, now_ms=4.0)
 
-        with fresh_qids():
-            once = ClusterCoordinator.recover(
-                make_backends(2), tmp_path, partition=FieldPartition(8, 2))
-            once.validate()
-            assert once.orphan_anchors() == []
-            assert once.abort_orphans(now_ms=10.0) == 0
-            assert once.ticket(first.ticket_id).terminated
-            state_once = _capture(once)
-            _crash(once)
+        once = ClusterCoordinator.recover(
+            make_backends(2), tmp_path, partition=FieldPartition(8, 2))
+        once.validate()
+        assert once.orphan_anchors() == []
+        assert once.abort_orphans(now_ms=10.0) == 0
+        assert once.ticket(first.ticket_id).terminated
+        state_once = _capture(once)
+        _crash(once)
 
-        with fresh_qids():
-            twice = ClusterCoordinator.recover(
-                make_backends(2), tmp_path, partition=FieldPartition(8, 2))
-            twice.validate()
-            assert twice.orphan_anchors() == []
-            state_twice = _capture(twice)
-            # Reaping when there is nothing to reap changes nothing.
-            assert twice.abort_orphans(now_ms=20.0) == 0
-            assert _capture(twice) == state_twice
+        twice = ClusterCoordinator.recover(
+            make_backends(2), tmp_path, partition=FieldPartition(8, 2))
+        twice.validate()
+        assert twice.orphan_anchors() == []
+        state_twice = _capture(twice)
+        # Reaping when there is nothing to reap changes nothing.
+        assert twice.abort_orphans(now_ms=20.0) == 0
+        assert _capture(twice) == state_twice
         assert state_once == state_twice
 
     def test_terminate_racing_shard_outage_releases_refcount_once(
@@ -478,36 +481,35 @@ class TestRecovery:
         and retried, the root bookkeeping is released exactly once."""
         from repro.service import QueryService
 
-        with fresh_qids():
-            coordinator = ClusterCoordinator(
-                make_backends(2), partition=FieldPartition(8, 2),
-                durability_dir=tmp_path)
-            sids = [coordinator.open_session(f"t{i}", now_ms=0.0)
-                    for i in range(2)]
-            first = coordinator.submit(sids[0], Q_GLOBAL, now_ms=1.0)
-            second = coordinator.submit(sids[1], Q_GLOBAL, now_ms=2.0)
+        coordinator = ClusterCoordinator(
+            make_backends(2), partition=FieldPartition(8, 2),
+            durability_dir=tmp_path)
+        sids = [coordinator.open_session(f"t{i}", now_ms=0.0)
+                for i in range(2)]
+        first = coordinator.submit(sids[0], Q_GLOBAL, now_ms=1.0)
+        second = coordinator.submit(sids[1], Q_GLOBAL, now_ms=2.0)
 
-            # Shard 1 dies; both holders terminate during the outage.
-            coordinator.shard_services()[1].simulate_crash()
-            coordinator.terminate(sids[0], first.ticket_id, now_ms=3.0)
-            coordinator.terminate(sids[1], second.ticket_id, now_ms=4.0)
-            assert first.status is TicketStatus.TERMINATED
-            assert second.status is TicketStatus.TERMINATED
-            # Released exactly once each: the anchor is gone, nothing
-            # leaked, even though shard 1 never saw its terminate.
-            assert coordinator.stats().live_anchors == 0
-            assert coordinator.orphan_anchors() == []
-            assert 1 in coordinator.down_shards
-            coordinator.validate()
+        # Shard 1 dies; both holders terminate during the outage.
+        coordinator.shard_services()[1].simulate_crash()
+        coordinator.terminate(sids[0], first.ticket_id, now_ms=3.0)
+        coordinator.terminate(sids[1], second.ticket_id, now_ms=4.0)
+        assert first.status is TicketStatus.TERMINATED
+        assert second.status is TicketStatus.TERMINATED
+        # Released exactly once each: the anchor is gone, nothing
+        # leaked, even though shard 1 never saw its terminate.
+        assert coordinator.stats().live_anchors == 0
+        assert coordinator.orphan_anchors() == []
+        assert 1 in coordinator.down_shards
+        coordinator.validate()
 
-            # Heal: the queued shard-side terminate drains exactly once.
-            replacement = QueryService.recover(
-                coordinator.shard_backends()[1], tmp_path / "shard-01")
-            coordinator.replace_shard_service(1, replacement, now_ms=5.0)
-            assert not coordinator.down_shards
-            for service in coordinator.shard_services():
-                assert service.live_tickets() == []
-            coordinator.validate()
+        # Heal: the queued shard-side terminate drains exactly once.
+        replacement = QueryService.recover(
+            coordinator.shard_backends()[1], tmp_path / "shard-01")
+        coordinator.replace_shard_service(1, replacement, now_ms=5.0)
+        assert not coordinator.down_shards
+        for service in coordinator.shard_services():
+            assert service.live_tickets() == []
+        coordinator.validate()
 
     def test_fanout_healed_after_an_outage_survives_a_root_crash(
             self, tmp_path):
@@ -515,27 +517,25 @@ class TestRecovery:
         back: both subtickets are linked after a root crash."""
         from repro.service import QueryService
 
-        with fresh_qids():
-            coordinator = ClusterCoordinator(
-                make_backends(2), partition=FieldPartition(8, 2),
-                durability_dir=tmp_path)
-            sid = coordinator.open_session("alice", now_ms=0.0)
-            coordinator.shard_services()[1].simulate_crash()
-            fanout = coordinator.submit(sid, Q_GLOBAL, now_ms=1.0)
-            assert coordinator.down_shards == (1,)
-            assert len(fanout.shard_tickets) == 1
-            replacement = QueryService.recover(
-                coordinator.shard_backends()[1], tmp_path / "shard-01")
-            coordinator.replace_shard_service(1, replacement, now_ms=2.0)
-            assert len(fanout.shard_tickets) == 2
-            _crash(coordinator)
+        coordinator = ClusterCoordinator(
+            make_backends(2), partition=FieldPartition(8, 2),
+            durability_dir=tmp_path)
+        sid = coordinator.open_session("alice", now_ms=0.0)
+        coordinator.shard_services()[1].simulate_crash()
+        fanout = coordinator.submit(sid, Q_GLOBAL, now_ms=1.0)
+        assert coordinator.down_shards == (1,)
+        assert len(fanout.shard_tickets) == 1
+        replacement = QueryService.recover(
+            coordinator.shard_backends()[1], tmp_path / "shard-01")
+        coordinator.replace_shard_service(1, replacement, now_ms=2.0)
+        assert len(fanout.shard_tickets) == 2
+        _crash(coordinator)
         ops = [json.loads(line.split(" ", 1)[1])["op"] for line in
                (tmp_path / "root" / "wal.jsonl").read_text().splitlines()]
         assert ops[-1] == "fanout_sub"
 
-        with fresh_qids():
-            recovered = ClusterCoordinator.recover(
-                make_backends(2), tmp_path, partition=FieldPartition(8, 2))
+        recovered = ClusterCoordinator.recover(
+            make_backends(2), tmp_path, partition=FieldPartition(8, 2))
         recovered.validate()
         assert recovered.orphan_anchors() == []
         ticket = recovered.ticket(fanout.ticket_id)
@@ -564,39 +564,36 @@ class TestRecovery:
 
         backends = make_backends(2)
         backends[1] = RejectsLight(backends[1].optimizer)
-        with fresh_qids():
-            coordinator = ClusterCoordinator(
-                backends, partition=FieldPartition(8, 2),
-                durability_dir=tmp_path)
-            sid = coordinator.open_session("alice", now_ms=0.0)
-            fanout = coordinator.submit(sid, Q_GLOBAL, now_ms=1.0)
-            assert fanout.status is TicketStatus.FAILED
-            for i in range(RETIRED_RING_SIZE + 1):
-                local = coordinator.submit(sid, Q_BAND1, now_ms=2.0 + i)
-                assert local.targets == (1,)
-                coordinator.terminate(sid, local.ticket_id, now_ms=2.0 + i)
-            coordinator.shard_services()[1].simulate_crash()
-            submitted = coordinator.stats().fanout_subqueries
-            replacement = QueryService.recover(
-                coordinator.shard_backends()[1], tmp_path / "shard-01")
-            coordinator.replace_shard_service(1, replacement, now_ms=500.0)
-            assert coordinator.stats().fanout_subqueries == submitted
-            assert fanout.status is TicketStatus.FAILED
-            coordinator.validate()
-            _crash(coordinator)
+        coordinator = ClusterCoordinator(
+            backends, partition=FieldPartition(8, 2),
+            durability_dir=tmp_path)
+        sid = coordinator.open_session("alice", now_ms=0.0)
+        fanout = coordinator.submit(sid, Q_GLOBAL, now_ms=1.0)
+        assert fanout.status is TicketStatus.FAILED
+        for i in range(RETIRED_RING_SIZE + 1):
+            local = coordinator.submit(sid, Q_BAND1, now_ms=2.0 + i)
+            assert local.targets == (1,)
+            coordinator.terminate(sid, local.ticket_id, now_ms=2.0 + i)
+        coordinator.shard_services()[1].simulate_crash()
+        submitted = coordinator.stats().fanout_subqueries
+        replacement = QueryService.recover(
+            coordinator.shard_backends()[1], tmp_path / "shard-01")
+        coordinator.replace_shard_service(1, replacement, now_ms=500.0)
+        assert coordinator.stats().fanout_subqueries == submitted
+        assert fanout.status is TicketStatus.FAILED
+        coordinator.validate()
+        _crash(coordinator)
 
     def test_abort_orphans_is_replayed(self, tmp_path):
         """An ``abort_orphans`` record drops the anchor again on replay."""
         key = _orphan_directory(tmp_path)
-        with fresh_qids():
-            coordinator = ClusterCoordinator.recover(
-                make_backends(2), tmp_path, partition=FieldPartition(8, 2))
-            assert coordinator.orphan_anchors() == [key]
-            assert coordinator.abort_orphans(now_ms=3.0) == 1
-            _crash(coordinator)
-        with fresh_qids():
-            recovered = ClusterCoordinator.recover(
-                make_backends(2), tmp_path, partition=FieldPartition(8, 2))
+        coordinator = ClusterCoordinator.recover(
+            make_backends(2), tmp_path, partition=FieldPartition(8, 2))
+        assert coordinator.orphan_anchors() == [key]
+        assert coordinator.abort_orphans(now_ms=3.0) == 1
+        _crash(coordinator)
+        recovered = ClusterCoordinator.recover(
+            make_backends(2), tmp_path, partition=FieldPartition(8, 2))
         assert recovered.last_root_recovery.replayed_ops == 1
         assert recovered.orphan_anchors() == []
         assert recovered.stats().live_anchors == 0
@@ -621,12 +618,11 @@ class TestRecovery:
             state.pop("op_seq")
             return state
 
-        with fresh_qids():
-            live = ClusterCoordinator.recover(
-                make_backends(2), tmp_path / "live",
-                partition=FieldPartition(8, 2))
-            assert live.orphan_anchors() == [key]
-            live.shutdown(now_ms=3.0)
+        live = ClusterCoordinator.recover(
+            make_backends(2), tmp_path / "live",
+            partition=FieldPartition(8, 2))
+        assert live.orphan_anchors() == [key]
+        live.shutdown(now_ms=3.0)
         assert live.orphan_anchors() == []
         assert live.stats().live_anchors == 0
         for service in live.shard_services():
@@ -635,19 +631,17 @@ class TestRecovery:
         def killed(*args, **kwargs):
             raise RuntimeError("killed after the shutdown record")
 
-        with fresh_qids():
-            doomed = ClusterCoordinator.recover(
-                make_backends(2), tmp_path / "replayed",
-                partition=FieldPartition(8, 2))
-            with monkeypatch.context() as patch:
-                patch.setattr(QueryService, "shutdown", killed)
-                with pytest.raises(RuntimeError):
-                    doomed.shutdown(now_ms=3.0)
-            _crash(doomed)
-        with fresh_qids():
-            replayed = ClusterCoordinator.recover(
-                make_backends(2), tmp_path / "replayed",
-                partition=FieldPartition(8, 2))
+        doomed = ClusterCoordinator.recover(
+            make_backends(2), tmp_path / "replayed",
+            partition=FieldPartition(8, 2))
+        with monkeypatch.context() as patch:
+            patch.setattr(QueryService, "shutdown", killed)
+            with pytest.raises(RuntimeError):
+                doomed.shutdown(now_ms=3.0)
+        _crash(doomed)
+        replayed = ClusterCoordinator.recover(
+            make_backends(2), tmp_path / "replayed",
+            partition=FieldPartition(8, 2))
         assert replayed.last_root_recovery.replayed_ops == 1
         assert replayed.orphan_anchors() == []
         assert _state(replayed) == _state(live)
@@ -664,14 +658,13 @@ def _orphan_directory(directory):
     """A crashed cluster whose root snapshot holds one fan-out anchor that
     no live ticket claims (an older coordinator could leave one); its
     shard subqueries still run.  Returns the anchor's key."""
-    with fresh_qids():
-        coordinator = ClusterCoordinator(
-            make_backends(2), partition=FieldPartition(8, 2),
-            durability_dir=directory)
-        sid = coordinator.open_session("alice", now_ms=0.0)
-        key = coordinator.submit(sid, Q_GLOBAL, now_ms=1.0).fan_key
-        coordinator.snapshot(now_ms=2.0)
-        _crash(coordinator)
+    coordinator = ClusterCoordinator(
+        make_backends(2), partition=FieldPartition(8, 2),
+        durability_dir=directory)
+    sid = coordinator.open_session("alice", now_ms=0.0)
+    key = coordinator.submit(sid, Q_GLOBAL, now_ms=1.0).fan_key
+    coordinator.snapshot(now_ms=2.0)
+    _crash(coordinator)
     path = directory / "root" / "snapshot.json"
     state = json.loads(path.read_text())
     for ticket in state["tickets"]:

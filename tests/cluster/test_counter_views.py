@@ -26,7 +26,6 @@ from repro.core.basestation import BaseStationOptimizer
 from repro.harness import Deployment, DeploymentConfig, Strategy
 from repro.harness.tier1_sim import default_cost_model
 from repro.obs import scoped
-from repro.queries.ast import fresh_qids
 from repro.service import OptimizerBackend, QueryService, durability
 from repro.sim import GilbertElliottParams, RadioParams
 
@@ -76,7 +75,7 @@ def test_each_shard_counts_only_its_own_wal_records(tmp_path, monkeypatch):
         appended[self.path.parent.name] += 1
 
     monkeypatch.setattr(durability.WriteAheadLog, "append", counting)
-    with scoped() as registry, fresh_qids():
+    with scoped() as registry:
         coordinator = ClusterCoordinator(
             _backends(), partition=FieldPartition(8, 2),
             durability_dir=tmp_path)
@@ -92,7 +91,7 @@ def test_each_shard_counts_only_its_own_wal_records(tmp_path, monkeypatch):
 def test_unnamed_services_handed_in_count_their_own_admissions():
     """Built as the cluster benchmark builds them: unnamed services over
     one deployment per region, named by the coordinator."""
-    with scoped() as registry, fresh_qids():
+    with scoped() as registry:
         partition = FieldPartition(4, 2, quality_seed=1)
         deployments = [
             Deployment(Strategy.TTMQO, DeploymentConfig(side=4, seed=1),
@@ -124,7 +123,7 @@ def test_each_shard_reports_its_own_deployments_recovery_tally(monkeypatch):
         cluster_deployment, "DeploymentConfig",
         partial(DeploymentConfig,
                 radio_params=RadioParams(burst=HARSH_FADES)))
-    with scoped() as registry, fresh_qids():
+    with scoped() as registry:
         cluster = ClusterDeployment(FieldPartition(6, 2, quality_seed=3),
                                     seed=3)
         coordinator = cluster.coordinator
@@ -146,7 +145,7 @@ def test_each_shard_reports_its_own_deployments_recovery_tally(monkeypatch):
 
 def test_a_recovered_shard_takes_its_series_with_its_name(tmp_path):
     clock = {"t": 0.0}
-    with scoped() as registry, fresh_qids():
+    with scoped() as registry:
         coordinator = ClusterCoordinator(
             _backends(), partition=FieldPartition(8, 2),
             clock=lambda: clock["t"], durability_dir=tmp_path)

@@ -16,7 +16,6 @@ from repro.cluster import (
 )
 from repro.core.basestation import BaseStationOptimizer
 from repro.harness.tier1_sim import default_cost_model
-from repro.queries.ast import fresh_qids
 from repro.service import OptimizerBackend, QueryService
 
 Q_GLOBAL = "SELECT light FROM sensors WHERE light > 300 EPOCH DURATION 4096"
@@ -47,69 +46,66 @@ def make_supervised(tmp_path, clock, *, backends=None, config=None,
 class TestDetection:
     def test_healthy_shards_never_alarm(self, tmp_path):
         clock = {"t": 0.0}
-        with fresh_qids():
-            coordinator, supervisor = make_supervised(tmp_path, clock)
-            for step in range(10):
-                clock["t"] = step * 50.0
-                assert supervisor.poll() == []
-            assert supervisor.incidents == []
-            assert not coordinator.down_shards
-            # The wall-clock thread is that loop on a timer; stop() ends it.
-            supervisor.start()
-            thread = supervisor._thread
-            supervisor.stop()
-            assert not thread.is_alive()
-            assert supervisor.incidents == []
+        coordinator, supervisor = make_supervised(tmp_path, clock)
+        for step in range(10):
+            clock["t"] = step * 50.0
+            assert supervisor.poll() == []
+        assert supervisor.incidents == []
+        assert not coordinator.down_shards
+        # The wall-clock thread is that loop on a timer; stop() ends it.
+        supervisor.start()
+        thread = supervisor._thread
+        supervisor.stop()
+        assert not thread.is_alive()
+        assert supervisor.incidents == []
 
     def test_detects_only_after_the_deadline(self, tmp_path):
         clock = {"t": 0.0}
-        with fresh_qids():
-            coordinator, supervisor = make_supervised(tmp_path, clock)
-            supervisor.poll()  # last_ok = 0 for both shards
-            coordinator.shard_services()[1].simulate_crash()
-            clock["t"] = 50.0
-            assert supervisor.poll() == []  # within the grace deadline
-            assert not coordinator.down_shards
-            clock["t"] = 150.0
-            detected = supervisor.poll()
-            assert [i.shard_id for i in detected] == [1]
-            assert detected[0].time_to_detect_ms == 150.0
-            assert coordinator.down_shards == (1,)
+        coordinator, supervisor = make_supervised(tmp_path, clock)
+        supervisor.poll()  # last_ok = 0 for both shards
+        coordinator.shard_services()[1].simulate_crash()
+        clock["t"] = 50.0
+        assert supervisor.poll() == []  # within the grace deadline
+        assert not coordinator.down_shards
+        clock["t"] = 150.0
+        detected = supervisor.poll()
+        assert [i.shard_id for i in detected] == [1]
+        assert detected[0].time_to_detect_ms == 150.0
+        assert coordinator.down_shards == (1,)
 
 
 class TestRecovery:
     def test_restarts_from_shard_wal_and_heals_fanout(self, tmp_path):
         clock = {"t": 0.0}
-        with fresh_qids():
-            coordinator, supervisor = make_supervised(tmp_path, clock)
-            sid = coordinator.open_session("alice", now_ms=0.0)
-            fanout = coordinator.submit(sid, Q_GLOBAL, now_ms=1.0)
-            supervisor.poll()
-            coordinator.shard_services()[1].simulate_crash()
+        coordinator, supervisor = make_supervised(tmp_path, clock)
+        sid = coordinator.open_session("alice", now_ms=0.0)
+        fanout = coordinator.submit(sid, Q_GLOBAL, now_ms=1.0)
+        supervisor.poll()
+        coordinator.shard_services()[1].simulate_crash()
 
-            clock["t"] = 150.0
-            assert len(supervisor.poll()) == 1  # detected, down-routed
-            with pytest.raises(ShardDownError):
-                coordinator.submit(sid, Q_BAND1, now_ms=151.0)
+        clock["t"] = 150.0
+        assert len(supervisor.poll()) == 1  # detected, down-routed
+        with pytest.raises(ShardDownError):
+            coordinator.submit(sid, Q_BAND1, now_ms=151.0)
 
-            clock["t"] = 210.0  # past detected + restart_backoff
-            supervisor.poll()
-            assert 1 in supervisor.recovered
-            assert not coordinator.down_shards
-            (incident,) = supervisor.incidents
-            assert incident.mode == "recover"
-            assert incident.time_to_detect_ms == 150.0
-            assert incident.time_to_recover_ms == 60.0
-            assert not incident.abandoned
+        clock["t"] = 210.0  # past detected + restart_backoff
+        supervisor.poll()
+        assert 1 in supervisor.recovered
+        assert not coordinator.down_shards
+        (incident,) = supervisor.incidents
+        assert incident.mode == "recover"
+        assert incident.time_to_detect_ms == 150.0
+        assert incident.time_to_recover_ms == 60.0
+        assert not incident.abandoned
 
-            # The healed shard serves again, and the fan-out anchor's
-            # subticket on it is live once more.
-            band = coordinator.submit(sid, Q_BAND1, now_ms=211.0)
-            assert band.targets == (1,)
-            assert not coordinator.ticket(fanout.ticket_id).terminated
-            assert len(
-                coordinator.shard_services()[1].live_tickets()) == 2
-            coordinator.validate()
+        # The healed shard serves again, and the fan-out anchor's
+        # subticket on it is live once more.
+        band = coordinator.submit(sid, Q_BAND1, now_ms=211.0)
+        assert band.targets == (1,)
+        assert not coordinator.ticket(fanout.ticket_id).terminated
+        assert len(
+            coordinator.shard_services()[1].live_tickets()) == 2
+        coordinator.validate()
 
     def test_backoff_doubles_then_abandons(self, tmp_path):
         clock = {"t": 0.0}
@@ -119,29 +115,28 @@ class TestRecovery:
             attempts.append(clock["t"])
             raise RuntimeError("still broken")
 
-        with fresh_qids():
-            coordinator, supervisor = make_supervised(
-                tmp_path, clock,
-                config=SupervisorConfig(deadline_ms=100.0,
-                                        restart_backoff_ms=50.0,
-                                        max_backoff_ms=1000.0,
-                                        max_restarts=3),
-                restarters={1: bad_restarter})
+        coordinator, supervisor = make_supervised(
+            tmp_path, clock,
+            config=SupervisorConfig(deadline_ms=100.0,
+                                    restart_backoff_ms=50.0,
+                                    max_backoff_ms=1000.0,
+                                    max_restarts=3),
+            restarters={1: bad_restarter})
+        supervisor.poll()
+        coordinator.shard_services()[1].simulate_crash()
+        for step in range(1, 200):
+            clock["t"] = step * 10.0
             supervisor.poll()
-            coordinator.shard_services()[1].simulate_crash()
-            for step in range(1, 200):
-                clock["t"] = step * 10.0
-                supervisor.poll()
-            assert len(attempts) == 3, "abandonment must stop the cycle"
-            # Detected at 100 (the deadline); attempts at +50, then
-            # +100, then +200 — exponential backoff, doubling.
-            assert attempts == [150.0, 250.0, 450.0]
-            (incident,) = supervisor.incidents
-            assert incident.abandoned
-            assert incident.attempts == 3
-            assert incident.recovered_ms is None
-            # The shard stays routed around, awaiting the operator.
-            assert coordinator.down_shards == (1,)
+        assert len(attempts) == 3, "abandonment must stop the cycle"
+        # Detected at 100 (the deadline); attempts at +50, then
+        # +100, then +200 — exponential backoff, doubling.
+        assert attempts == [150.0, 250.0, 450.0]
+        (incident,) = supervisor.incidents
+        assert incident.abandoned
+        assert incident.attempts == 3
+        assert incident.recovered_ms is None
+        # The shard stays routed around, awaiting the operator.
+        assert coordinator.down_shards == (1,)
 
     def test_standby_promotion_is_preferred(self, tmp_path):
         promoted = []
@@ -159,44 +154,42 @@ class TestRecovery:
                                             **kwargs)
 
         clock = {"t": 0.0}
-        with fresh_qids():
-            coordinator, supervisor = make_supervised(
-                tmp_path, clock,
-                standbys={1: StubStandby(tmp_path / "shard-01")})
-            sid = coordinator.open_session("alice", now_ms=0.0)
-            coordinator.submit(sid, Q_GLOBAL, now_ms=1.0)
-            supervisor.poll()
-            coordinator.shard_services()[1].simulate_crash()
-            clock["t"] = 150.0
-            supervisor.poll()
-            clock["t"] = 210.0
-            supervisor.poll()
-            assert promoted == [tmp_path / "shard-01"]
-            (incident,) = supervisor.incidents
-            assert incident.mode == "promote"
-            assert not coordinator.down_shards
-            coordinator.validate()
+        coordinator, supervisor = make_supervised(
+            tmp_path, clock,
+            standbys={1: StubStandby(tmp_path / "shard-01")})
+        sid = coordinator.open_session("alice", now_ms=0.0)
+        coordinator.submit(sid, Q_GLOBAL, now_ms=1.0)
+        supervisor.poll()
+        coordinator.shard_services()[1].simulate_crash()
+        clock["t"] = 150.0
+        supervisor.poll()
+        clock["t"] = 210.0
+        supervisor.poll()
+        assert promoted == [tmp_path / "shard-01"]
+        (incident,) = supervisor.incidents
+        assert incident.mode == "promote"
+        assert not coordinator.down_shards
+        coordinator.validate()
 
     def test_external_heal_closes_the_incident(self, tmp_path):
         clock = {"t": 0.0}
-        with fresh_qids():
-            coordinator, supervisor = make_supervised(tmp_path, clock)
-            supervisor.poll()
-            coordinator.shard_services()[1].simulate_crash()
-            clock["t"] = 150.0
-            assert len(supervisor.poll()) == 1
-            # An operator replaces the shard behind the supervisor's
-            # back; the next poll sees a healthy probe and closes the
-            # incident instead of restarting anything.
-            replacement = QueryService.recover(
-                coordinator.shard_backends()[1], tmp_path / "shard-01")
-            coordinator.replace_shard_service(1, replacement,
-                                              now_ms=160.0)
-            clock["t"] = 170.0
-            supervisor.poll()
-            (incident,) = supervisor.incidents
-            assert incident.mode == "external"
-            assert incident.recovered_ms == 170.0
+        coordinator, supervisor = make_supervised(tmp_path, clock)
+        supervisor.poll()
+        coordinator.shard_services()[1].simulate_crash()
+        clock["t"] = 150.0
+        assert len(supervisor.poll()) == 1
+        # An operator replaces the shard behind the supervisor's
+        # back; the next poll sees a healthy probe and closes the
+        # incident instead of restarting anything.
+        replacement = QueryService.recover(
+            coordinator.shard_backends()[1], tmp_path / "shard-01")
+        coordinator.replace_shard_service(1, replacement,
+                                          now_ms=160.0)
+        clock["t"] = 170.0
+        supervisor.poll()
+        (incident,) = supervisor.incidents
+        assert incident.mode == "external"
+        assert incident.recovered_ms == 170.0
 
 
 class TestDegradedMerge:

@@ -22,13 +22,7 @@ from repro.core.basestation.query_table import (
 )
 from repro.core.basestation.rewriter import update_count
 from repro.core.qos import QoSClass, strongest
-from repro.queries.ast import (
-    Aggregate,
-    AggregateOp,
-    GroupBy,
-    Query,
-    fresh_qids,
-)
+from repro.queries.ast import Aggregate, AggregateOp, GroupBy, QidAllocator, Query
 from repro.queries.predicates import Interval, PredicateSet
 from repro.sensors.distributions import DistributionSet
 from repro.sensors.field import standard_attributes
@@ -88,7 +82,7 @@ def oracle_synthetic_benefit(record, cost_model):
     return individual - cost_model.cost(record.query)
 
 
-def oracle_terminate_query(user_qid, table, cost_model, alpha):
+def oracle_terminate_query(user_qid, table, cost_model, alpha, qids):
     record = table.synthetic_for(user_qid)
     user = table.remove_user(user_qid)
     old_benefit = oracle_synthetic_benefit(record, cost_model)
@@ -105,7 +99,7 @@ def oracle_terminate_query(user_qid, table, cost_model, alpha):
     for query in survivors:
         table.user[query.qid].synthetic_qid = None
     for query in survivors:
-        insert_query(query, {query.qid: query}, table, cost_model)
+        insert_query(query, {query.qid: query}, table, cost_model, qids)
 
 
 class OracleQoSRegistry:
@@ -150,7 +144,7 @@ class OracleOptimizer(BaseStationOptimizer):
     def terminate(self, user_qid):
         before = self._running_qids()
         oracle_terminate_query(user_qid, self.table, self.cost_model,
-                               self.alpha)
+                               self.alpha, self.qids)
         self.qos_registry.forget_user(user_qid)
         self.qos_registry.sync_with_table(self.table)
         return self._diff(before)
@@ -376,28 +370,30 @@ def workloads(draw, max_queries):
 def _replay(optimizer_cls, statistics, alpha, events, restore_at=None):
     """Everything observable from one replay, step by step."""
     trace = []
-    with fresh_qids(1000):
-        model = _cost_model(statistics)
-        optimizer = optimizer_cls(model, alpha)
-        for index, event in enumerate(events):
-            if index == restore_at:
-                state = json.loads(json.dumps(optimizer.snapshot_state()))
-                optimizer = optimizer_cls(model, alpha)
-                optimizer.restore_state(state)
-            if event[0] == "arrive":
-                trace.append(optimizer.register(event[1], qos=event[2]))
-            elif event[0] == "terminate":
-                trace.append(optimizer.terminate(event[1]))
-            else:
-                model.distributions.observe(event[1], event[2])
-            optimizer.table.validate()
-            trace.append(optimizer.snapshot_state())
-            trace.append(sorted(optimizer.qos_registry.reliable_qids()))
-            trace.append((optimizer.total_benefit(),
-                          optimizer.total_user_cost(),
-                          optimizer.total_synthetic_cost()))
-        trace.append({qid: optimizer.synthetic_history(qid)
-                      for qid in range(1, 40)})
+    model = _cost_model(statistics)
+    optimizer = optimizer_cls(model, alpha)
+    optimizer.qids = QidAllocator(1000)
+    for index, event in enumerate(events):
+        if index == restore_at:
+            state = json.loads(json.dumps(optimizer.snapshot_state()))
+            qids = optimizer.qids
+            optimizer = optimizer_cls(model, alpha)
+            optimizer.restore_state(state)
+            optimizer.qids = QidAllocator(qids.next_value)
+        if event[0] == "arrive":
+            trace.append(optimizer.register(event[1], qos=event[2]))
+        elif event[0] == "terminate":
+            trace.append(optimizer.terminate(event[1]))
+        else:
+            model.distributions.observe(event[1], event[2])
+        optimizer.table.validate()
+        trace.append(optimizer.snapshot_state())
+        trace.append(sorted(optimizer.qos_registry.reliable_qids()))
+        trace.append((optimizer.total_benefit(),
+                      optimizer.total_user_cost(),
+                      optimizer.total_synthetic_cost()))
+    trace.append({qid: optimizer.synthetic_history(qid)
+                  for qid in range(1, 40)})
     return trace
 
 

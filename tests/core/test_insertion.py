@@ -6,11 +6,15 @@ from repro.core.basestation.cost_model import CostModel, NetworkProfile
 from repro.core.basestation.insertion import insert_query
 from repro.core.basestation.query_table import QueryTable
 from repro.core.basestation.rewriter import beneficial, new_synthetic_record
-from repro.queries.ast import Aggregate, AggregateOp, Query
+from repro.queries.ast import Aggregate, AggregateOp, QidAllocator, Query
 from repro.queries.predicates import Interval, PredicateSet
 from repro.queries.semantics import covers
 from repro.sensors.distributions import DistributionSet
 from repro.sensors.field import standard_attributes
+
+
+#: Synthetic qids, clear of the user qids the tests build.
+QIDS = QidAllocator(1_000_000)
 
 
 def _light(lo, hi):
@@ -23,7 +27,7 @@ def _acq(lo, hi, epoch=4096):
 
 def _insert(table, model, query):
     table.add_user(query)
-    insert_query(query, {query.qid: query}, table, model)
+    insert_query(query, {query.qid: query}, table, model, QIDS)
     table.validate()
 
 
@@ -34,7 +38,7 @@ def model(paper_cost_model):
 
 class TestBeneficial:
     def test_cover_returns_exactly_one(self, model):
-        record = new_synthetic_record(_acq(0, 1000), {})
+        record = new_synthetic_record(_acq(0, 1000), {}, QIDS)
         assessment = beneficial(_acq(100, 500, 8192), record, model)
         assert assessment.rate == 1.0
         assert assessment.is_cover
@@ -42,17 +46,17 @@ class TestBeneficial:
     def test_incompatible_aggregations_minus_infinity(self, model):
         a = Query.aggregation([Aggregate(AggregateOp.MAX, "light")], _light(0, 600))
         b = Query.aggregation([Aggregate(AggregateOp.MAX, "light")], _light(0, 500))
-        record = new_synthetic_record(a, {})
+        record = new_synthetic_record(a, {}, QIDS)
         assert beneficial(b, record, model).rate == float("-inf")
 
     def test_real_merge_rate_strictly_below_one(self, model):
-        record = new_synthetic_record(_acq(100, 300), {})
+        record = new_synthetic_record(_acq(100, 300), {}, QIDS)
         assessment = beneficial(_acq(150, 500), record, model)
         assert 0.0 < assessment.rate < 1.0
         assert assessment.plan is not None
 
     def test_negative_rate_for_bad_merge(self, model):
-        record = new_synthetic_record(_acq(280, 600, 2048), {})
+        record = new_synthetic_record(_acq(280, 600, 2048), {}, QIDS)
         assert beneficial(_acq(100, 300, 4096), record, model).rate < 0
 
 

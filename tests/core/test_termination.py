@@ -5,8 +5,12 @@ import pytest
 from repro.core.basestation.insertion import insert_query
 from repro.core.basestation.query_table import QueryTable
 from repro.core.basestation.termination import synthetic_benefit, terminate_query
-from repro.queries.ast import Query
+from repro.queries.ast import QidAllocator, Query
 from repro.queries.predicates import Interval, PredicateSet
+
+
+#: Synthetic qids, clear of the user qids the tests build.
+QIDS = QidAllocator(1_000_000)
 
 
 def _light(lo, hi):
@@ -21,7 +25,7 @@ def _setup(model, queries):
     table = QueryTable()
     for q in queries:
         table.add_user(q)
-        insert_query(q, {q.qid: q}, table, model)
+        insert_query(q, {q.qid: q}, table, model, QIDS)
     table.validate()
     return table
 
@@ -30,14 +34,14 @@ class TestSimpleTermination:
     def test_last_member_kills_synthetic(self, paper_cost_model):
         q = _acq(100, 500)
         table = _setup(paper_cost_model, [q])
-        terminate_query(q.qid, table, paper_cost_model, alpha=0.6)
+        terminate_query(q.qid, table, paper_cost_model, alpha=0.6, qids=QIDS)
         assert table.synthetic == {}
         assert table.user == {}
 
     def test_unknown_query_raises(self, paper_cost_model):
         table = _setup(paper_cost_model, [])
         with pytest.raises(KeyError):
-            terminate_query(42, table, paper_cost_model, alpha=0.6)
+            terminate_query(42, table, paper_cost_model, alpha=0.6, qids=QIDS)
 
     def test_covered_member_leaves_silently(self, paper_cost_model):
         """Removing a query that required nothing unique never rebuilds."""
@@ -45,7 +49,7 @@ class TestSimpleTermination:
         narrow = _acq(200, 400, 8192)
         table = _setup(paper_cost_model, [wide, narrow])
         before = set(table.synthetic)
-        terminate_query(narrow.qid, table, paper_cost_model, alpha=0.0)
+        terminate_query(narrow.qid, table, paper_cost_model, alpha=0.0, qids=QIDS)
         assert set(table.synthetic) == before  # even with alpha=0
         table.validate()
 
@@ -62,7 +66,7 @@ class TestAlphaBranch:
         q_cheap, q_big, table = self._merged_pair(paper_cost_model)
         assert len(table.synthetic) == 1
         old_qid = next(iter(table.synthetic))
-        terminate_query(q_cheap.qid, table, paper_cost_model, alpha=0.0)
+        terminate_query(q_cheap.qid, table, paper_cost_model, alpha=0.0, qids=QIDS)
         # rebuild: the old synthetic is gone, a tight one replaces it
         assert old_qid not in table.synthetic
         assert len(table.synthetic) == 1
@@ -73,7 +77,7 @@ class TestAlphaBranch:
     def test_large_alpha_keeps_old_synthetic(self, paper_cost_model):
         q_cheap, q_big, table = self._merged_pair(paper_cost_model)
         old_qid = next(iter(table.synthetic))
-        terminate_query(q_cheap.qid, table, paper_cost_model, alpha=100.0)
+        terminate_query(q_cheap.qid, table, paper_cost_model, alpha=100.0, qids=QIDS)
         assert set(table.synthetic) == {old_qid}  # unchanged
         record = table.synthetic[old_qid]
         assert set(record.from_list) == {q_big.qid}
@@ -95,11 +99,12 @@ class TestAlphaBranch:
         keep_ids = set(keep_table.synthetic)
         first_user = min(keep_table.user)
         terminate_query(first_user, keep_table, paper_cost_model,
-                        alpha=ratio * 1.01)
+                        alpha=ratio * 1.01, qids=QIDS)
         assert set(keep_table.synthetic) == keep_ids
 
         # rebuild: alpha slightly below the ratio
-        terminate_query(q_cheap.qid, table, paper_cost_model, alpha=ratio * 0.99)
+        terminate_query(q_cheap.qid, table, paper_cost_model,
+                        alpha=ratio * 0.99, qids=QIDS)
         assert old_qid not in table.synthetic
 
 
@@ -112,7 +117,7 @@ class TestRebuildReinsertion:
         b = _acq(150, 500, 4096)
         c = _acq(120, 520, 2048)
         table = _setup(paper_cost_model, [a, b, c])
-        terminate_query(c.qid, table, paper_cost_model, alpha=0.0)
+        terminate_query(c.qid, table, paper_cost_model, alpha=0.0, qids=QIDS)
         # a and b alone are still a beneficial pair (the paper's example)
         assert len(table.synthetic) == 1
         record = next(iter(table.synthetic.values()))

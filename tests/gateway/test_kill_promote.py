@@ -21,7 +21,6 @@ import pytest
 from repro.core.basestation import BaseStationOptimizer
 from repro.gateway import GatewayClient, ProtocolError
 from repro.harness.tier1_sim import default_cost_model
-from repro.queries.ast import fresh_qids
 from repro.service import OptimizerBackend, QueryService, StandbyServer
 from repro.service.load import _QUERY_POOL
 
@@ -82,36 +81,34 @@ def test_sigkill_primary_loses_no_acknowledged_submission(tmp_path):
     # and the post-kill submits all failed.
     assert len(acked) >= n_before_kill
 
-    with fresh_qids():
-        promoted = standby.promote(make_backend())
-        try:
-            report = promoted.last_recovery
-            assert report is not None
-            assert report.replay_errors == 0
-            # THE acceptance bar: every acknowledged admission survived.
-            live = {t.ticket_id for t in promoted.live_tickets()}
-            for ticket_id, _text, status, _hit in acked:
-                if status == "live":
-                    assert ticket_id in live, \
-                        f"acked ticket {ticket_id} lost in promotion"
-            promoted_tickets = {
-                t.ticket_id: (t.status.value, t.cache_hit, t.anchor_qid)
-                for t in promoted.live_tickets()}
-        finally:
-            promoted.shutdown()
+    promoted = standby.promote(make_backend())
+    try:
+        report = promoted.last_recovery
+        assert report is not None
+        assert report.replay_errors == 0
+        # THE acceptance bar: every acknowledged admission survived.
+        live = {t.ticket_id for t in promoted.live_tickets()}
+        for ticket_id, _text, status, _hit in acked:
+            if status == "live":
+                assert ticket_id in live, \
+                    f"acked ticket {ticket_id} lost in promotion"
+        promoted_tickets = {
+            t.ticket_id: (t.status.value, t.cache_hit, t.anchor_qid)
+            for t in promoted.live_tickets()}
+    finally:
+        promoted.shutdown()
 
     # No-crash twin: the same submission sequence, same seed material,
     # no kill.  The promoted service may hold a superset of `acked` (the
     # record of an in-flight unacked submit can reach the standby before
     # the reply reaches the client), so compare the common acked prefix.
-    with fresh_qids():
-        twin = QueryService(make_backend(), batch_window_ms=0.0)
-        sid = twin.open_session("chaos-parent")
-        twin_tickets = {}
-        for step in range(len(acked)):
-            ticket = twin.submit(sid, _QUERY_POOL[step % 4])
-            twin_tickets[ticket.ticket_id] = (
-                ticket.status.value, ticket.cache_hit, ticket.anchor_qid)
+    twin = QueryService(make_backend(), batch_window_ms=0.0)
+    sid = twin.open_session("chaos-parent")
+    twin_tickets = {}
+    for step in range(len(acked)):
+        ticket = twin.submit(sid, _QUERY_POOL[step % 4])
+        twin_tickets[ticket.ticket_id] = (
+            ticket.status.value, ticket.cache_hit, ticket.anchor_qid)
     for ticket_id, _text, status, cache_hit in acked:
         assert twin_tickets[ticket_id][0] == status
         assert twin_tickets[ticket_id][1] == cache_hit
@@ -149,11 +146,10 @@ def test_kill_during_snapshot_rotation_window(tmp_path):
         child.kill()
         child.wait(timeout=30)
 
-    with fresh_qids():
-        promoted = standby.promote(make_backend())
-        try:
-            assert promoted.last_recovery.replay_errors == 0
-            live = {t.ticket_id for t in promoted.live_tickets()}
-            assert set(acked_live) <= live
-        finally:
-            promoted.shutdown()
+    promoted = standby.promote(make_backend())
+    try:
+        assert promoted.last_recovery.replay_errors == 0
+        live = {t.ticket_id for t in promoted.live_tickets()}
+        assert set(acked_live) <= live
+    finally:
+        promoted.shutdown()

@@ -14,7 +14,6 @@ from repro.harness.chaos import (
 )
 from repro.harness.parallel import _result_from_payload, _result_to_payload
 from repro.harness.strategies import Deployment, DeploymentConfig, Strategy
-from repro.queries.ast import fresh_qids
 from repro.service import DurabilityConfig, QueryService
 
 Q_LIGHT = "SELECT light FROM sensors WHERE light > 300 EPOCH DURATION 4096"
@@ -88,73 +87,70 @@ class TestReconciliation:
     def test_torn_submit_aborts_the_zombie_network_query(self, tmp_path):
         """A query whose submit record tore out of the WAL must not keep
         sampling the network: recovery's reconciliation aborts it."""
-        with fresh_qids():
-            deployment = self._deploy()
-            sim = deployment.sim
-            durability = DurabilityConfig(directory=str(tmp_path))
-            service = QueryService(deployment, clock=lambda: sim.now,
-                                   durability=durability)
+        deployment = self._deploy()
+        sim = deployment.sim
+        durability = DurabilityConfig(directory=str(tmp_path))
+        service = QueryService(deployment, clock=lambda: sim.now,
+                               durability=durability)
 
-            def _go() -> None:
-                sid = service.open_session("alice")
-                service.submit(sid, Q_LIGHT)
+        def _go() -> None:
+            sid = service.open_session("alice")
+            service.submit(sid, Q_LIGHT)
 
-            sim.engine.schedule_at(1000.0, _go)
-            sim.start()
-            sim.run_until(3000.0)
-            assert len(deployment.bs.running_queries()) == 1
-            service.simulate_crash()
+        sim.engine.schedule_at(1000.0, _go)
+        sim.start()
+        sim.run_until(3000.0)
+        assert len(deployment.bs.running_queries()) == 1
+        service.simulate_crash()
 
-            # Tear into the submit line: the WAL now ends mid-record.
-            wal = durability.wal_path
-            lines = wal.read_text().splitlines(keepends=True)
-            assert '"op":"submit"' in lines[-1]
-            wal.write_text("".join(lines[:-1]) + lines[-1][:20])
+        # Tear into the submit line: the WAL now ends mid-record.
+        wal = durability.wal_path
+        lines = wal.read_text().splitlines(keepends=True)
+        assert '"op":"submit"' in lines[-1]
+        wal.write_text("".join(lines[:-1]) + lines[-1][:20])
 
-            recovered = QueryService.recover(deployment, durability,
-                                             clock=lambda: sim.now)
-            report = recovered.last_recovery
-            assert report.torn_records == 1
-            assert report.zombies_aborted == 1
-            assert report.reinjected == 0
-            assert _zombie_count(deployment) == 0
-            assert recovered.live_tickets() == []
-            recovered.validate()
+        recovered = QueryService.recover(deployment, durability,
+                                         clock=lambda: sim.now)
+        report = recovered.last_recovery
+        assert report.torn_records == 1
+        assert report.zombies_aborted == 1
+        assert report.reinjected == 0
+        assert _zombie_count(deployment) == 0
+        assert recovered.live_tickets() == []
+        recovered.validate()
 
     def test_snapshot_restore_reinjects_into_a_fresh_network(self, tmp_path):
         """Restoring onto a network that never saw the dissemination
         (full base-station box swap) re-disseminates RUNNING queries."""
-        with fresh_qids():
-            deployment = self._deploy()
-            sim = deployment.sim
-            durability = DurabilityConfig(directory=str(tmp_path))
-            service = QueryService(deployment, clock=lambda: sim.now,
-                                   durability=durability)
+        deployment = self._deploy()
+        sim = deployment.sim
+        durability = DurabilityConfig(directory=str(tmp_path))
+        service = QueryService(deployment, clock=lambda: sim.now,
+                               durability=durability)
 
-            def _go() -> None:
-                sid = service.open_session("alice")
-                service.submit(sid, Q_LIGHT)
+        def _go() -> None:
+            sid = service.open_session("alice")
+            service.submit(sid, Q_LIGHT)
 
-            sim.engine.schedule_at(1000.0, _go)
-            sim.start()
-            sim.run_until(3000.0)
-            service.snapshot()  # covers the submit; WAL rotates empty
-            service.simulate_crash()
+        sim.engine.schedule_at(1000.0, _go)
+        sim.start()
+        sim.run_until(3000.0)
+        service.snapshot()  # covers the submit; WAL rotates empty
+        service.simulate_crash()
 
-        with fresh_qids():
-            replacement = self._deploy()
-            replacement.sim.start()
-            recovered = QueryService.recover(
-                replacement, durability,
-                clock=lambda: replacement.sim.now)
-            report = recovered.last_recovery
-            assert report.snapshot_loaded
-            assert report.replayed_ops == 0
-            assert report.reinjected == 1
-            assert report.zombies_aborted == 0
-            assert len(replacement.bs.running_queries()) == 1
-            assert _zombie_count(replacement) == 0
-            recovered.validate()
+        replacement = self._deploy()
+        replacement.sim.start()
+        recovered = QueryService.recover(
+            replacement, durability,
+            clock=lambda: replacement.sim.now)
+        report = recovered.last_recovery
+        assert report.snapshot_loaded
+        assert report.replayed_ops == 0
+        assert report.reinjected == 1
+        assert report.zombies_aborted == 0
+        assert len(replacement.bs.running_queries()) == 1
+        assert _zombie_count(replacement) == 0
+        recovered.validate()
 
 
 class TestSigkillMode:

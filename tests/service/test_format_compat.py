@@ -26,7 +26,6 @@ from pathlib import Path
 from repro.core.basestation import BaseStationOptimizer
 from repro.harness.tier1_sim import default_cost_model
 from repro.obs import scoped
-from repro.queries.ast import fresh_qids
 from repro.service import (
     DurabilityConfig,
     OptimizerBackend,
@@ -128,7 +127,7 @@ def write_state(directory):
 def golden_state():
     from tempfile import TemporaryDirectory
 
-    with TemporaryDirectory() as tmp, scoped(), fresh_qids():
+    with TemporaryDirectory() as tmp, scoped():
         directory = Path(tmp) / "service"
         expected = write_state(directory)
         files = {name: (directory / name).read_text(encoding="utf-8")
@@ -142,9 +141,8 @@ def _recover(tmp_path):
     directory.mkdir()
     for name, text in golden["files"].items():
         (directory / name).write_text(text, encoding="utf-8")
-    with fresh_qids():
-        service = QueryService.recover(_backend(), str(directory),
-                                       overload=OVERLOAD)
+    service = QueryService.recover(_backend(), str(directory),
+                                   overload=OVERLOAD)
     return golden, service
 
 

@@ -22,7 +22,6 @@ import pytest
 
 from repro.cluster.coordinator import ROOT_DIR_NAME
 from repro.obs import scoped
-from repro.queries.ast import fresh_qids
 from repro.service import durability
 
 from .test_journal_points import (
@@ -68,7 +67,7 @@ def journal_writes():
     """Each script's root writes, as the golden file holds them."""
     result = {}
     for name, script in SCRIPTS.items():
-        with tempfile.TemporaryDirectory() as tmp, scoped(), fresh_qids():
+        with tempfile.TemporaryDirectory() as tmp, scoped():
             with _root_writes() as writes:
                 coordinator = _new_cluster(Path(tmp) / "cluster")
                 apply = _cluster_apply(coordinator)

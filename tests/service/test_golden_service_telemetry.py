@@ -38,7 +38,6 @@ from repro.cluster import ClusterDeployment, FieldPartition
 from repro.core.qos import QoSClass
 from repro.harness import Deployment, DeploymentConfig, Strategy
 from repro.obs import scoped
-from repro.queries.ast import fresh_qids
 from repro.service import (
     DurabilityConfig,
     OverloadConfig,
@@ -95,7 +94,7 @@ def _service_script(directory):
         cost_weighted_shedding=True, submit_deadline_ms=500.0,
         breaker_failure_threshold=2, breaker_cooldown_ms=1e9)
     quotas = TenantQuotas(per_client={"mallory": 1e-6})
-    with scoped() as registry, fresh_qids():
+    with scoped() as registry:
         deployment = _FlakyDeployment(Strategy.TTMQO,
                                       DeploymentConfig(side=3, seed=5))
         sim = deployment.sim
@@ -148,7 +147,7 @@ def _service_script(directory):
         service.simulate_crash()
     with open(config.wal_path, "a", encoding="utf-8") as wal:
         wal.write('{"op": "submit", "sid"')                   # torn tail
-    with scoped(), fresh_qids():
+    with scoped():
         deployment = Deployment(Strategy.TTMQO,
                                 DeploymentConfig(side=3, seed=5))
         deployment.sim.start()
@@ -160,7 +159,7 @@ def _service_script(directory):
 
 
 def _cluster_script(directory):
-    with scoped() as registry, fresh_qids():
+    with scoped() as registry:
         cluster = ClusterDeployment(FieldPartition(4, 2, quality_seed=3),
                                     seed=3, durability_dir=directory)
         coordinator = cluster.coordinator

@@ -8,7 +8,6 @@ import threading
 
 import pytest
 
-from repro.queries.ast import fresh_qids
 from repro.service import DurabilityConfig, SnapshotStore, run_scripted_load
 
 TERMINAL = {"terminated", "expired", "failed", "shed"}
@@ -28,10 +27,9 @@ def _no_zombies(state_dir):
 
 class TestGracefulShutdown:
     def test_state_dir_run_ends_at_a_clean_recovery_point(self, tmp_path):
-        with fresh_qids():
-            report = run_scripted_load(
-                n_clients=10, n_unique=4, side=3, duration_s=12.0,
-                seed=4, state_dir=str(tmp_path))
+        report = run_scripted_load(
+            n_clients=10, n_unique=4, side=3, duration_s=12.0,
+            seed=4, state_dir=str(tmp_path))
         assert not report.interrupted
         assert report.shutdown_terminated > 0
         assert report.resilience is not None
@@ -49,10 +47,9 @@ class TestGracefulShutdown:
             0.5, lambda: os.kill(os.getpid(), signal.SIGINT))
         timer.start()
         try:
-            with fresh_qids():
-                report = run_scripted_load(
-                    n_clients=120, n_unique=6, side=4, duration_s=900.0,
-                    seed=4, state_dir=str(tmp_path), handle_signals=True)
+            report = run_scripted_load(
+                n_clients=120, n_unique=6, side=4, duration_s=900.0,
+                seed=4, state_dir=str(tmp_path), handle_signals=True)
         finally:
             timer.cancel()
         assert report.interrupted

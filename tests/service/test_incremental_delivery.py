@@ -21,7 +21,6 @@ from repro.core.basestation import BaseStationOptimizer
 from repro.core.basestation.result_mapper import MappedAggregates, MappedRow
 from repro.harness.tier1_sim import default_cost_model
 from repro.obs import scoped
-from repro.queries.ast import fresh_qids
 from repro.queries.parser import parse_query
 from repro.service import (
     OptimizerBackend,
@@ -207,7 +206,7 @@ def _ops(min_size, max_size):
 
 
 def _pump_equals_rescan(ops):
-    with fresh_qids(), scoped():
+    with scoped():
         log = ResultLog()
         service = _service(log)
         optimizer = service.optimizer
@@ -330,7 +329,7 @@ class TestPumpCost:
         return service, sid, tickets, subscribers
 
     def test_a_pump_reads_only_rows_that_arrived_since_the_last(self):
-        with fresh_qids(), scoped():
+        with scoped():
             log = _CountingLog()
             service, _, tickets, subscribers = \
                 self._two_subscribed_tickets(log)
@@ -352,7 +351,7 @@ class TestPumpCost:
             assert [len(_drain(s)) for s in subscribers] == [43, 43]
 
     def test_tickets_of_one_anchor_receive_the_same_item_objects(self):
-        with fresh_qids(), scoped():
+        with scoped():
             log = ResultLog()
             service, _, tickets, subscribers = \
                 self._two_subscribed_tickets(log)
@@ -366,7 +365,7 @@ class TestPumpCost:
             assert all(a is b for a, b in zip(first, second))
 
     def test_a_second_subscribe_on_a_caught_up_ticket_replays_nothing(self):
-        with fresh_qids(), scoped():
+        with scoped():
             log = _CountingLog()
             service = _service(log)
             sid = service.open_session("tenant", now_ms=0.0)
@@ -388,7 +387,7 @@ class TestPumpCost:
             assert [len(_drain(s)) for s in (first, second)] == [7, 2]
 
     def test_a_late_ticket_catches_up_alone_then_joins_its_anchor(self):
-        with fresh_qids(), scoped():
+        with scoped():
             log = _CountingLog()
             service = _service(log)
             sid = service.open_session("tenant", now_ms=0.0)
@@ -418,7 +417,7 @@ class TestPumpCost:
             service.validate()
 
     def test_a_dropped_ticket_releases_its_cursor(self):
-        with fresh_qids(), scoped():
+        with scoped():
             service, sid, tickets, _ = \
                 self._two_subscribed_tickets(ResultLog())
             assert set(service._cursors) == {t.ticket_id for t in tickets}
@@ -448,7 +447,7 @@ class TestPumpCost:
                 service.validate()
 
     def test_a_ticket_that_already_ended_holds_no_cursor(self):
-        with fresh_qids(), scoped():
+        with scoped():
             service = _service(ResultLog(), quotas=TenantQuotas(
                 default_radio_s_per_epoch=1e-9))
             sid = service.open_session("tenant", now_ms=0.0)
@@ -461,7 +460,7 @@ class TestPumpCost:
             service.validate()
 
     def test_mapped_counter_counts_attempts_delivered_counts_useful(self):
-        with fresh_qids(), scoped() as registry:
+        with scoped() as registry:
             log = ResultLog()
             service = _service(log)
             sid = service.open_session("tenant", now_ms=0.0)

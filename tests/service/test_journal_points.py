@@ -33,7 +33,6 @@ from repro.cluster import ClusterCoordinator, FieldPartition
 from repro.core.basestation import BaseStationOptimizer
 from repro.harness.tier1_sim import default_cost_model
 from repro.obs import scoped
-from repro.queries.ast import fresh_qids
 from repro.service import (
     DurabilityConfig,
     OptimizerBackend,
@@ -202,7 +201,7 @@ def _service_state(service):
 
 def _service_reference(tmp_path, script, kill_switch):
     """States after 0..len(script) ops, and the durable writes made."""
-    with scoped(), fresh_qids():
+    with scoped():
         service = _new_service(tmp_path / "reference")
         states = [_service_state(service)]
         apply = _service_apply(service)
@@ -228,7 +227,7 @@ def _check_service_crash_points(tmp_path, script, kill_switch):
     assert writes > len(script)  # the checkpoints' saves and rotates too
     for kill_at in range(1, writes + 1):
         directory = tmp_path / f"kill-{kill_at}"
-        with scoped() as registry, fresh_qids():
+        with scoped() as registry:
             service = _new_service(directory)
             in_flight = kill_switch.run(script, _service_apply(service),
                                         kill_at)
@@ -403,18 +402,11 @@ def _cluster_view(coordinator):
 
 
 def _cluster_full_state(coordinator):
-    """The root's whole state plus each shard's sessions and tickets.
-
-    Shard optimizer tables are left out.  Shards share the process-wide
-    qid counter, so a replayed shard ``terminate`` re-derives its
-    synthetic queries under whatever qids the counter holds at replay
-    time.
-    """
+    """The root's whole state plus each shard's whole state."""
     shards = []
     for service in coordinator.shard_services():
         shard = service._snapshot_state(0.0)
-        for key in ("saved_ms", "next_qid", "optimizer"):
-            shard.pop(key)
+        shard.pop("saved_ms")
         shards.append(shard)
     root = coordinator._root_snapshot_state(0.0)
     root.pop("saved_ms")
@@ -452,9 +444,8 @@ def _unclaimed_shard_sessions(coordinator):
 
 
 def _recover_cluster(directory, registry):
-    with fresh_qids():
-        coordinator = ClusterCoordinator.recover(
-            _backends(), directory, partition=PARTITION)
+    coordinator = ClusterCoordinator.recover(
+        _backends(), directory, partition=PARTITION)
     coordinator.validate()
     assert coordinator.orphan_anchors() == []
     assert _unclaimed_shard_tickets(coordinator) == []
@@ -471,7 +462,7 @@ def _crash_cluster(coordinator):
 
 
 def _check_cluster_crash_points(tmp_path, script, kill_switch):
-    with scoped(), fresh_qids():
+    with scoped():
         coordinator = _new_cluster(tmp_path / "reference")
         views, swept = [_cluster_view(coordinator)], {}
         apply = _cluster_apply(coordinator, swept)
@@ -487,10 +478,9 @@ def _check_cluster_crash_points(tmp_path, script, kill_switch):
     for kill_at in range(1, writes + 1):
         directory = tmp_path / f"kill-{kill_at}"
         with scoped() as registry:
-            with fresh_qids():
-                coordinator = _new_cluster(directory)
-                in_flight = kill_switch.run(
-                    script, _cluster_apply(coordinator), kill_at)
+            coordinator = _new_cluster(directory)
+            in_flight = kill_switch.run(
+                script, _cluster_apply(coordinator), kill_at)
             assert in_flight is not None
             _crash_cluster(coordinator)
             first = _recover_cluster(directory, registry)

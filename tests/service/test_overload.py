@@ -6,7 +6,6 @@ from repro.core.basestation import BaseStationOptimizer
 from repro.core.qos import QoSClass
 from repro.harness.strategies import Deployment, DeploymentConfig, Strategy
 from repro.harness.tier1_sim import default_cost_model
-from repro.queries.ast import fresh_qids
 from repro.service import (
     BreakerState,
     CircuitBreaker,
@@ -212,41 +211,39 @@ def _deployed_service(duration_ms):
 
 class TestBoundedSubscriberQueues:
     def test_slow_consumer_drops_are_counted(self):
-        with fresh_qids():
-            deployment, sim, service = _deployed_service(20_000.0)
-            queues = {}
+        deployment, sim, service = _deployed_service(20_000.0)
+        queues = {}
 
-            def _connect() -> None:
-                sid = service.open_session("alice")
-                ticket = service.submit(sid, Q_LIGHT)
-                queues["tiny"] = service.subscribe(
-                    sid, ticket.ticket_id, maxsize=1)
-                queues["roomy"] = service.subscribe(
-                    sid, ticket.ticket_id, maxsize=0)
-
-            sim.engine.schedule_at(1000.0, _connect)
-            sim.start()
-            sim.run_until(20_000.0)
-            service.pump()
-            tiny, roomy = queues["tiny"], queues["roomy"]
-            # Both queues were offered the same stream; only the bounded
-            # one shed, and it shed the newest items.
-            assert roomy.qsize() > 1
-            assert tiny.qsize() == 1
-            drops = service.resilience_stats().subscriber_drops
-            assert drops == roomy.qsize() - tiny.qsize()
-
-    def test_default_bound_comes_from_overload_config(self):
-        with fresh_qids():
-            config = DeploymentConfig(side=3, seed=11)
-            deployment = Deployment(Strategy.TTMQO, config)
-            service = QueryService(
-                deployment, clock=lambda: deployment.sim.now,
-                overload=OverloadConfig(subscriber_queue_maxsize=7))
+        def _connect() -> None:
             sid = service.open_session("alice")
             ticket = service.submit(sid, Q_LIGHT)
-            subscriber = service.subscribe(sid, ticket.ticket_id)
-            assert subscriber.maxsize == 7
+            queues["tiny"] = service.subscribe(
+                sid, ticket.ticket_id, maxsize=1)
+            queues["roomy"] = service.subscribe(
+                sid, ticket.ticket_id, maxsize=0)
+
+        sim.engine.schedule_at(1000.0, _connect)
+        sim.start()
+        sim.run_until(20_000.0)
+        service.pump()
+        tiny, roomy = queues["tiny"], queues["roomy"]
+        # Both queues were offered the same stream; only the bounded
+        # one shed, and it shed the newest items.
+        assert roomy.qsize() > 1
+        assert tiny.qsize() == 1
+        drops = service.resilience_stats().subscriber_drops
+        assert drops == roomy.qsize() - tiny.qsize()
+
+    def test_default_bound_comes_from_overload_config(self):
+        config = DeploymentConfig(side=3, seed=11)
+        deployment = Deployment(Strategy.TTMQO, config)
+        service = QueryService(
+            deployment, clock=lambda: deployment.sim.now,
+            overload=OverloadConfig(subscriber_queue_maxsize=7))
+        sid = service.open_session("alice")
+        ticket = service.submit(sid, Q_LIGHT)
+        subscriber = service.subscribe(sid, ticket.ticket_id)
+        assert subscriber.maxsize == 7
 
     def test_optimizer_backend_rejects_subscriptions(self):
         service = make_service()

@@ -29,7 +29,6 @@ from repro.harness.runner import run_workload_live
 from repro.harness.tier1_sim import default_cost_model
 from repro.obs import scoped
 from repro.queries import fresh_qids
-from repro.queries.ast import peek_qid
 from repro.service import (
     OptimizerBackend,
     QueryPlanner,
@@ -73,12 +72,14 @@ class TestExplain:
             sid = service.open_session("alice", now_ms=0.0)
             service.submit(sid, Q_AVG, now_ms=1.0)
 
-            qid_before = peek_qid()
+            qids_before = service.optimizer.qids.next_value
+            table_before = service.optimizer.table.to_dict()
             stats_before = service.stats()
             for _ in range(3):
                 service.explain(Q_LIGHT)
                 service.explain(Q_AVG)  # a cache hit path, too
-            assert peek_qid() == qid_before
+            assert service.optimizer.qids.next_value == qids_before
+            assert service.optimizer.table.to_dict() == table_before
             # stats() covers cache hit/miss counters, registrations, and
             # the optimizer's synthetic table — all must be untouched.
             assert service.stats() == stats_before
@@ -87,6 +88,7 @@ class TestExplain:
             # The next real submission is unaffected by the probes.
             ticket = service.submit(sid, Q_LIGHT, now_ms=2.0)
             assert ticket.status is TicketStatus.LIVE
+            assert ticket.query.qid == qids_before
 
     def test_explain_then_submit_agree(self):
         """The predicted plan matches what admission actually does."""

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from repro.core.basestation import BaseStationOptimizer
 from repro.core.qos import QoSClass
 from repro.harness.tier1_sim import default_cost_model
-from repro.queries.ast import fresh_qids
 from repro.service import (
     DurabilityConfig,
     OptimizerBackend,
@@ -110,13 +109,12 @@ def _final_flush_time(ops):
 def _run_uncrashed(ops, snapshot_every_ops):
     directory = tempfile.mkdtemp(prefix="repro-prop-a-")
     try:
-        with fresh_qids():
-            service = _make_service(directory, snapshot_every_ops)
-            sessions = []
-            for index, op in enumerate(ops):
-                _apply(service, op, index, sessions)
-            service.flush(now_ms=_final_flush_time(ops))
-            return _durable_state(service), service.stats()
+        service = _make_service(directory, snapshot_every_ops)
+        sessions = []
+        for index, op in enumerate(ops):
+            _apply(service, op, index, sessions)
+        service.flush(now_ms=_final_flush_time(ops))
+        return _durable_state(service), service.stats()
     finally:
         shutil.rmtree(directory, ignore_errors=True)
 
@@ -124,21 +122,20 @@ def _run_uncrashed(ops, snapshot_every_ops):
 def _run_crashed(ops, crash_at, snapshot_every_ops):
     directory = tempfile.mkdtemp(prefix="repro-prop-b-")
     try:
-        with fresh_qids():
-            service = _make_service(directory, snapshot_every_ops)
-            sessions = []
-            for index, op in enumerate(ops[:crash_at]):
-                _apply(service, op, index, sessions)
-            service.simulate_crash()
-            service = QueryService.recover(
-                OptimizerBackend(
-                    BaseStationOptimizer(default_cost_model(16, 3))),
-                DurabilityConfig(directory=directory,
-                                 snapshot_every_ops=snapshot_every_ops))
-            for index, op in enumerate(ops[crash_at:], start=crash_at):
-                _apply(service, op, index, sessions)
-            service.flush(now_ms=_final_flush_time(ops))
-            return _durable_state(service), service.stats()
+        service = _make_service(directory, snapshot_every_ops)
+        sessions = []
+        for index, op in enumerate(ops[:crash_at]):
+            _apply(service, op, index, sessions)
+        service.simulate_crash()
+        service = QueryService.recover(
+            OptimizerBackend(
+                BaseStationOptimizer(default_cost_model(16, 3))),
+            DurabilityConfig(directory=directory,
+                             snapshot_every_ops=snapshot_every_ops))
+        for index, op in enumerate(ops[crash_at:], start=crash_at):
+            _apply(service, op, index, sessions)
+        service.flush(now_ms=_final_flush_time(ops))
+        return _durable_state(service), service.stats()
     finally:
         shutil.rmtree(directory, ignore_errors=True)
 
@@ -173,12 +170,11 @@ class TestTornWrites:
         directory = tempfile.mkdtemp(prefix="repro-torn-")
         reference = tempfile.mkdtemp(prefix="repro-torn-ref-")
         try:
-            with fresh_qids():
-                service = _make_service(directory, 0)
-                sessions = []
-                for index, op in enumerate(ops):
-                    _apply(service, op, index, sessions)
-                service.simulate_crash()
+            service = _make_service(directory, 0)
+            sessions = []
+            for index, op in enumerate(ops):
+                _apply(service, op, index, sessions)
+            service.simulate_crash()
 
             wal = DurabilityConfig(directory=directory).wal_path
             raw = wal.read_bytes()
@@ -190,21 +186,19 @@ class TestTornWrites:
             keep = min(len(last) - 2, max(1, round(cut_frac * len(last))))
             wal.write_bytes(b"".join(lines[:-1]) + last[:keep])
 
-            with fresh_qids():
-                recovered = QueryService.recover(
-                    OptimizerBackend(
-                        BaseStationOptimizer(default_cost_model(16, 3))),
-                    DurabilityConfig(directory=directory))
+            recovered = QueryService.recover(
+                OptimizerBackend(
+                    BaseStationOptimizer(default_cost_model(16, 3))),
+                DurabilityConfig(directory=directory))
             assert recovered.last_recovery.torn_records == 1
             assert recovered.last_recovery.replayed_ops == len(ops) - 1
             recovered.validate()
             recovered_state = _durable_state(recovered)
             # A fresh run of every op but the torn one is the same state.
-            with fresh_qids():
-                twin = _make_service(reference, 0)
-                sessions = []
-                for index, op in enumerate(ops[:-1]):
-                    _apply(twin, op, index, sessions)
+            twin = _make_service(reference, 0)
+            sessions = []
+            for index, op in enumerate(ops[:-1]):
+                _apply(twin, op, index, sessions)
             assert recovered_state == _durable_state(twin)
         finally:
             shutil.rmtree(directory, ignore_errors=True)

@@ -17,7 +17,6 @@ import pytest
 from repro.core.basestation import BaseStationOptimizer
 from repro.harness.tier1_sim import default_cost_model
 from repro.obs import scoped
-from repro.queries.ast import fresh_qids
 from repro.queries.parser import parse_query
 from repro.service import (
     RETIRED_RING_SIZE,
@@ -77,7 +76,7 @@ def test_a_snapshot_does_not_grow_with_history():
     optimizer's table never changes: its own never-pruned re-optimization
     history is a separate term, not the service ledger measured here.
     """
-    with scoped(), fresh_qids():
+    with scoped():
         service = QueryService(_backend(), batch_window_ms=0.0,
                                default_ttl_ms=1e12)
         sid = service.open_session("alice", now_ms=0.0)
@@ -121,7 +120,7 @@ def _assert_saved_as_streamed(tmp_path, state):
 
 
 def test_a_service_snapshot_is_saved_as_streamed(tmp_path):
-    with scoped(), fresh_qids():
+    with scoped():
         service = QueryService(
             _backend(), batch_window_ms=5.0,
             overload=OverloadConfig(shed_backlog_best_effort=2))
@@ -141,7 +140,7 @@ def test_a_service_snapshot_is_saved_as_streamed(tmp_path):
 
 
 def test_a_root_snapshot_is_saved_as_streamed(tmp_path):
-    with scoped(), fresh_qids():
+    with scoped():
         coordinator = _new_cluster(tmp_path / "cluster")
         apply = _cluster_apply(coordinator)
         for index, op in enumerate(CLUSTER_SCRIPT):
@@ -176,7 +175,7 @@ def test_ring_ids_answer_alike_live_and_recovered(tmp_path):
     snapshot and some replayed after it: the recovered service answers
     every id as the live one does, tombstone or ``KeyError``."""
     churned = RETIRED_RING_SIZE + 100
-    with scoped(), fresh_qids():
+    with scoped():
         directory = str(tmp_path / "service")
         service = QueryService(
             _backend(), batch_window_ms=0.0,
@@ -204,7 +203,7 @@ def test_ring_ids_answer_alike_live_and_recovered(tmp_path):
                        last.ticket_id + 1]
     assert answers[2] == ("KeyError", "'unknown ticket 2'")
     assert answers[last.ticket_id][:2] == (TicketStatus.TERMINATED, None)
-    with scoped(), fresh_qids():
+    with scoped():
         recovered = QueryService.recover(_backend(), directory)
         report = recovered.last_recovery
         assert report.snapshot_loaded and report.replayed_ops > 0
@@ -214,7 +213,7 @@ def test_ring_ids_answer_alike_live_and_recovered(tmp_path):
 
 
 def test_a_retired_ticket_keeps_todays_terminate_and_subscribe():
-    with scoped(), fresh_qids():
+    with scoped():
         service = QueryService(
             _LogBackend(BaseStationOptimizer(default_cost_model(16, 3))),
             batch_window_ms=5.0,
@@ -250,7 +249,7 @@ def test_a_ticket_its_session_lists_is_never_evicted():
     client lets go of it, so ``ticket(id)`` keeps answering however many
     tickets retire meanwhile; once let go, it ages out of the ring.  (A
     cluster coordinator reads its shard subqueries this way.)"""
-    with scoped(), fresh_qids():
+    with scoped():
         service = QueryService(
             _backend(), batch_window_ms=5.0,
             overload=OverloadConfig(shed_backlog_best_effort=1))
