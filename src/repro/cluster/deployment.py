@@ -52,12 +52,15 @@ class ClusterDeployment:
                                         world=world),
                        topology=partition.topologies[region.shard_id])
             for region in partition.regions]
-        self._now = 0.0
+        #: The lockstep virtual clock, in a cell the coordinator's clock
+        #: reads: the coordinator does not hold the cluster, so dropping a
+        #: closed cluster frees it without a cyclic collection.
+        time = self._time = [0.0]
         self.coordinator = ClusterCoordinator(
             self.deployments, partition=partition,
             batch_window_ms=batch_window_ms,
             default_ttl_ms=default_ttl_ms,
-            clock=lambda: self._now,
+            clock=lambda: time[0],
             durability_dir=durability_dir,
             overload=overload)
 
@@ -67,30 +70,29 @@ class ClusterDeployment:
     @property
     def now(self) -> float:
         """The lockstep virtual clock shared by coordinator and shards."""
-        return self._now
+        return self._time[0]
 
     def run_until(self, t_end: float) -> None:
         """Advance every shard simulation to ``t_end``, then tick tier 0."""
-        if t_end < self._now:
+        if t_end < self._time[0]:
             raise ValueError(
-                f"cannot run backwards: now={self._now}, t_end={t_end}")
+                f"cannot run backwards: now={self._time[0]}, t_end={t_end}")
         for deployment in self.deployments:
             deployment.sim.run_until(t_end)
-        self._now = t_end
+        self._time[0] = t_end
         self.coordinator.tick(now_ms=t_end)
-
-    def run_for(self, duration: float) -> None:
-        self.run_until(self._now + duration)
 
     # ------------------------------------------------------------------
     # Convenience pass-throughs
     # ------------------------------------------------------------------
     def pump(self, *, final: bool = False) -> int:
         """Merge shard result streams at the coordinator (see tier 0)."""
-        return self.coordinator.pump(now_ms=self._now, final=final)
-
-    def stats(self):
-        return self.coordinator.stats()
+        return self.coordinator.pump(now_ms=self._time[0], final=final)
 
     def validate(self) -> None:
         self.coordinator.validate()
+
+    def close(self) -> None:
+        """Close every shard's simulation (see ``Deployment.close``)."""
+        for deployment in self.deployments:
+            deployment.close()

@@ -173,10 +173,12 @@ def run_cluster_load(
         outcome.results_received = subscriber.qsize()
         outcome.cache_hit = coordinator.ticket(outcome.ticket_id).cache_hit
 
-    return ClusterLoadReport(
+    report = ClusterLoadReport(
         stats=coordinator.stats(),
         clients=outcomes,
         unique_queries=n_unique,
         duration_ms=duration_ms,
         shards=n_shards,
     )
+    cluster.close()
+    return report

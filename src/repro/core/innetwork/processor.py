@@ -164,6 +164,10 @@ class TTMQONodeApp(NodeApp):
     def on_wake(self) -> None:
         pass
 
+    def close(self) -> None:
+        if self.clock is not None:
+            self.clock.close()
+
     # ------------------------------------------------------------------
     # Recovery telemetry (no-ops outside a Simulation; see repro.obs)
     # ------------------------------------------------------------------

@@ -61,6 +61,11 @@ class GcdClock:
             self._timer.stop()
             self._timer = None
 
+    def close(self) -> None:
+        """Stop for good and drop ``on_tick`` (it holds the clock's owner)."""
+        self.stop()
+        self._on_tick = None
+
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------

@@ -358,6 +358,7 @@ def _drive(spec: ChaosCellSpec, crash: bool) -> _DriveOutcome:
         if not crash:
             outcome.wal_records = res.wal_records
         service.shutdown()
+        deployment.close()
         return outcome
     finally:
         shutil.rmtree(state_dir, ignore_errors=True)
@@ -785,6 +786,7 @@ def run_degraded_merge_probe(seed: int = 0, n_epochs: int = 12,
                  "recover_ms": i.time_to_recover_ms, "mode": i.mode}
                 for i in supervisor.incidents]
             co.shutdown(now_ms=cluster.now)
+            cluster.close()
             values = [completeness[t] for t in sorted(completeness)]
             return {
                 "epochs": len(values),

@@ -11,7 +11,11 @@ boundaries and serialise to JSON for the sweep executor's on-disk cache
 (:mod:`repro.harness.parallel`).  Callers that need the live simulation —
 result logs, per-node traces, the optimizer state — use
 :func:`run_workload_live`, which returns a :class:`LiveRun` carrying both
-the result and the :class:`Deployment` handle.
+the result and the :class:`Deployment` handle.  Whoever holds a deployment
+closes it once done reading it (:meth:`Deployment.close`): that frees the
+run by reference counting, without waiting for a cyclic collection.
+:func:`run_workload` closes its own; :func:`run_workload_live` hands the
+open deployment to its caller.
 
 At the end of every run the measured scalars are also published to the
 current metrics registry: each :class:`RunResult` field becomes a
@@ -116,8 +120,14 @@ def run_workload(
     config: Optional[DeploymentConfig] = None,
     drain_ms: float = DEFAULT_DRAIN_MS,
 ) -> RunResult:
-    """Simulate ``workload`` under ``strategy`` and return the measurements."""
-    return run_workload_live(strategy, workload, config, drain_ms).result
+    """Simulate ``workload`` under ``strategy`` and return the measurements.
+
+    The deployment is closed once the result is built, so the run is freed
+    on return (see :meth:`Deployment.close`).
+    """
+    live = run_workload_live(strategy, workload, config, drain_ms)
+    live.deployment.close()
+    return live.result
 
 
 def run_workload_live(
@@ -126,7 +136,10 @@ def run_workload_live(
     config: Optional[DeploymentConfig] = None,
     drain_ms: float = DEFAULT_DRAIN_MS,
 ) -> LiveRun:
-    """Like :func:`run_workload` but also hand back the live deployment."""
+    """Like :func:`run_workload` but also hand back the live deployment.
+
+    The deployment is left open; the caller closes it when done with it.
+    """
     config = config or DeploymentConfig()
     deployment = Deployment(strategy, config)
     if deployment.optimizer is not None:

@@ -149,6 +149,15 @@ class Deployment:
             self.qos_registry = QoSRegistry()
         self.bs.qos_registry = self.qos_registry
 
+    def close(self) -> None:
+        """Free the simulation once nothing more will run (idempotent).
+
+        Results, the optimizer and the radio ledger stay readable; the
+        simulation only stops holding itself in reference cycles (see
+        :meth:`Simulation.close`), so dropping the deployment frees it.
+        """
+        self.sim.close()
+
     # ------------------------------------------------------------------
     # Control plane (called at workload event times)
     # ------------------------------------------------------------------

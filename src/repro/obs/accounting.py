@@ -67,6 +67,12 @@ class SimObs:
     ``DEFAULT_SPAN_CAP`` frames.  The node processors count their
     ``recovery.*`` events with :meth:`count_recovery` into ``recovery``,
     this simulation's tally, which the registry reads.
+
+    The registry holds only those tallies and sample lists, never the
+    bundle, and the bundle's clock reads the simulation's event queue,
+    not the simulation.  So the bundle keeps no run alive: a finished
+    simulation is released by ``Simulation.close()`` (its owner calls it)
+    followed by the owner dropping it, with no cyclic collection needed.
     """
 
     def __init__(self, clock: Callable[[], float],

@@ -253,12 +253,23 @@ class Query:
         Covers the projection/aggregation inputs plus every attribute the
         predicates test (a node must sample ``temp`` to evaluate
         ``temp > 20`` even if only ``light`` is selected).
+
+        Derived on the first call and kept, since the nodes ask on every
+        epoch; not on construction, which tier 1 does far more often than
+        anything senses.  Not a field, so equality, hashing, repr and
+        ``dataclasses.replace`` ignore it.
         """
+        try:
+            return self._requested
+        except AttributeError:
+            pass
         attrs = set(self.attributes)
         attrs.update(a.attribute for a in self.aggregates)
         attrs.update(self.predicates.attributes)
         attrs.update(g.attribute for g in self.group_by)
-        return frozenset(attrs)
+        requested = frozenset(attrs)
+        object.__setattr__(self, "_requested", requested)
+        return requested
 
     def group_key(self, row: Mapping[str, float]) -> Tuple[float, ...]:
         """The group a row of readings belongs to (empty for ungrouped)."""

@@ -253,6 +253,7 @@ def run_scripted_load(
         # (Idempotent after a signal-driven shutdown.)
         shutdown_terminated += len(service.shutdown())
         resilience = service.resilience_stats()
+    deployment.close()
 
     return LoadReport(
         stats=stats,

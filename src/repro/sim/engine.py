@@ -28,6 +28,12 @@ Two hot-path mechanics matter for throughput (see ``docs/performance.md``):
   rebuilds the heap once cancelled entries dominate (see
   ``COMPACT_MIN_CANCELLED``), bounding memory by the pending-event count.
 
+A pending event holds a bound method of whatever scheduled it (a node, a
+MAC, an application, a timer), and each of those holds the queue, so a
+simulation is one reference cycle while anything is pending.
+:meth:`EventQueue.close` drops the pending events and their callbacks;
+``Simulation.close`` calls it as part of freeing a finished run.
+
 Example
 -------
 >>> eq = EventQueue()
@@ -53,6 +59,10 @@ COMPACT_MIN_CANCELLED = 512
 
 class SimulationError(RuntimeError):
     """Raised when the engine is used inconsistently (e.g. time travel)."""
+
+
+def _dropped() -> None:
+    """The callback of an event its queue dropped on closing."""
 
 
 class Event:
@@ -111,6 +121,7 @@ class EventQueue:
         self._now = 0.0
         self._events_processed = 0
         self._cancelled = 0
+        self._closed = False
 
     @property
     def now(self) -> float:
@@ -160,12 +171,35 @@ class EventQueue:
         self._drop_cancelled()
         return self._heap[0][0] if self._heap else None
 
+    def close(self) -> None:
+        """Drop every pending event and its callback.  Idempotent.
+
+        The dropped events are marked cancelled and lose ``fn`` and
+        ``args``, so an owner still holding one (a timer, a sleeping
+        node's wake-up) no longer reaches back through it.  A closed queue
+        runs nothing: :meth:`step` and :meth:`run_until` raise
+        :class:`SimulationError`.  :meth:`schedule` does not check (it is
+        the hot path); what it adds after closing never runs.
+        """
+        for _, _, event in self._heap:
+            event.cancelled = True
+            event.fn = _dropped
+            event.args = ()
+        self._heap = []
+        self._cancelled = 0
+        self._closed = True
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise SimulationError("the event queue is closed")
+
     def step(self) -> bool:
         """Execute the next pending event.
 
         Returns ``True`` if an event was executed, ``False`` if the queue was
         empty.
         """
+        self._check_open()
         self._drop_cancelled()
         if not self._heap:
             return False
@@ -182,6 +216,7 @@ class EventQueue:
         horizon.  Same-timestamp cohorts are popped in one drain (FIFO order
         preserved — see the module docstring).
         """
+        self._check_open()
         heap = self._heap
         pop = heapq.heappop
         while heap:
@@ -259,6 +294,10 @@ class PeriodicTimer:
     Fires ``fn()`` every ``period`` ms starting at ``start`` (absolute time,
     defaults to one period from now).  ``stop()`` cancels future firings.
     The first firing time is exposed for epoch-alignment logic.
+
+    ``fn`` is held only by the pending firing, never by the timer, so
+    closing the queue releases it: an owner that keeps its timer and is
+    itself reached from ``fn`` is then no longer a reference cycle.
     """
 
     def __init__(
@@ -272,21 +311,21 @@ class PeriodicTimer:
             raise SimulationError(f"timer period must be positive (got {period})")
         self._queue = queue
         self.period = period
-        self._fn = fn
         self._stopped = False
         self.first_fire = queue.now + period if start is None else start
         if self.first_fire < queue.now:
             raise SimulationError(
                 f"timer start t={self.first_fire} is before now t={queue.now}"
             )
-        self._event: Optional[Event] = queue.schedule_at(self.first_fire, self._fire)
+        self._event: Optional[Event] = queue.schedule_at(
+            self.first_fire, self._fire, fn)
 
-    def _fire(self) -> None:
+    def _fire(self, fn: Callable[[], Any]) -> None:
         if self._stopped:
             return
         # Re-arm first so that fn() may stop/reconfigure the timer safely.
-        self._event = self._queue.schedule(self.period, self._fire)
-        self._fn()
+        self._event = self._queue.schedule(self.period, self._fire, fn)
+        fn()
 
     def stop(self) -> None:
         """Cancel all future firings.  Idempotent."""

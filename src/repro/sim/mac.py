@@ -92,6 +92,10 @@ class MacLayer:
         self._maybe_start()
         return True
 
+    def close(self) -> None:
+        """Forget the give-up hook (it holds the node; see ``Simulation.close``)."""
+        self._on_drop = None
+
     def set_enabled(self, enabled: bool) -> None:
         """Power the radio up/down.  A sleeping node neither sends nor senses.
 

@@ -65,6 +65,14 @@ class NodeApp:
         reroute around unavailable DAG parents.
         """
 
+    def close(self) -> None:
+        """Called once the simulation is closed; nothing will run again.
+
+        Override to drop what points back at the application from objects
+        it owns (a callback it handed to a helper), so the finished run is
+        not a reference cycle.
+        """
+
 
 class SensorNode:
     """One mote: radio + MAC + timers + an application."""
@@ -113,6 +121,18 @@ class SensorNode:
         """Boot the node: runs the application's ``on_start`` hook."""
         if self.app is not None:
             self.app.on_start()
+
+    def close(self) -> None:
+        """Cut the node's links to its application and MAC.
+
+        The application keeps :attr:`NodeApp.node` (it stays readable) and
+        its :meth:`NodeApp.close` hook runs; the MAC forgets its give-up
+        hook, a method of this node.  See ``Simulation.close``.
+        """
+        self.mac.close()
+        app, self.app = self.app, None
+        if app is not None:
+            app.close()
 
     # ------------------------------------------------------------------
     # Radio interface

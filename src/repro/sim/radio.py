@@ -308,6 +308,11 @@ class Channel:
         self._attached[node_id] = (on_receive, overhears)
         self._plans.clear()
 
+    def close(self) -> None:
+        """Forget every receive hook (they hold the applications)."""
+        self._attached.clear()
+        self._plans.clear()
+
     def set_radio(self, node_id: int, on: bool) -> None:
         """Power a node's receiver up or down (radios start powered up)."""
         if on:

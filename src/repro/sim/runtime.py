@@ -12,6 +12,14 @@ Usage::
     sim.start()
     sim.run_for(60_000.0)
     print(sim.trace.summary())
+    sim.close()
+
+A simulation is a web of reference cycles while it runs (pending events
+reach the nodes that scheduled them, nodes and their applications point at
+each other).  :meth:`Simulation.close` cuts them, so reference counting
+frees the run as soon as its owner drops it rather than at the next
+full cyclic collection.  Whoever builds a simulation closes it once it is
+done reading it.
 """
 
 from __future__ import annotations
@@ -41,12 +49,13 @@ class Simulation:
         self.topology = topology
         self.world = world
         self.seed = seed
-        self.engine = EventQueue()
+        engine = self.engine = EventQueue()
         #: Observability bundle: metrics + spans + latency accounting,
         #: recording into the registry current at construction time on the
         #: engine's virtual clock (never the wall clock, so instrumented
-        #: runs stay bit-identically deterministic).
-        self.obs = SimObs(clock=lambda: self.engine.now)
+        #: runs stay bit-identically deterministic).  The clock closes over
+        #: the engine, not the simulation, so the bundle does not hold it.
+        self.obs = SimObs(clock=lambda: engine.now)
         #: The radio ledger: every frame, collision, retransmission, drop
         #: and radio-off period of this simulation, reported once.
         self.trace = TraceCollector(self.engine, self.obs)
@@ -88,6 +97,18 @@ class Simulation:
         self._started = True
         for node_id in self.topology.node_ids:
             self.nodes[node_id].start()
+
+    def close(self) -> None:
+        """Release the run: drop pending events, detach every application.
+
+        Afterwards the trace, the nodes' counters and the applications'
+        own state stay readable, but nothing runs: :meth:`run_until`
+        raises :class:`~repro.sim.engine.SimulationError`.  Idempotent.
+        """
+        self.engine.close()
+        self.channel.close()
+        for node in self.nodes.values():
+            node.close()
 
     def run_until(self, t_end: float) -> None:
         """Advance virtual time to ``t_end`` ms, executing all due events."""

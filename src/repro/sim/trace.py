@@ -93,7 +93,11 @@ class TraceCollector:
     read the sum of their per-simulation totals.  The bound readers hold
     only the accumulators (``NodeStats``, the per-kind records,
     ``LinkStats``, the span samples), never the collector, so the
-    registry does not keep a finished simulation alive.
+    registry does not keep a finished simulation alive.  What frees one
+    is ``Simulation.close()``, which its owner calls once the run is read:
+    it cuts the simulation's own reference cycles (pending events, node ↔
+    application, node ↔ MAC), and the run is freed by reference counting
+    when the owner drops it.  The collector is in none of those cycles.
     """
 
     def __init__(self, engine: EventQueue,

@@ -1,5 +1,8 @@
 """Unit tests for the query AST and epoch helpers."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.queries.ast import (
@@ -8,9 +11,11 @@ from repro.queries.ast import (
     MIN_EPOCH_MS,
     Query,
     QueryValidationError,
+    GroupBy,
     combined_epoch,
     gcd_epoch,
     next_qid,
+    query_to_dict,
 )
 from repro.queries.predicates import Interval, PredicateSet
 
@@ -77,6 +82,34 @@ class TestRequestedAttributes:
             [Aggregate(AggregateOp.MAX, "light")],
             PredicateSet({"nodeid": Interval(0, 7)}))
         assert q.requested_attributes() == frozenset({"light", "nodeid"})
+
+    def test_group_by_attributes_are_sensed(self):
+        q = Query.aggregation([Aggregate(AggregateOp.AVG, "light")],
+                              group_by=[GroupBy("temp", 10.0)])
+        assert q.requested_attributes() == frozenset({"light", "temp"})
+
+    def test_derived_set_is_not_part_of_the_value(self):
+        preds = PredicateSet({"temp": Interval(0, 50)})
+        a = Query.acquisition(["light"], preds, qid=5)
+        b = Query.acquisition(["light"], preds, qid=5)
+        assert a.requested_attributes() == b.requested_attributes()
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert [f.name for f in dataclasses.fields(a)] == [
+            "qid", "attributes", "aggregates", "predicates", "epoch_ms",
+            "group_by"]
+        assert "_requested" not in repr(a)
+        assert sorted(query_to_dict(a)) == [
+            "aggregates", "attributes", "epoch_ms", "group_by", "predicates",
+            "qid"]
+        assert pickle.loads(pickle.dumps(a)).requested_attributes() \
+            == frozenset({"light", "temp"})
+
+    def test_replace_derives_the_set_again(self):
+        q = Query.acquisition(["light"], epoch_ms=4096)
+        widened = dataclasses.replace(q, attributes=("light", "humidity"))
+        assert widened.requested_attributes() == frozenset(
+            {"light", "humidity"})
+        assert q.requested_attributes() == frozenset({"light"})
 
 
 class TestEpochScheduling:
