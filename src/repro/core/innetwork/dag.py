@@ -35,8 +35,6 @@ class _NeighborInfo:
 
     #: qid -> virtual time of the latest has-data evidence.
     has_data_at: Dict[int, float] = field(default_factory=dict)
-    #: Latest time any frame was heard from this neighbour.
-    last_heard: float = float("-inf")
     #: Believed asleep until this time (set on repeated delivery failures).
     unavailable_until: float = float("-inf")
     #: Consecutive delivery failures since the neighbour was last heard.
@@ -71,7 +69,6 @@ class UpperNeighborView:
         info = self._info.get(neighbor)
         if info is not None:
             info.has_data_at[qid] = now
-            info.last_heard = max(info.last_heard, now)
 
     def note_heard(self, neighbor: int, now: float) -> Optional[float]:
         """Record that any frame was heard from this neighbour (it is awake).
@@ -82,9 +79,10 @@ class UpperNeighborView:
         latency — and ``None`` otherwise.
         """
         info = self._info.get(neighbor)
-        if info is None:
+        if info is None or not (info.failures or info.evicted):
+            # No streak to clear: ``note_unreachable`` is the only writer
+            # of the backoff and the streak, and it counts a failure.
             return None
-        info.last_heard = max(info.last_heard, now)
         info.unavailable_until = float("-inf")
         recovery: Optional[float] = None
         if info.evicted and info.first_failure_at is not None:

@@ -15,10 +15,10 @@ layer.
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from functools import partial
 from operator import getitem
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .registry import Histogram, MetricsRegistry, get_registry
 from .spans import DEFAULT_SPAN_CAP, Span, Tracer
@@ -52,6 +52,60 @@ class LatencyAccountant:
         hist.observe(latency_ms)
 
 
+class FrameRing:
+    """The last ``cap`` frames, ``(node, kind, start, end)``, as parallel
+    typed columns.
+
+    ``node`` is a 64-bit integer, ``kind`` a one-byte code (each kind is
+    interned when first pushed), and ``start``/``end`` are doubles: 25
+    bytes a frame.  The columns grow to ``cap`` (at least 1) frames;
+    after that each push overwrites the oldest in place, at the write
+    index (frames pushed modulo ``cap``), so a further frame allocates
+    nothing.
+    """
+
+    __slots__ = ("cap", "_pushed", "_kinds", "_codes", "_columns")
+
+    def __init__(self, cap: int) -> None:
+        self.cap = cap
+        self._pushed = 0
+        self._kinds: List[object] = []
+        self._codes: Dict[object, int] = {}
+        self._columns = (array("q"), array("B"), array("d"), array("d"))
+
+    def push(self, node: int, kind: object, start: float,
+             end: float) -> None:
+        code = self._codes.get(kind)
+        if code is None:
+            code = self._codes[kind] = len(self._kinds)
+            self._kinds.append(kind)
+        nodes, codes, starts, ends = self._columns
+        index = self._pushed
+        self._pushed = index + 1
+        if index < self.cap:
+            nodes.append(node)
+            codes.append(code)
+            starts.append(start)
+            ends.append(end)
+        else:
+            index %= self.cap
+            nodes[index] = node
+            codes[index] = code
+            starts[index] = start
+            ends[index] = end
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __iter__(self) -> Iterator[Tuple[int, object, float, float]]:
+        """The retained frames, oldest first."""
+        split, kinds = self._pushed % self.cap, self._kinds
+        for node, code, start, end in zip(
+                *(column[split:] + column[:split]
+                  for column in self._columns)):
+            yield node, kinds[code], start, end
+
+
 class SimObs:
     """The observability bundle one simulation carries.
 
@@ -62,13 +116,14 @@ class SimObs:
     dependency.
 
     The radio ledger appends every frame's span duration to
-    ``radio_tx_ms`` (the samples of ``span.radio.tx.duration_ms``) and
-    its ``(node, kind, start, end)`` to ``radio_tx``, which keeps the last
+    ``radio_tx_ms`` (the samples of ``span.radio.tx.duration_ms``, an
+    ``array('d')`` at 8 bytes a frame) and pushes its ``(node, kind,
+    start, end)`` into ``radio_tx``, a :class:`FrameRing` of the last
     ``DEFAULT_SPAN_CAP`` frames.  The node processors count their
     ``recovery.*`` events with :meth:`count_recovery` into ``recovery``,
     this simulation's tally, which the registry reads.
 
-    The registry holds only those tallies and sample lists, never the
+    The registry holds only those tallies and sample arrays, never the
     bundle, and the bundle's clock reads the simulation's event queue,
     not the simulation.  So the bundle keeps no run alive: a finished
     simulation is released by ``Simulation.close()`` (its owner calls it)
@@ -79,9 +134,8 @@ class SimObs:
                  registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else get_registry()
         self._clock = clock
-        self.radio_tx: Deque[Tuple[int, object, float, float]] = deque(
-            maxlen=DEFAULT_SPAN_CAP)
-        self.radio_tx_ms: List[float] = []
+        self.radio_tx = FrameRing(DEFAULT_SPAN_CAP)
+        self.radio_tx_ms = array("d")
         self.latency = LatencyAccountant(self.registry)
         #: ``recovery.*`` events by (family, sorted label items).
         self.recovery: Dict[Tuple[str, tuple], int] = {}
@@ -105,14 +159,13 @@ class SimObs:
         ``dropped`` those no longer retained — what a tracer finishing
         one span per frame would hold.
         """
-        frames = list(self.radio_tx)
-        tracer = Tracer(self.registry, clock=self._clock,
-                        cap=self.radio_tx.maxlen)
+        ring = self.radio_tx
+        tracer = Tracer(self.registry, clock=self._clock, cap=ring.cap)
         tracer.finished.extend(
             Span(name="radio.tx", start_ms=start,
                  labels={"node": str(node), "kind": kind.value},
                  end_ms=end)
-            for node, kind, start, end in frames)
+            for node, kind, start, end in ring)
         tracer.started = len(self.radio_tx_ms)
-        tracer.dropped = tracer.started - len(frames)
+        tracer.dropped = tracer.started - len(ring)
         return tracer

@@ -32,7 +32,7 @@ Pushed and pulled series
 Most series are pushed: the component calls ``inc``/``set``/``observe``.
 A component that already keeps the total for its own use lends it
 instead — ``Gauge.set_fn``, ``Counter.add_part`` (a zero-argument
-reader) and ``Histogram.add_part`` (a sample list) are read when the
+reader) and ``Histogram.add_part`` (a sample sequence) are read when the
 series is, so nothing is copied per event.  Parts must hold only that
 total, never the object that owns it, so a registry that outlives a run
 does not keep the run alive.  An owner that keeps its counts in a
@@ -49,11 +49,13 @@ updates under its own lock, and the simulator is single-threaded).
 from __future__ import annotations
 
 import threading
+from collections import deque
 from contextlib import contextmanager
 from functools import partial, reduce
 from itertools import chain
 from operator import add
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (Callable, Deque, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -66,9 +68,13 @@ def percentile(values, q: float) -> float:
     """The ``q``-th percentile (0..100) by linear interpolation."""
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile must be in [0, 100] (got {q})")
-    if not values:
+    return _ranked(sorted(values), q)
+
+
+def _ranked(ordered: List[float], q: float) -> float:
+    """The ``q``-th percentile of an already sorted list."""
+    if not ordered:
         return 0.0
-    ordered = sorted(values)
     if len(ordered) == 1:
         return ordered[0]
     rank = (q / 100.0) * (len(ordered) - 1)
@@ -187,12 +193,16 @@ class Histogram:
     ``sample_cap`` bounds memory on long-running services by retaining
     only the most recent samples (count and sum still cover everything);
     ``None`` retains every observation, which is what deterministic
-    simulation runs use.
+    simulation runs use.  A capped histogram evicts its oldest sample in
+    O(1).
 
-    :meth:`add_part` registers a sample list its owner keeps appending to;
+    :meth:`add_part` registers a sample sequence its owner keeps
+    appending to (a list, or an ``array('d')`` at 8 bytes a sample);
     every read (``count``, ``sum``, ``summary()``, …) folds the parts in
-    after the observations, in registration order — ``sum`` adds their
-    samples one at a time, as :meth:`observe` would have.  Parts are
+    after the observations, in registration order, without copying them:
+    ``count`` adds their lengths, ``sum`` adds their samples one at a
+    time, as :meth:`observe` would have, and ``min``/``max`` scan each
+    part.  Only ``quantile`` and ``summary()`` sort one copy.  Parts are
     retained in full and belong to their owner: ``state_dict`` covers
     observations only.
     """
@@ -205,8 +215,8 @@ class Histogram:
         self._min = 0.0
         self._max = 0.0
         self.sample_cap = sample_cap
-        self._samples: List[float] = []
-        self._parts: List[List[float]] = []
+        self._samples: Deque[float] = deque(maxlen=sample_cap)
+        self._parts: List[Sequence[float]] = []
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -218,60 +228,56 @@ class Histogram:
         self._count += 1
         self._sum += value
         self._samples.append(value)
-        if self.sample_cap is not None and len(self._samples) > self.sample_cap:
-            del self._samples[: len(self._samples) - self.sample_cap]
 
-    def add_part(self, samples: List[float]) -> None:
+    def add_part(self, samples: Sequence[float]) -> None:
         self._parts.append(samples)
 
-    def _folded(self) -> Tuple[int, float, float, float, List[float]]:
-        """(count, sum, min, max, retained samples) over observations and
-        parts."""
-        extra = list(chain.from_iterable(self._parts))
-        if not extra:
-            return (self._count, self._sum, self._min, self._max,
-                    self._samples)
-        low, high = min(extra), max(extra)
-        if self._count:
-            low, high = min(self._min, low), max(self._max, high)
-        return (self._count + len(extra), reduce(add, extra, self._sum),
-                low, high, self._samples + extra)
+    def _bounds(self) -> Tuple[float, float]:
+        """(min, max) over observations and parts."""
+        lows, highs = ([self._min], [self._max]) if self._count else ([], [])
+        for part in self._parts:
+            if len(part):
+                lows.append(min(part))
+                highs.append(max(part))
+        return (min(lows), max(highs)) if lows else (0.0, 0.0)
 
     @property
     def count(self) -> int:
-        return self._folded()[0]
+        return self._count + sum(map(len, self._parts))
 
     @property
     def sum(self) -> float:
-        return self._folded()[1]
+        return reduce(add, chain.from_iterable(self._parts), self._sum)
 
     @property
     def min(self) -> float:
-        return self._folded()[2]
+        return self._bounds()[0]
 
     @property
     def max(self) -> float:
-        return self._folded()[3]
+        return self._bounds()[1]
 
     @property
     def mean(self) -> float:
-        count, total = self._folded()[:2]
-        return total / count if count else 0.0
+        count = self.count
+        return self.sum / count if count else 0.0
 
     def quantile(self, q: float) -> float:
         """The ``q``-th percentile (0..100) over the retained samples."""
-        return percentile(self._folded()[4], q)
+        return percentile(chain(self._samples, *self._parts), q)
 
     def summary(self) -> Dict[str, float]:
-        count, total, low, high, samples = self._folded()
+        count, total = self.count, self.sum
+        low, high = self._bounds()
+        ordered = sorted(chain(self._samples, *self._parts))
         return {
             "count": float(count),
             "sum": total,
             "min": low,
             "max": high,
             "mean": total / count if count else 0.0,
-            "p50": percentile(samples, 50.0),
-            "p95": percentile(samples, 95.0),
+            "p50": _ranked(ordered, 50.0),
+            "p95": _ranked(ordered, 95.0),
         }
 
     def state_dict(self) -> Dict[str, object]:
@@ -290,9 +296,8 @@ class Histogram:
         self._sum = float(state["sum"])
         self._min = float(state["min"])
         self._max = float(state["max"])
-        self._samples = [float(v) for v in state["samples"]]
-        if self.sample_cap is not None and len(self._samples) > self.sample_cap:
-            del self._samples[: len(self._samples) - self.sample_cap]
+        self._samples = deque(map(float, state["samples"]),
+                              maxlen=self.sample_cap)
 
 
 class _Family:

@@ -17,10 +17,11 @@ Every finished span also feeds the histogram
 shows up in ordinary metric exports without reading the span buffer.
 
 The simulator's ``radio.tx`` spans are the exception to "record as you
-go": the radio ledger keeps one ``(node, kind, start, end)`` tuple per
-frame and its duration histogram's samples, and
-:attr:`repro.obs.SimObs.tracer` builds a ``Tracer`` holding those frames
-as ``Span`` objects only when something reads it.
+go": the radio ledger keeps each frame's ``(node, kind, start, end)`` in
+a ring of typed columns (:class:`repro.obs.accounting.FrameRing`) and its
+duration histogram's samples in an ``array('d')``, and
+:attr:`repro.obs.SimObs.tracer` builds a ``Tracer`` holding the ring's
+frames as ``Span`` objects only when something reads it.
 
 Usage::
 

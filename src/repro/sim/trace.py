@@ -163,7 +163,7 @@ class TraceCollector:
             start = self._engine.now
             end = start + duration
             samples.append(end - start)
-            self._span_ring.append((src, kind, start, end))
+            self._span_ring.push(src, kind, start, end)
 
     def _first_transmission(self, src: int) -> NodeStats:
         stats = self.node_stats(src)

@@ -16,7 +16,11 @@ under ``bash -e`` with the copy as working directory and no
 ``uses:`` steps (checkout, setup-python, artifact upload) are skipped.
 So are ``pip install`` steps, since nothing is downloaded here, but the
 packages they name must already be installed: a job that needs a missing
-one is reported as ``missing <package>`` and its steps are not run.
+one is reported as ``missing <package>`` and its steps are not run.  The
+one exception is ``pytest-xdist``, which only spreads tests over cores:
+when it is the only package missing, the job runs with ``-n auto`` taken
+out of its steps, and its result reads ``pass without xdist`` (or
+``fail without xdist``).
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import argparse
 import importlib.metadata
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -70,14 +75,22 @@ def _checkout(dest: Path) -> None:
             shutil.copy2(source, target)
 
 
+#: Parallelism only: a job whose one missing package this is runs serially.
+XDIST = "pytest-xdist"
+_XDIST_FLAG = re.compile(r"\s+-n\s+auto\b")
+
+
 def run_job(name: str, job: dict) -> Tuple[str, float]:
     """Run one job's steps; returns its result and seconds taken."""
     steps = job.get("steps", [])
+    serial = ""
     for step in steps:
         command = step.get("run", "")
         if command.startswith("pip install"):
             missing = _missing_packages(command)
-            if missing:
+            if missing == [XDIST]:
+                serial = " without xdist"
+            elif missing:
                 return "missing " + " ".join(missing), 0.0
     started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix=f"ci-{name}-") as tree:
@@ -88,14 +101,16 @@ def run_job(name: str, job: dict) -> Tuple[str, float]:
             if command is None or command.startswith("pip install"):
                 print(f"[{name}] skipped: {label}", flush=True)
                 continue
+            if serial:
+                command = _XDIST_FLAG.sub("", command)
             print(f"[{name}] run: {label}", flush=True)
             # A runner's environment: the copy's own ``src``, not ours.
             env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
             env.update({k: str(v) for k, v in step.get("env", {}).items()})
             if subprocess.run(["bash", "-e", "-c", command], cwd=tree,
                               env=env).returncode != 0:
-                return "fail", time.perf_counter() - started
-    return "pass", time.perf_counter() - started
+                return "fail" + serial, time.perf_counter() - started
+    return "pass" + serial, time.perf_counter() - started
 
 
 def main(argv: Optional[Sequence[str]] = None,
@@ -122,7 +137,8 @@ def main(argv: Optional[Sequence[str]] = None,
     print(f"\n{'job':<{width}}  {'result':<{rwidth}}  seconds")
     for name, result, seconds in results:
         print(f"{name:<{width}}  {result:<{rwidth}}  {seconds:7.1f}")
-    return 0 if all(result == "pass" for _, result, _ in results) else 1
+    passed = all(result.startswith("pass") for _, result, _ in results)
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

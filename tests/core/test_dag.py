@@ -1,5 +1,8 @@
 """Unit tests for the DAG neighbour view and dynamic parent selection."""
 
+import random
+from dataclasses import asdict
+
 import pytest
 
 from repro.core.innetwork.dag import UpperNeighborView
@@ -40,6 +43,37 @@ class TestEvidence:
         view.note_unreachable(10, now=100.0, backoff_ms=10_000.0)
         view.note_heard(10, now=200.0)
         assert view.is_available(10, now=300.0)
+
+
+def _reset_on_every_frame(view, neighbor, now):
+    """``note_heard`` as it was: every frame heard resets the streak."""
+    info = view._info.get(neighbor)
+    if info is None:
+        return None
+    info.unavailable_until = float("-inf")
+    recovery = None
+    if info.evicted and info.first_failure_at is not None:
+        recovery = now - info.first_failure_at
+    info.evicted = False
+    info.failures = 0
+    info.first_failure_at = None
+    return recovery
+
+
+def test_hearing_without_a_streak_changes_nothing():
+    rng = random.Random(7)
+    shipped, oracle = (UpperNeighborView([10, 11], {10: 0.9, 11: 0.5},
+                                         evict_after=3) for _ in range(2))
+    for step in range(3_000):
+        now, neighbor = float(step), rng.choice((10, 11, 99))
+        if rng.random() < 0.3:
+            assert shipped.note_unreachable(neighbor, now, 100.0) == \
+                oracle.note_unreachable(neighbor, now, 100.0)
+        else:
+            assert shipped.note_heard(neighbor, now) == \
+                _reset_on_every_frame(oracle, neighbor, now)
+        assert {n: asdict(info) for n, info in shipped._info.items()} == \
+            {n: asdict(info) for n, info in oracle._info.items()}
 
 
 class TestParentSelection:

@@ -15,13 +15,17 @@ snapshot byte-for-byte alike and both tracers must hold the same spans.
 The structural tests pin what the pull design promises beyond equality:
 no registry lookup per frame, live reads between ``run_until`` slices,
 how a shared registry sums, that a finished simulation is not kept alive
-by the series that read it, and the span ring's bound.
+by the series that read it, the span ring's bound and wrap, and what a
+frame costs in memory once the ring is full.
 """
 
 import gc
 import json
+import tracemalloc
 import weakref
+from array import array
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,7 +36,7 @@ from repro.harness.strategies import Deployment, Strategy
 from repro.obs import Histogram, MetricsRegistry, Tracer, accounting, scoped
 from repro.queries.ast import fresh_qids
 from repro.sim import runtime
-from repro.sim.messages import MessageKind
+from repro.sim.messages import BROADCAST, Message, MessageKind
 from repro.sim.radio import GilbertElliottParams, RadioParams
 from repro.sim.trace import EnergyModel, TraceCollector
 
@@ -387,3 +391,55 @@ def test_histogram_parts_fold_in_like_observations():
     observed.observe(0.3)
     assert folded.summary() == observed.summary()
     assert (folded.count, folded.sum) == (observed.count, observed.sum)
+
+
+def _frames(trace, clock, count):
+    """Put ``count`` frames through ``trace``: 64 senders, every kind,
+    a new instant and a duration from a small cycle per frame."""
+    kinds = list(MessageKind)
+    messages = [Message(kinds[index % len(kinds)], index % 64, BROADCAST,
+                        None, 8 + index % 5) for index in range(64)]
+    for index in range(count):
+        clock.now += 1.5
+        message = messages[index % 64]
+        trace.record_transmission(message.src, message,
+                                  4.25 + (index % 7) * 0.5)
+
+
+def _ledger(collector=TraceCollector):
+    clock = SimpleNamespace(now=0.0)
+    obs = accounting.SimObs(clock=lambda: clock.now,
+                            registry=MetricsRegistry())
+    return collector(clock, obs), obs, clock
+
+
+def test_a_frame_past_the_full_ring_leaves_at_most_12_bytes():
+    trace, obs, clock = _ledger()
+    # Fill the ring and meet every sender and kind before measuring.
+    _frames(trace, clock, accounting.DEFAULT_SPAN_CAP + 1_000)
+    further = 120_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _frames(trace, clock, further)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / further <= 12.0
+    assert isinstance(obs.radio_tx_ms, array)
+    assert len(obs.radio_tx_ms) == accounting.DEFAULT_SPAN_CAP + 1_000 + \
+        further
+    assert len(obs.radio_tx) == accounting.DEFAULT_SPAN_CAP
+
+
+@pytest.mark.parametrize("past_cap", (-1, 0, 1, 25))
+def test_span_ring_wraps_like_a_tracer(monkeypatch, past_cap):
+    cap = 16
+    monkeypatch.setattr(accounting, "DEFAULT_SPAN_CAP", cap)
+    trace, obs, clock = _ledger(PushCollector)
+    _frames(trace, clock, cap + past_cap)
+    read, pushed = obs.tracer, trace.tracer  # the oracle holds them all
+    assert (read.cap, read.started) == (cap, cap + past_cap)
+    assert read.dropped == max(past_cap, 0)
+    assert read.snapshot() == pushed.snapshot(cap)
+    assert _dump(obs.registry.snapshot()) == _dump(trace.pushed.snapshot())

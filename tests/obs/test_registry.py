@@ -1,8 +1,11 @@
 """Unit tests for the metrics registry (counters, gauges, histograms)."""
 
+from array import array
+
 import pytest
 
 from repro.obs import (
+    Histogram,
     MetricsRegistry,
     get_registry,
     percentile,
@@ -73,6 +76,45 @@ class TestHistogram:
         assert hist.count == 6
         assert hist.quantile(50.0) == 100.0  # only recent samples retained
         assert hist.min == 1.0  # min/max still cover everything
+
+    def test_capped_window_matches_a_list_trimming_oracle(self):
+        cap, extra = 64, 45
+        values = [((i * 7919) % 101) / 3.0 for i in range(cap + extra)]
+        hist = MetricsRegistry().histogram("h", sample_cap=cap)
+        kept, total = [], 0.0
+        for value in values:
+            hist.observe(value)
+            kept.append(value)
+            if len(kept) > cap:  # the trim a list window makes
+                del kept[: len(kept) - cap]
+            total += value
+        assert hist.state_dict() == {
+            "count": cap + extra, "sum": total, "min": min(values),
+            "max": max(values), "samples": kept}
+        assert hist.summary() == {
+            "count": float(cap + extra), "sum": total, "min": min(values),
+            "max": max(values), "mean": total / (cap + extra),
+            "p50": percentile(kept, 50.0), "p95": percentile(kept, 95.0)}
+        oversized = dict(hist.state_dict(), samples=values)
+        restored = Histogram(sample_cap=cap)
+        restored.load_state(oversized)
+        assert restored.state_dict() == hist.state_dict()
+
+    def test_parts_fold_in_without_copying_their_type(self):
+        observed, folded = Histogram(), Histogram()
+        parts = (array("d", [3.5, 0.25, 9.0]), [], [4.0, -1.5],
+                 array("d"))
+        folded.observe(2.0)
+        for part in parts:
+            folded.add_part(part)
+        for value in (2.0, 3.5, 0.25, 9.0, 4.0, -1.5):
+            observed.observe(value)
+        assert folded.summary() == observed.summary()
+        assert (folded.count, folded.sum, folded.min, folded.max,
+                folded.mean, folded.quantile(30.0)) == \
+            (observed.count, observed.sum, observed.min, observed.max,
+             observed.mean, observed.quantile(30.0))
+        assert folded.state_dict()["samples"] == [2.0]
 
     def test_percentile_interpolates(self):
         assert percentile([1.0, 2.0, 3.0, 4.0], 50.0) == 2.5
