@@ -6,7 +6,7 @@ Two measurements over **real TCP** (no in-process shortcuts):
   `GatewayClient` against a `GatewayServer`; the recorded quantity is
   end-to-end submit latency (connect → reply frame), p50/p90/p99.
 * **kill + promote** — the replicated primary runs in a child process
-  (`repro.gateway.chaos_child`), a parent-side client submits with
+  (`python -m tests.chaos.driver gateway`), a parent-side client submits with
   semi-sync replication until a SIGKILL lands, then the warm standby is
   promoted and the acceptance bar from the issue is asserted: **zero
   acknowledged admissions lost**.
@@ -40,7 +40,7 @@ from repro.service.load import _QUERY_POOL
 from _util import run_once
 
 BENCH_PATH = Path(__file__).resolve().parent / "BENCH_gateway.json"
-REPO_SRC = Path(__file__).resolve().parents[1] / "src"
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _smoke() -> bool:
@@ -105,13 +105,13 @@ def test_ext_gateway_socket_load(benchmark):
 
 def _spawn_primary(state_dir, standby_port):
     env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_SRC) + os.pathsep + \
+    env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + \
         env.get("PYTHONPATH", "")
     child = subprocess.Popen(
-        [sys.executable, "-m", "repro.gateway.chaos_child",
+        [sys.executable, "-m", "tests.chaos.driver", "gateway",
          str(state_dir), str(standby_port)],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-        text=True)
+        cwd=REPO_ROOT, env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL, text=True)
     deadline = time.monotonic() + 60.0
     while time.monotonic() < deadline:
         line = child.stdout.readline()
@@ -120,7 +120,7 @@ def _spawn_primary(state_dir, standby_port):
         if child.poll() is not None:
             break
     child.kill()
-    raise RuntimeError("chaos child failed to start")
+    raise RuntimeError("primary child failed to start")
 
 
 def test_ext_gateway_kill_promote(benchmark, tmp_path):

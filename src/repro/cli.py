@@ -11,9 +11,6 @@ Commands:
 * ``serve``   — stand up the multi-tenant :class:`QueryService` and drive
   a scripted client load against the simulator (``--state-dir`` enables
   WAL durability; SIGTERM/SIGINT trigger a graceful shutdown);
-* ``chaos``   — crash the base station mid-run at seeded instants, recover
-  from the WAL, and assert the recovery invariants over a loss x crash
-  grid;
 * ``sweep``   — fan the Figure 3 (workload x size x strategy) grid across
   worker processes with deterministic result caching (``--profile`` runs
   the grid serially under cProfile and prints the hottest functions);
@@ -33,7 +30,6 @@ Examples::
     python -m repro compare --workload C --side 8
     python -m repro fig fig4a
     python -m repro serve --clients 60 --unique 6 --state-dir .repro-state
-    python -m repro chaos --loss 0.0 0.1 --crash 0.45 --duration 20
     python -m repro sweep --workers 4 --sides 4 8
     python -m repro cluster --shards 4 --side 8 --clients 48
     python -m repro obs --workload A --strategy ttmqo --format json
@@ -140,57 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="durability directory (WAL + snapshots); the "
                               "run ends with a graceful shutdown and a "
                               "clean recovery point")
-
-    chaos_p = sub.add_parser(
-        "chaos",
-        help="crash/recovery sweep: kill the base station mid-run, recover "
-             "from the WAL, assert the recovery invariants")
-    chaos_p.add_argument("--loss", nargs="+", type=float, default=[0.0, 0.1],
-                         help="per-link frame loss rates to sweep")
-    chaos_p.add_argument("--crash", nargs="+", type=float, default=[0.45],
-                         help="crash instants as fractions of the horizon "
-                              "(0 = control row without a crash)")
-    chaos_p.add_argument("--clients", type=int, default=18,
-                         help="scripted clients per cell")
-    chaos_p.add_argument("--side", type=int, default=4,
-                         help="grid side (nodes = side^2)")
-    chaos_p.add_argument("--duration", type=float, default=30.0,
-                         help="simulated seconds per cell")
-    chaos_p.add_argument("--bound", type=float, default=0.25,
-                         help="allowed row-completeness gap vs the "
-                              "no-crash twin run")
-    chaos_p.add_argument("--workers", type=int, default=0,
-                         help="worker processes (0 = serial in-process)")
-    chaos_p.add_argument("--json", default=None, metavar="PATH",
-                         help="also write the sweep results as JSON")
-
-    cchaos_p = sub.add_parser(
-        "cluster-chaos",
-        help="cluster fault-tolerance sweep: crash a shard (supervised "
-             "restart) and the coordinator (root-WAL recovery), verify "
-             "against identically-seeded no-crash twins")
-    cchaos_p.add_argument("--kills", nargs="+",
-                          choices=["shard", "coordinator"],
-                          default=["shard", "coordinator"],
-                          help="victims to sweep")
-    cchaos_p.add_argument("--shards", type=int, default=2,
-                          help="shards in the cluster under test")
-    cchaos_p.add_argument("--steps", type=int, default=36,
-                          help="scripted admission steps per cell")
-    cchaos_p.add_argument("--crash", type=float, default=0.4,
-                          help="crash instant as a fraction of the run")
-    cchaos_p.add_argument("--deadline", type=float, default=900.0,
-                          help="supervisor failure-detector deadline (ms)")
-    cchaos_p.add_argument("--seed", type=int, default=None,
-                          help="cell seed (default: derived per spec)")
-    cchaos_p.add_argument("--probe", action="store_true",
-                          help="also run the degraded-merge completeness "
-                               "probe on simulated shards (slower)")
-    cchaos_p.add_argument("--sigkill", action="store_true",
-                          help="also SIGKILL a real cluster child process "
-                               "and recover its root WAL twice")
-    cchaos_p.add_argument("--json", default=None, metavar="PATH",
-                          help="also write the results as JSON")
 
     sweep_p = sub.add_parser(
         "sweep",
@@ -515,130 +460,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if report.interrupted:
         return 0
     return 0 if report.all_clients_served else 1
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    import json
-    from dataclasses import asdict
-
-    from .harness import print_table, run_sweep
-    from .harness.chaos import chaos_grid
-
-    cells = chaos_grid(
-        loss_rates=tuple(args.loss), crash_fractions=tuple(args.crash),
-        n_clients=args.clients, side=args.side, duration_s=args.duration,
-        completeness_bound=args.bound)
-    report = run_sweep(cells, workers=args.workers)
-
-    rows = []
-    all_ok = True
-    for cell in report.cells:
-        spec, result = cell.spec, cell.result
-        all_ok = all_ok and result.ok
-        rows.append([
-            f"{spec.loss_rate:.2f}", f"{spec.crash_fraction:.2f}",
-            "ok" if result.parity_ok else "FAIL",
-            result.zombies_after_recovery,
-            result.replayed_ops, result.torn_records, result.reinjected,
-            f"{result.completeness_crash:.3f}",
-            f"{result.completeness_baseline:.3f}",
-            f"{result.completeness_gap:+.3f}"
-            + ("" if result.within_bound else " OVER"),
-        ])
-    print_table(
-        ["loss", "crash@", "parity", "zombies", "replayed", "torn",
-         "reinjected", "compl(crash)", "compl(base)", "gap"],
-        rows,
-        title=f"chaos sweep — {len(cells)} cells, bound {args.bound:.2f}",
-    )
-    for cell in report.cells:
-        for failure in cell.result.parity_failures:
-            print(f"parity failure [loss={cell.spec.loss_rate} "
-                  f"crash={cell.spec.crash_fraction}]: {failure}",
-                  file=sys.stderr)
-    if args.json is not None:
-        payload = {
-            "bound": args.bound,
-            "cells": [{"spec": {"loss_rate": c.spec.loss_rate,
-                                "crash_fraction": c.spec.crash_fraction,
-                                "seed": c.seed},
-                       "result": asdict(c.result)}
-                      for c in report.cells],
-            "all_ok": all_ok,
-        }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1, sort_keys=True)
-        print(f"\nwrote {args.json}")
-    print(f"\nrecovery invariants : "
-          f"{'all held' if all_ok else 'VIOLATED (see above)'}")
-    return 0 if all_ok else 1
-
-
-def _cmd_cluster_chaos(args: argparse.Namespace) -> int:
-    import json
-    from dataclasses import asdict
-
-    from .harness import print_table
-    from .harness.chaos import (cluster_chaos_grid, run_cluster_sigkill_crash,
-                                run_degraded_merge_probe)
-
-    cells = cluster_chaos_grid(
-        kills=tuple(args.kills), n_shards=args.shards, n_steps=args.steps,
-        crash_fraction=args.crash, deadline_ms=args.deadline,
-        seed=args.seed)
-    results = [(spec, spec.run()) for spec in cells]
-
-    all_ok = all(result.ok for _, result in results)
-    rows = []
-    for spec, result in results:
-        rows.append([
-            spec.kill, "ok" if result.ok else "FAIL",
-            f"{result.acked_crash}/{result.acked_baseline}",
-            result.lost_acked, result.shard_down_refusals,
-            result.orphans_after,
-            f"{result.detect_ms:.0f}", f"{result.recover_ms:.0f}",
-            result.recovery_mode,
-        ])
-    print_table(
-        ["kill", "invariants", "acked(crash/base)", "lost", "refused",
-         "orphans", "detect ms", "recover ms", "mode"],
-        rows,
-        title=f"cluster chaos — {len(cells)} cells",
-    )
-    for _, result in results:
-        for failure in result.validate_failures:
-            print(f"invariant failure [{result.kill}]: {failure}",
-                  file=sys.stderr)
-
-    payload = {"cells": [asdict(result) for _, result in results]}
-    if args.probe:
-        probe = run_degraded_merge_probe(seed=args.seed or 0)
-        payload["degraded_merge"] = probe
-        all_ok = all_ok and probe["bound_held"] and probe["crash"]["healed"]
-        print(f"\ndegraded merge      : "
-              f"{probe['degraded_epochs']} epoch(s) below 1.0, "
-              f"min completeness "
-              f"{probe['crash']['min_completeness']:.2f} "
-              f"(bound {probe['surviving_fraction']:.2f} "
-              f"{'held' if probe['bound_held'] else 'VIOLATED'}), "
-              f"healed={probe['crash']['healed']}")
-    if args.sigkill:
-        sigkill = run_cluster_sigkill_crash(seed=args.seed or 0)
-        payload["sigkill"] = sigkill
-        all_ok = (all_ok and sigkill["lost_acked"] == 0
-                  and sigkill["recovery_idempotent"])
-        print(f"\ncluster SIGKILL     : {sigkill['acked_ops']} acked ops, "
-              f"{sigkill['lost_acked']} lost, "
-              f"{sigkill['root_wal_replayed']} root ops replayed, "
-              f"idempotent={sigkill['recovery_idempotent']}")
-    payload["all_ok"] = all_ok
-    if args.json is not None:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1, sort_keys=True)
-        print(f"\nwrote {args.json}")
-    print(f"\ncluster invariants  : "
-          f"{'all held' if all_ok else 'VIOLATED (see above)'}")
-    return 0 if all_ok else 1
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -1020,10 +841,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_fig(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    if args.command == "cluster-chaos":
-        return _cmd_cluster_chaos(args)
     if args.command == "sweep":
         return _cmd_sweep(args)
     if args.command == "cluster":

@@ -1194,7 +1194,7 @@ class ClusterCoordinator:
             return terminated
 
     def simulate_crash(self) -> None:
-        """Drop the coordinator as SIGKILL would (chaos harness hook).
+        """Drop the coordinator as SIGKILL would (crash-test hook).
 
         Only root-side state dies: the shards keep their own WALs and
         crash (or survive) independently.  The ``cluster.*`` series stop
@@ -1666,7 +1666,7 @@ class ClusterCoordinator:
             )
 
     def validate(self) -> None:
-        """Cross-tier invariants (stress/chaos hooks)."""
+        """Cross-tier invariants (stress/crash-test hooks)."""
         with self._lock:
             for shard in self._shards:
                 if shard.shard_id in self._down_shards:

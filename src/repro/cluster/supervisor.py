@@ -21,7 +21,7 @@ distributed stream systems:
   anchors, heals lost subqueries, and drains queued terminates.
 
 The supervisor is clock-agnostic: drive :meth:`poll` from a virtual
-clock in tests/chaos cells, or :meth:`start` a daemon thread for wall
+clock in tests and crash cells, or :meth:`start` a daemon thread for wall
 time.  Incidents are recorded as :class:`ShardIncident` rows with
 time-to-detect / time-to-recover, exported under the
 ``cluster.supervisor.*`` metric families (see docs/observability.md).
@@ -130,7 +130,7 @@ class ShardSupervisor:
         self._watches: Dict[int, _Watch] = {
             shard_id: _Watch(shard_id=shard_id, last_ok_ms=now)
             for shard_id in range(coordinator.n_shards)}
-        #: Closed incidents, oldest first (chaos cells read these).
+        #: Closed incidents, oldest first (crash cells read these).
         self.incidents: List[ShardIncident] = []
         #: shard id -> the replacement service of the last recovery.
         self.recovered: Dict[int, QueryService] = {}

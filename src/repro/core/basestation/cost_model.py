@@ -108,12 +108,16 @@ class CostModel:
     # ------------------------------------------------------------------
     def transmissions(self, query: Query) -> float:
         """Estimated transmissions per ms attributable to ``query``."""
+        return self.transmissions_at(query, self.selectivity(query))
+
+    def transmissions_at(self, query: Query, sel: float) -> float:
+        """Eq. (2) at selectivity ``sel``: each level's result rate
+        (Eq. 1) times its depth, summed over levels."""
         if query.is_acquisition:
-            return sum(
-                self.result_rate(query, k) * k for k in self.profile.level_sizes
-            )
+            return sum(sel * size / query.epoch_ms * k
+                       for k, size in self.profile.level_sizes.items())
         # Aggregation: lower bound — every contributing node sends once.
-        return self.selectivity(query) * self.profile.n_sensors / query.epoch_ms
+        return sel * self.profile.n_sensors / query.epoch_ms
 
     # ------------------------------------------------------------------
     # Message length

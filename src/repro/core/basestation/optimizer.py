@@ -268,7 +268,7 @@ class BaseStationOptimizer:
 
         Service recovery replays the WAL against a blank tier-1.  A fresh
         process gets that for free, but a recovery that reuses an
-        in-memory backend (in-process chaos crashes, tests) still holds
+        in-memory backend (in-process crash tests) still holds
         the pre-crash table, which replay would double-register —
         :meth:`QueryService.recover` clears it first.  The QoS registry
         is reset in place because deployments alias it.

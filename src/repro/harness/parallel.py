@@ -123,12 +123,6 @@ def _result_to_payload(result: AnyResult) -> dict:
     if isinstance(result, Tier1RunStats):
         from dataclasses import asdict
         return {"kind": "tier1", "data": asdict(result)}
-    # Imported lazily: the chaos harness pulls in the whole service tier,
-    # which plain packet/tier-1 sweeps should not pay for.
-    from .chaos import ChaosRunStats
-    if isinstance(result, ChaosRunStats):
-        from dataclasses import asdict
-        return {"kind": "chaos", "data": asdict(result)}
     raise TypeError(f"unknown result type {type(result).__name__}")
 
 
@@ -137,9 +131,6 @@ def _result_from_payload(payload: dict) -> AnyResult:
         return RunResult.from_dict(payload["data"])
     if payload["kind"] == "tier1":
         return Tier1RunStats(**payload["data"])
-    if payload["kind"] == "chaos":
-        from .chaos import ChaosRunStats
-        return ChaosRunStats(**payload["data"])
     raise ValueError(f"unknown cached result kind {payload['kind']!r}")
 
 

@@ -56,12 +56,12 @@ class FrameRing:
     """The last ``cap`` frames, ``(node, kind, start, end)``, as parallel
     typed columns.
 
-    ``node`` is a 64-bit integer, ``kind`` a one-byte code (each kind is
-    interned when first pushed), and ``start``/``end`` are doubles: 25
-    bytes a frame.  The columns grow to ``cap`` (at least 1) frames;
-    after that each push overwrites the oldest in place, at the write
-    index (frames pushed modulo ``cap``), so a further frame allocates
-    nothing.
+    ``node`` is a 64-bit integer, ``kind`` a one-byte code (the writer
+    interns each kind once, with :meth:`code`), and ``start``/``end``
+    are doubles: 25 bytes a frame.  The columns grow to ``cap`` (at
+    least 1) frames; after that each push overwrites the oldest in
+    place, at the write index (frames pushed modulo ``cap``), so a
+    further frame allocates nothing.
     """
 
     __slots__ = ("cap", "_pushed", "_kinds", "_codes", "_columns")
@@ -73,12 +73,16 @@ class FrameRing:
         self._codes: Dict[object, int] = {}
         self._columns = (array("q"), array("B"), array("d"), array("d"))
 
-    def push(self, node: int, kind: object, start: float,
-             end: float) -> None:
+    def code(self, kind: object) -> int:
+        """``kind``'s one-byte code in this ring, interned on first use."""
         code = self._codes.get(kind)
         if code is None:
             code = self._codes[kind] = len(self._kinds)
             self._kinds.append(kind)
+        return code
+
+    def push(self, node: int, code: int, start: float, end: float) -> None:
+        """Record a frame whose kind :meth:`code` interned as ``code``."""
         nodes, codes, starts, ends = self._columns
         index = self._pushed
         self._pushed = index + 1

@@ -84,7 +84,7 @@ class DurabilityConfig:
     controls whether every WAL append — and the directory metadata behind
     WAL creation/rotation and snapshot renames (:func:`_fsync_dir`) — is
     forced to stable storage; the default only flushes to the OS, which
-    survives process crashes (the chaos harness's model) but not power
+    survives process crashes (the crash tests' model) but not power
     loss.
     """
 

@@ -433,13 +433,8 @@ class QueryPlanner:
     def price(self, query: Query) -> QueryPrice:
         """Price ``query`` in radio-seconds and joules per epoch."""
         sel = self.selectivity(query)
-        profile = self.cost_model.profile
         epoch = float(query.epoch_ms)
-        if query.is_acquisition:
-            tx_per_ms = sum(sel * size / epoch * k
-                            for k, size in profile.level_sizes.items())
-        else:
-            tx_per_ms = sel * profile.n_sensors / epoch
+        tx_per_ms = self.cost_model.transmissions_at(query, sel)
         hop = self.cost_model.hop_cost(query)
         radio_s = tx_per_ms * hop * self.scale() * epoch / 1000.0
         joules = radio_s * (self.energy.tx_mw - self.energy.listen_mw) / 1000.0

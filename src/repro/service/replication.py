@@ -212,7 +212,7 @@ class PrimaryReplicator:
         _join(self._thread, flush_timeout_s)
 
     def kill(self) -> None:
-        """Die without flushing (chaos hook: the primary's node is gone)."""
+        """Die without flushing (crash-test hook: the primary's node is gone)."""
         with self._cond:
             self._stopping = True
             self._queue.clear()

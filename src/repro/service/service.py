@@ -634,7 +634,7 @@ class QueryService:
 
         :meth:`simulate_crash` models a killed process; letting the dead
         instance keep applying ticks/terminates in memory would make the
-        chaos harness compare recovery against state the real crash
+        crash tests compare recovery against state the real crash
         would never have had.
         """
         if self._crashed:
@@ -857,7 +857,7 @@ class QueryService:
             service._restore_snapshot(snap)
         else:
             # WAL-only recovery replays against a blank tier-1.  A
-            # reused in-memory backend (in-process chaos crash) still
+            # reused in-memory backend (in-process crash test) still
             # holds the pre-crash table; clear it or replay would
             # double-register every surviving query.
             service.optimizer.reset()
@@ -1585,7 +1585,7 @@ class QueryService:
             return terminated
 
     def simulate_crash(self) -> None:
-        """Die the way a SIGKILLed process does (chaos-harness hook).
+        """Die the way a SIGKILLed process does (crash-test hook).
 
         No batch flush, no ticket termination, no final snapshot — the
         WAL handle is simply released (every append already flushed, so
@@ -1698,8 +1698,8 @@ class QueryService:
 
         Kept out of :meth:`stats` on purpose: recovery and shedding are
         infrastructure events, and folding them into the workload snapshot
-        would break the crash/recover ``stats()`` parity the chaos harness
-        asserts.
+        would break the crash/recover ``stats()`` parity the crash tests
+        assert.
         """
         with self._lock:
             return ResilienceStats(

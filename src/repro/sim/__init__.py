@@ -13,7 +13,6 @@ Layers, bottom-up:
 """
 
 from .engine import Event, EventQueue, PeriodicTimer, SimulationError
-from .eventlog import EventLog, TransmissionRecord
 from .mac import MacLayer, MacParams
 from .messages import (
     BROADCAST,
@@ -36,7 +35,6 @@ __all__ = [
     "Channel",
     "DeliveryReport",
     "EnergyModel",
-    "EventLog",
     "Event",
     "EventQueue",
     "GRID_SPACING_FT",
@@ -55,7 +53,6 @@ __all__ = [
     "SimulationError",
     "Topology",
     "TraceCollector",
-    "TransmissionRecord",
     "abort_payload_bytes",
     "aggregate_payload_bytes",
     "maintenance_payload_bytes",

@@ -105,7 +105,8 @@ class TraceCollector:
         self._engine = engine
         self._obs = obs
         self._nodes: Dict[int, NodeStats] = {}
-        #: Per kind: [frames, bytes, airtime ms], in transmission order.
+        #: Per kind: [frames, bytes, airtime ms, ring code], in
+        #: transmission order.
         self._kinds: Dict[MessageKind, List] = {}
         self._sleepers: Set[int] = set()
         self._link = LinkStats()
@@ -163,7 +164,7 @@ class TraceCollector:
             start = self._engine.now
             end = start + duration
             samples.append(end - start)
-            self._span_ring.push(src, kind, start, end)
+            self._span_ring.push(src, totals[3], start, end)
 
     def _first_transmission(self, src: int) -> NodeStats:
         stats = self.node_stats(src)
@@ -175,8 +176,9 @@ class TraceCollector:
         return stats
 
     def _first_of_kind(self, kind: MessageKind) -> List:
-        totals = [0, 0, 0.0]
+        totals = [0, 0, 0.0, None]
         if self._obs is not None:
+            totals[3] = self._span_ring.code(kind)
             registry = self._obs.registry
             if not self._kinds:  # this simulation's first frame
                 registry.histogram(

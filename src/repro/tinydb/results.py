@@ -9,7 +9,7 @@ obtained through mapping and calculation").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..queries.ast import Aggregate
@@ -38,9 +38,6 @@ class ResultLog:
     """Per-query results accumulated at a base station."""
 
     def __init__(self) -> None:
-        # qid -> callbacks fired on every *new* (non-duplicate) arrival.
-        self._row_subscribers: Dict[int, List] = {}
-        self._aggregate_subscribers: Dict[int, List] = {}
         # The log is append-only: per query, rows and first-seen
         # (epoch, group) partial entries keep their arrival order forever,
         # so a reader that remembers how many it has consumed can ask for
@@ -75,8 +72,6 @@ class ResultLog:
         row = ResultRow(epoch_time, origin, dict(values), received_at)
         epoch_rows[origin] = row
         self._rows.setdefault(qid, []).append(row)
-        for callback in self._row_subscribers.get(qid, ()):
-            callback(row)
 
     def row_latencies(self, qid: int) -> List[float]:
         """End-to-end latencies (ms) of every recorded row for a query."""
@@ -100,9 +95,6 @@ class ResultLog:
             groups[group_key] = incoming
             self._partial_keys.setdefault(qid, []).append(
                 (epoch_time, group_key))
-        for callback in self._aggregate_subscribers.get(qid, ()):
-            callback(epoch_time, group_key,
-                     dict(self._partials[key][group_key]))
 
     # ------------------------------------------------------------------
     # Reading
@@ -153,28 +145,6 @@ class ResultLog:
         """Raw partial map for (query, epoch, group) — empty dict if none."""
         groups = self._partials.get((qid, epoch_time), {})
         return dict(groups.get(group_key, {}))
-
-    # ------------------------------------------------------------------
-    # Live subscriptions
-    # ------------------------------------------------------------------
-    def subscribe_rows(self, qid: int, callback) -> None:
-        """Invoke ``callback(row)`` on every new (non-duplicate) row.
-
-        Lets applications react to results as they arrive instead of
-        polling the log — e.g. alarm rules or dashboards that update live.
-        """
-        self._row_subscribers.setdefault(qid, []).append(callback)
-
-    def subscribe_aggregates(self, qid: int, callback) -> None:
-        """Invoke ``callback(epoch_time, group_key, partial_map)`` whenever
-        a partial aggregate arrives; the map is the merged state so far
-        (values may refine as more partials land within the epoch)."""
-        self._aggregate_subscribers.setdefault(qid, []).append(callback)
-
-    def unsubscribe(self, qid: int) -> None:
-        """Drop all subscriptions for a query (e.g. after termination)."""
-        self._row_subscribers.pop(qid, None)
-        self._aggregate_subscribers.pop(qid, None)
 
     def queries_seen(self) -> List[int]:
         qids = set(self._rows) | {qid for qid, _ in self._partials}

@@ -17,6 +17,7 @@ from repro.cluster import (
 from repro.core.basestation import BaseStationOptimizer
 from repro.harness.tier1_sim import default_cost_model
 from repro.service import OptimizerBackend, QueryService
+from tests.chaos.driver import ClusterChaosCellSpec, run_degraded_merge_probe
 
 Q_GLOBAL = "SELECT light FROM sensors WHERE light > 300 EPOCH DURATION 4096"
 Q_BAND1 = ("SELECT temp FROM sensors WHERE nodeid BETWEEN 32 AND 63 "
@@ -196,8 +197,6 @@ class TestDegradedMerge:
     def test_completeness_tracks_surviving_fraction(self):
         """One of two simulated shards dies mid-run: merged epochs carry
         completeness 0.5 during the outage and heal back to 1.0."""
-        from repro.harness.chaos import run_degraded_merge_probe
-
         probe = run_degraded_merge_probe(seed=3, n_epochs=8)
         assert probe["bound_held"], probe
         assert probe["degraded_epochs"] >= 1
@@ -211,17 +210,24 @@ class TestDegradedMerge:
 class TestClusterChaosCells:
     @pytest.mark.parametrize("kill", ["shard", "coordinator"])
     def test_cell_holds_all_invariants(self, kill):
-        from repro.harness.chaos import ClusterChaosCellSpec
-
         result = ClusterChaosCellSpec(kill=kill, n_steps=18, seed=5).run()
         assert result.lost_acked == 0
-        assert result.orphans_after == 0
+        assert result.zombies == 0
         assert result.acked_crash == result.acked_baseline
-        assert result.refcounts_ok
-        assert result.ok, result.validate_failures
+        assert not result.failures, result.failures
+        assert result.ok
         if kill == "shard":
             assert result.detect_ms > 0
             assert result.recovery_mode == "recover"
         else:
             assert result.recovery_mode == "root-wal"
-            assert result.root_wal_replayed > 0
+            assert result.replayed_ops > 0
+
+    def test_smoke_grid_holds_every_invariant(self):
+        """Both kills at the derived seeds: the supervisor heals a shard
+        from its WAL, the root comes back from the root WAL."""
+        for kill, mode in (("shard", "recover"), ("coordinator", "root-wal")):
+            result = ClusterChaosCellSpec(kill=kill, n_steps=24).run()
+            assert result.ok, (kill, result)
+            assert result.recovery_mode == mode
+            assert result.replayed_ops > 0

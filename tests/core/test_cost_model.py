@@ -81,6 +81,33 @@ class TestEq2Transmissions:
         agg = Query.aggregation([Aggregate(AggregateOp.MAX, "light")], epoch_ms=4096)
         assert model.transmissions(agg) < model.transmissions(acq)
 
+    def test_selectivity_is_evaluated_once_per_cost(self):
+        """Eq. 2 sums over five levels but evaluates ``sel(q)`` once."""
+        class Counting(DistributionSet):
+            calls = 0
+
+            def probability(self, attribute, lo, hi):
+                self.calls += 1
+                return super().probability(attribute, lo, hi)
+
+        distributions = Counting.uniform(standard_attributes(64))
+        model = CostModel(NetworkProfile.uniform_depth(64, 5), distributions)
+        q = Query.acquisition(["light"], _light(100.0, 600.0),
+                              epoch_ms=4096)
+        model.cost(q)
+        assert distributions.calls == 1  # one predicate, one evaluation
+
+    def test_planner_prices_with_the_same_sum(self, model):
+        """QueryPlanner.price takes Eq. 2 from the cost model: the same
+        bits at the planner's selectivity."""
+        from repro.service.planner import QueryPlanner
+
+        q = Query.acquisition(["light"], _light(100.0, 600.0),
+                              epoch_ms=4096)
+        price = QueryPlanner(model).price(q)
+        assert price.transmissions_per_epoch == (
+            model.transmissions(q) * 4096.0)
+
 
 class TestEq3Cost:
     def test_cost_formula(self, model, profile):

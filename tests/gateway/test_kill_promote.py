@@ -1,6 +1,7 @@
 """SIGKILL the replicated primary mid-load; the standby loses nothing.
 
-The primary runs in a real child process (``repro.gateway.chaos_child``):
+The primary runs in a real child process (``python -m tests.chaos.driver
+gateway``):
 durable service, semi-sync replicator, gateway socket.  The parent
 drives submissions over TCP, records exactly which ones the gateway
 *acknowledged*, kills the child with SIGKILL (no atexit, no flush), and
@@ -9,12 +10,9 @@ promotes its own in-process standby.  The acceptance bar is the issue's:
 against an identically-seeded no-crash twin.
 """
 
-import os
 import signal
 import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -23,8 +21,7 @@ from repro.gateway import GatewayClient, ProtocolError
 from repro.harness.tier1_sim import default_cost_model
 from repro.service import OptimizerBackend, QueryService, StandbyServer
 from repro.service.load import _QUERY_POOL
-
-REPO_SRC = Path(__file__).resolve().parents[2] / "src"
+from tests.chaos.driver import spawn
 
 
 def make_backend():
@@ -33,14 +30,8 @@ def make_backend():
 
 
 def spawn_primary(state_dir, standby_port):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_SRC) + os.pathsep + \
-        env.get("PYTHONPATH", "")
-    child = subprocess.Popen(
-        [sys.executable, "-m", "repro.gateway.chaos_child",
-         str(state_dir), str(standby_port)],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-        text=True)
+    child = spawn("gateway", str(state_dir), str(standby_port),
+                  stdout=subprocess.PIPE)
     deadline = time.monotonic() + 60.0
     line = ""
     while time.monotonic() < deadline:
@@ -50,7 +41,7 @@ def spawn_primary(state_dir, standby_port):
         if child.poll() is not None:
             break
     child.kill()
-    raise RuntimeError(f"chaos child failed to start (last line {line!r})")
+    raise RuntimeError(f"primary child failed to start (last line {line!r})")
 
 
 @pytest.mark.slow
@@ -122,7 +113,7 @@ def test_sigkill_primary_loses_no_acknowledged_submission(tmp_path):
 def test_kill_during_snapshot_rotation_window(tmp_path):
     """Many snapshots in flight when the kill lands; replay stays clean.
 
-    ``chaos_child`` snapshots every 16 ops, so driving ~3x that many ops
+    The primary child snapshots every 16 ops, so driving ~3x that many ops
     makes it likely the SIGKILL lands near a save+rotate pair — the
     stale-WAL/new-snapshot window that replication must ship in order.
     """

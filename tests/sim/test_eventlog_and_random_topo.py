@@ -1,16 +1,10 @@
-"""Tests for the structured event log, random deployments, and latency."""
+"""Tests for random deployments and result latency."""
 
 import pytest
 
 from repro.harness import DeploymentConfig, Strategy, run_workload_live
 from repro.queries import parse_query
-from repro.sim import (
-    EventLog,
-    MessageKind,
-    Simulation,
-    SimulationError,
-    Topology,
-)
+from repro.sim import Simulation, SimulationError, Topology
 from repro.sim.node import NodeApp
 from repro.workloads import Workload
 
@@ -46,66 +40,6 @@ class TestRandomTopology:
         sim.install(lambda node: NodeApp())
         sim.start()
         sim.run_for(1000.0)
-
-
-class TestEventLog:
-    def _run_with_log(self):
-        from repro.sensors import SensorWorld
-        from repro.tinydb import (RoutingTree, TinyDBBaseStationApp,
-                                  TinyDBNodeApp)
-
-        topo = Topology.grid(3)
-        world = SensorWorld.uniform(topo, seed=8)
-        tree = RoutingTree.build(topo)
-        sim = Simulation(topo, world=world, seed=8)
-        log = EventLog.attach(sim)
-        bs = TinyDBBaseStationApp(world, tree, seed=8)
-        sim.install_at(0, bs)
-        sim.install(lambda node: TinyDBNodeApp(world, tree, seed=8))
-        sim.start()
-        query = parse_query("SELECT light FROM sensors EPOCH DURATION 4096")
-        sim.run_until(300.0)
-        bs.inject(query)
-        sim.run_until(20_000.0)
-        return sim, log
-
-    def test_records_every_frame(self):
-        sim, log = self._run_with_log()
-        assert len(log) == sim.trace.total_transmissions()
-
-    def test_kind_filter(self):
-        sim, log = self._run_with_log()
-        query_frames = log.by_kind(MessageKind.QUERY)
-        assert len(query_frames) == sim.trace.total_transmissions(
-            [MessageKind.QUERY])
-
-    def test_node_filter_and_chronology(self):
-        sim, log = self._run_with_log()
-        times = [r.time_ms for r in log.records]
-        assert times == sorted(times)
-        for record in log.by_node(4):
-            assert record.src == 4
-
-    def test_window_filter(self):
-        _, log = self._run_with_log()
-        window = log.between(4096.0, 8192.0, kind=MessageKind.RESULT)
-        for record in window:
-            assert 4096.0 <= record.time_ms < 8192.0
-            assert record.kind == "result"
-
-    def test_retransmissions_marked(self):
-        sim, log = self._run_with_log()
-        retx = [r for r in log.records if r.retransmission]
-        assert len(retx) == sim.trace.retransmissions
-        assert len(log.originals()) == len(log) - len(retx)
-
-    def test_jsonl_roundtrip(self, tmp_path):
-        _, log = self._run_with_log()
-        path = tmp_path / "events.jsonl"
-        count = log.dump_jsonl(path)
-        assert count == len(log)
-        loaded = EventLog.load_jsonl(path)
-        assert loaded.records == log.records
 
 
 class TestResultLatency:
