@@ -8,19 +8,120 @@ submission, so equivalent queries share one refcounted tier-1 anchor:
 the sensor network sees a handful of injections while every client's
 subscription queue still fills with its own mapped results.
 
-The same scenario is available from the shell as
-``python -m repro serve``.
+Each scripted client opens a session, submits its question, subscribes,
+and collects results while the packet-level simulation runs; clients
+arrive over the first 40% of the horizon and 15% of them disconnect
+early.  The service's batch window closes on a periodic tick and results
+fan out once per smallest epoch, all on the simulation's virtual clock.
 
 Run:  python examples/service_gateway.py
+(exits 1 unless every client that stayed subscribed received results)
 """
 
-from repro.harness import print_table
-from repro.service import run_scripted_load
+import random
+import sys
+from dataclasses import dataclass
+from typing import List
+
+from repro.harness import Deployment, DeploymentConfig, Strategy, print_table
+from repro.service import QueryService, ServiceStats
+from repro.service.load import _QUERY_POOL, _perturb
+
+#: Share of clients that terminate their query before the horizon.
+EARLY_TERMINATE_FRACTION = 0.15
 
 
-def main() -> None:
-    report = run_scripted_load(n_clients=60, n_unique=6, side=4,
-                               duration_s=45.0, seed=0)
+@dataclass
+class ScriptedClient:
+    """What one scripted client asked and received."""
+
+    client_id: str
+    query_text: str
+    cache_hit: bool = False
+    results_received: int = 0
+    terminated_early: bool = False
+
+
+@dataclass
+class DemoReport:
+    """The service's counters after the run, and every client's outcome."""
+
+    stats: ServiceStats
+    clients: List[ScriptedClient]
+
+    @property
+    def clients_served(self) -> int:
+        return sum(1 for c in self.clients if c.results_received > 0)
+
+    @property
+    def all_clients_served(self) -> bool:
+        """Every client that stayed subscribed got at least one result."""
+        return all(c.results_received > 0 for c in self.clients
+                   if not c.terminated_early)
+
+
+def run_demo(n_clients: int = 60, n_unique: int = 6, side: int = 4,
+             duration_s: float = 45.0, seed: int = 0,
+             batch_window_ms: float = 500.0) -> DemoReport:
+    """Drive ``n_clients`` scripted clients, drawing from ``n_unique``
+    distinct questions, against one simulated TTMQO deployment."""
+    rng = random.Random(seed ^ 0x5E21)
+    duration_ms = duration_s * 1000.0
+    deployment = Deployment(Strategy.TTMQO,
+                            DeploymentConfig(side=side, seed=seed))
+    sim = deployment.sim
+    service = QueryService(deployment, batch_window_ms=batch_window_ms,
+                           default_ttl_ms=duration_ms * 10.0,
+                           clock=lambda: sim.now)
+    clients: List[ScriptedClient] = []
+    handles = []  # parallel to clients: (session id, ticket, subscriber)
+
+    def connect(index: int) -> None:
+        client_id = f"client-{index:03d}"
+        text = _perturb(_QUERY_POOL[index % n_unique], rng)
+        session_id = service.open_session(client_id)
+        ticket = service.submit(session_id, text)
+        handles.append((session_id, ticket,
+                        service.subscribe(session_id, ticket.ticket_id)))
+        clients.append(ScriptedClient(client_id, text))
+
+    def disconnect(position: int) -> None:
+        session_id, ticket, _ = handles[position]
+        clients[position].terminated_early = True
+        service.terminate(session_id, ticket.ticket_id)
+
+    spacing = duration_ms * 0.4 / max(n_clients, 1)
+    for index in range(n_clients):
+        sim.engine.schedule_at(1000.0 + index * spacing, connect, index)
+    tick_period = max(batch_window_ms, 64.0)
+    t = 1000.0
+    while t < duration_ms:
+        sim.engine.schedule_at(t + tick_period * 0.999, service.tick)
+        t += tick_period
+    t = 2048.0
+    while t < duration_ms:
+        sim.engine.schedule_at(t + 1.0, service.pump)
+        t += 2048.0
+    n_early = int(n_clients * EARLY_TERMINATE_FRACTION)
+    for position in rng.sample(range(n_clients), n_early):
+        sim.engine.schedule_at(duration_ms * rng.uniform(0.7, 0.95),
+                               disconnect, position)
+
+    sim.start()
+    sim.run_until(duration_ms + 4000.0)
+    service.flush()
+    service.pump()
+    for client, (_, ticket, subscriber) in zip(clients, handles):
+        # A batched admission decides the cache hit when its window closes.
+        client.cache_hit = ticket.cache_hit
+        client.results_received = subscriber.qsize()
+    report = DemoReport(stats=service.stats(), clients=clients)
+    deployment.close()
+    return report
+
+
+def main() -> int:
+    report = run_demo()
     stats = report.stats
 
     print_table(
@@ -33,8 +134,7 @@ def main() -> None:
         title="first 12 of 60 clients",
     )
 
-    print(f"\n60 clients, {report.unique_queries} distinct questions, "
-          f"{report.duration_ms / 1000.0:.0f}s simulated:")
+    print("\n60 clients, 6 distinct questions, 45s simulated:")
     print(f"  sessions opened / expired      : "
           f"{stats.sessions_opened_total} / {stats.sessions_expired_total}")
     print(f"  cache hit rate                 : "
@@ -52,7 +152,8 @@ def main() -> None:
     print(f"  results fanned out             : {stats.results_delivered}")
     print(f"  clients that received results  : "
           f"{report.clients_served} of {len(report.clients)}")
+    return 0 if report.all_clients_served else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -65,7 +65,6 @@ from .service import (
     OptimizerBackend,
     QueryService,
     ServiceStats,
-    run_scripted_load,
 )
 from .sim import Simulation, Topology
 from .tinydb import RoutingTree, TinyDBBaseStationApp, TinyDBNodeApp
@@ -118,7 +117,6 @@ __all__ = [
     "parse_query",
     "run_all_strategies",
     "run_all_strategies_live",
-    "run_scripted_load",
     "run_sweep",
     "run_tier1",
     "run_workload",

@@ -8,18 +8,16 @@ Commands:
   strategies and print the comparison table;
 * ``fig``     — regenerate a paper figure's table (fig3, fig4a, fig4b,
   fig4c, fig5);
-* ``serve``   — stand up the multi-tenant :class:`QueryService` and drive
-  a scripted client load against the simulator (``--state-dir`` enables
-  WAL durability; SIGTERM/SIGINT trigger a graceful shutdown);
 * ``sweep``   — fan the Figure 3 (workload x size x strategy) grid across
   worker processes with deterministic result caching (``--profile`` runs
   the grid serially under cProfile and prints the hottest functions);
-* ``cluster`` — partition the field into K shards behind the tier-0 root
-  coordinator and drive a scripted multi-tenant load (region-local
-  queries route to one shard; global queries fan out and merge);
+* ``explain`` — price queries in radio-seconds and joules before
+  admission, on one base station or across a sharded cluster;
 * ``obs``     — run one experiment cell in an isolated metrics registry
   and export every metric (text, JSON, or Prometheus exposition format;
   the names are the telemetry contract of ``docs/observability.md``);
+* ``gateway`` — serve the query service over TCP, optionally
+  replicating its WAL to a warm standby;
 * ``topo``    — render a deployment's topology as ASCII.
 
 Examples::
@@ -29,9 +27,7 @@ Examples::
         "SELECT MAX(light) FROM sensors EPOCH DURATION 8192"
     python -m repro compare --workload C --side 8
     python -m repro fig fig4a
-    python -m repro serve --clients 60 --unique 6 --state-dir .repro-state
     python -m repro sweep --workers 4 --sides 4 8
-    python -m repro cluster --shards 4 --side 8 --clients 48
     python -m repro obs --workload A --strategy ttmqo --format json
 """
 
@@ -39,7 +35,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core.basestation import ResultMapper
 from .harness import (
@@ -114,29 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig_p.add_argument("--side", type=int, default=4,
                        help="grid side for fig3/fig5")
 
-    serve_p = sub.add_parser(
-        "serve",
-        help="run the multi-tenant query service under a scripted load")
-    serve_p.add_argument("--clients", type=int, default=60,
-                         help="number of simulated clients")
-    serve_p.add_argument("--unique", type=int, default=6,
-                         help="distinct queries in the client pool")
-    serve_p.add_argument("--side", type=int, default=4,
-                         help="grid side (nodes = side^2)")
-    serve_p.add_argument("--duration", type=float, default=45.0,
-                         help="simulated seconds")
-    serve_p.add_argument("--seed", type=int, default=0)
-    serve_p.add_argument("--batch-window", type=float, default=0.5,
-                         help="admission batching window in seconds "
-                              "(0 = admit synchronously)")
-    serve_p.add_argument("--ttl", type=float, default=None,
-                         help="session lease TTL in seconds "
-                              "(default: outlives the run)")
-    serve_p.add_argument("--state-dir", default=None,
-                         help="durability directory (WAL + snapshots); the "
-                              "run ends with a graceful shutdown and a "
-                              "clean recovery point")
-
     sweep_p = sub.add_parser(
         "sweep",
         help="fan the Figure 3 grid across worker processes with caching")
@@ -163,27 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "hottest functions (forces serial, uncached "
                               "execution so the simulations themselves are "
                               "what gets profiled)")
-
-    cluster_p = sub.add_parser(
-        "cluster",
-        help="run a sharded multi-base-station cluster under a scripted "
-             "multi-tenant load")
-    cluster_p.add_argument("--shards", type=int, default=4,
-                           help="clusters/base stations (row bands)")
-    cluster_p.add_argument("--side", type=int, default=8,
-                           help="grid side (nodes = side^2)")
-    cluster_p.add_argument("--clients", type=int, default=48,
-                           help="number of simulated tenants")
-    cluster_p.add_argument("--unique", type=int, default=6,
-                           help="distinct queries in the tenant pool")
-    cluster_p.add_argument("--duration", type=float, default=30.0,
-                           help="simulated seconds")
-    cluster_p.add_argument("--seed", type=int, default=0)
-    cluster_p.add_argument("--batch-window", type=float, default=0.25,
-                           help="per-shard admission batching window in "
-                                "seconds (0 = admit synchronously)")
-    cluster_p.add_argument("--json", default=None, metavar="PATH",
-                           help="also write the cluster report as JSON")
 
     explain_p = sub.add_parser(
         "explain",
@@ -241,18 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "reply until the standby acked its WAL record")
     gw_p.add_argument("--side", type=int, default=4,
                       help="grid side of the admission cost profile")
-    gw_p.add_argument("--load", type=int, default=0, metavar="N",
-                      help="drive N concurrent socket clients against the "
-                           "gateway, print the report, then exit "
-                           "(0 = serve until interrupted)")
-    gw_p.add_argument("--submits", type=int, default=25,
-                      help="submits per load client")
-    gw_p.add_argument("--unique", type=int, default=6,
-                      help="distinct queries in the load pool")
-    gw_p.add_argument("--seed", type=int, default=0)
-    gw_p.add_argument("--json", default=None, metavar="PATH",
-                      help="also write the load report as JSON")
-
     topo_p = sub.add_parser("topo", help="render a deployment as ASCII")
     topo_p.add_argument("--kind", choices=["grid", "random"], default="grid")
     topo_p.add_argument("--side", type=int, default=8,
@@ -387,83 +327,8 @@ def _cmd_fig(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from .service import run_scripted_load
-
-    try:
-        report = run_scripted_load(
-            n_clients=args.clients,
-            n_unique=args.unique,
-            side=args.side,
-            duration_s=args.duration,
-            seed=args.seed,
-            batch_window_ms=args.batch_window * 1000.0,
-            ttl_s=args.ttl,
-            state_dir=args.state_dir,
-            handle_signals=True,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    stats = report.stats
-
-    print(f"service run         : {args.clients} clients, "
-          f"{args.unique} distinct queries, {args.side * args.side} nodes, "
-          f"{args.duration:.0f}s simulated (seed {args.seed})")
-    print(f"sessions            : {stats.sessions_opened_total} opened, "
-          f"{stats.sessions_open} open at end, "
-          f"{stats.sessions_expired_total} lease-expired")
-    print(f"admissions          : {stats.admitted_total} admitted "
-          f"({stats.cache_hits} cache hits, "
-          f"{stats.registrations} optimizer passes)")
-    print(f"cache hit rate      : {100.0 * stats.cache_hit_rate:.1f}%")
-    print(f"absorbed arrivals   : {stats.admissions_without_inject} "
-          f"of {stats.admitted_total} "
-          f"({100.0 * stats.absorbed_admission_rate:.1f}%) "
-          f"reached no network inject")
-    print(f"admission latency   : p50 {stats.admission_latency_p50_ms:.0f} ms, "
-          f"p95 {stats.admission_latency_p95_ms:.0f} ms "
-          f"(batched, {stats.batches_flushed} flushes, "
-          f"largest batch {stats.max_batch_size})")
-    print(f"live at end         : {stats.live_tickets} tickets over "
-          f"{stats.live_user_queries} user queries -> "
-          f"{stats.live_synthetic_queries} synthetic queries")
-    print(f"results fanned out  : {stats.results_delivered} "
-          f"({report.clients_served}/{len(report.clients)} clients "
-          f"received data)")
-
-    if report.interrupted:
-        print("graceful shutdown   : signal received; batch window flushed, "
-              f"{report.shutdown_terminated} tickets terminated, state "
-              "snapshotted")
-    elif args.state_dir is not None:
-        print(f"graceful shutdown   : {report.shutdown_terminated} tickets "
-              "terminated at end of run")
-    if report.resilience is not None:
-        res = report.resilience
-        print(f"durability          : {args.state_dir} "
-              f"({res.wal_records} WAL records, {res.snapshots} snapshots; "
-              f"recover with QueryService.recover)")
-        if res.shed_total or res.subscriber_drops:
-            print(f"overload            : {res.shed_total} submissions shed, "
-                  f"{res.subscriber_drops} subscriber items dropped")
-
-    sample = sorted(report.clients, key=lambda c: c.client_id)[:8]
-    print_table(
-        ["client", "ticket", "cache", "results", "query"],
-        [[c.client_id, c.ticket_id, "hit" if c.cache_hit else "miss",
-          c.results_received,
-          c.query_text[:48] + ("..." if len(c.query_text) > 48 else "")]
-         for c in sample],
-        title="first clients (alphabetical)",
-    )
-    if report.interrupted:
-        return 0
-    return 0 if report.all_clients_served else 1
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .harness import Strategy, run_sweep, savings_table
+    from .harness import run_sweep
 
     cells = fig3_grid(tuple(args.workloads), tuple(args.sides),
                       duration_ms=args.duration * 1000.0, seed=args.seed)
@@ -525,91 +390,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         stats = pstats.Stats(profiler, stream=sys.stdout)
         stats.sort_stats("tottime").print_stats(20)
     return 0
-
-
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    import json
-
-    from .cluster import run_cluster_load
-
-    try:
-        report = run_cluster_load(
-            n_shards=args.shards,
-            n_clients=args.clients,
-            n_unique=args.unique,
-            side=args.side,
-            duration_s=args.duration,
-            seed=args.seed,
-            batch_window_ms=args.batch_window * 1000.0,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    stats = report.stats
-
-    print(f"cluster run         : {args.shards} shards over "
-          f"{args.side * args.side} nodes, {args.clients} tenants, "
-          f"{args.unique} distinct queries, {args.duration:.0f}s simulated "
-          f"(seed {args.seed})")
-    print(f"sessions            : {stats.sessions_opened_total} opened, "
-          f"{stats.sessions_open} open at end, "
-          f"{stats.sessions_expired_total} lease-expired")
-    print(f"routing             : {stats.local_submissions} local, "
-          f"{stats.fanout_submissions} fanned out "
-          f"({stats.fanout_subqueries} shard subqueries, "
-          f"{stats.root_dedup_hits} root dedup hits, "
-          f"{stats.live_anchors} anchors live at end)")
-    print(f"admissions          : {stats.admitted_total} admitted across "
-          f"shards ({stats.registrations} optimizer passes, "
-          f"{stats.live_synthetic_queries} synthetic queries live)")
-    print(f"root merge          : {stats.merged_rows} rows, "
-          f"{stats.merged_aggregates} aggregate epochs, "
-          f"{stats.merge_duplicates_dropped} duplicates dropped")
-    print(f"clients served      : {report.clients_served}/"
-          f"{len(report.clients)} received data")
-
-    per_shard_rows = [
-        [f"shard-{index:02d}", s.admitted_total, s.cache_hits,
-         s.live_tickets, s.live_synthetic_queries]
-        for index, s in enumerate(stats.per_shard)]
-    print_table(
-        ["shard", "admitted", "cache hits", "live tickets", "synthetic"],
-        per_shard_rows,
-        title="per-shard admission",
-    )
-    sample = sorted(report.clients, key=lambda c: c.client_id)[:8]
-    print_table(
-        ["client", "ticket", "scope", "cache", "results", "query"],
-        [[c.client_id, c.ticket_id, c.scope, "hit" if c.cache_hit else "miss",
-          c.results_received,
-          c.query_text[:40] + ("..." if len(c.query_text) > 40 else "")]
-         for c in sample],
-        title="first tenants (alphabetical)",
-    )
-    if args.json is not None:
-        payload = {
-            "shards": report.shards,
-            "clients": len(report.clients),
-            "unique_queries": report.unique_queries,
-            "duration_ms": report.duration_ms,
-            "clients_served": report.clients_served,
-            "routing": {
-                "local": stats.local_submissions,
-                "fanout": stats.fanout_submissions,
-                "fanout_subqueries": stats.fanout_subqueries,
-                "root_dedup_hits": stats.root_dedup_hits,
-            },
-            "merge": {
-                "rows": stats.merged_rows,
-                "aggregates": stats.merged_aggregates,
-                "duplicates_dropped": stats.merge_duplicates_dropped,
-            },
-            "admitted_total": stats.admitted_total,
-        }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1, sort_keys=True)
-        print(f"\nwrote {args.json}")
-    return 0 if report.all_clients_served else 1
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
@@ -735,11 +515,18 @@ def _cmd_topo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_gateway(args: argparse.Namespace) -> int:
-    import json
+def _sleep_until_interrupted() -> None:
     import time
 
-    from .gateway import GatewayServer, run_socket_load
+    try:
+        while True:
+            time.sleep(1.0)
+    except KeyboardInterrupt:
+        pass
+
+
+def _cmd_gateway(args: argparse.Namespace) -> int:
+    from .gateway import GatewayServer
     from .harness.tier1_sim import default_cost_model
     from .core.basestation import BaseStationOptimizer
     from .service import (DurabilityConfig, OptimizerBackend,
@@ -758,10 +545,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         print("promote with: QueryService.recover(backend, state_dir) "
               "after stopping this process")
         try:
-            while True:
-                time.sleep(1.0)
-        except KeyboardInterrupt:
-            pass
+            _sleep_until_interrupted()
         finally:
             standby.stop()
         print(f"standby stopped at applied_seq={standby.applied_seq}")
@@ -793,42 +577,15 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
             else "standalone")
     print(f"gateway listening on {host}:{port} ({mode})")
 
-    exit_code = 0
     try:
-        if args.load > 0:
-            report = run_socket_load(host, port, n_clients=args.load,
-                                     submits_per_client=args.submits,
-                                     n_unique=args.unique, seed=args.seed)
-            payload = report.to_dict()
-            latency = payload["latency_ms"]
-            print(f"load                : {report.clients} clients x "
-                  f"{report.submits_per_client} submits over TCP")
-            print(f"requests            : {report.requests} "
-                  f"({report.admitted} admitted, {report.cache_hits} cache "
-                  f"hits, {report.shed} shed, {report.errors} errors)")
-            print(f"throughput          : {report.submits_per_s:.0f} "
-                  f"submits/s over {report.duration_s:.2f}s")
-            print(f"submit latency      : p50 {latency['p50']:.2f} ms, "
-                  f"p90 {latency['p90']:.2f} ms, "
-                  f"p99 {latency['p99']:.2f} ms")
-            if args.json:
-                with open(args.json, "w", encoding="utf-8") as fh:
-                    json.dump(payload, fh, indent=2, sort_keys=True)
-                print(f"wrote {args.json}")
-            exit_code = 0 if report.errors == 0 else 1
-        else:
-            try:
-                while True:
-                    time.sleep(1.0)
-            except KeyboardInterrupt:
-                pass
+        _sleep_until_interrupted()
     finally:
         gateway.stop()
         if replicator is not None:
             replicator.stop()
         if durability is not None:
             service.shutdown()
-    return exit_code
+    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -839,12 +596,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_compare(args)
     if args.command == "fig":
         return _cmd_fig(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
     if args.command == "sweep":
         return _cmd_sweep(args)
-    if args.command == "cluster":
-        return _cmd_cluster(args)
     if args.command == "explain":
         return _cmd_explain(args)
     if args.command == "obs":

@@ -25,23 +25,15 @@ from .coordinator import (
     ShardExplain,
 )
 from .deployment import ClusterDeployment
-from .load import (
-    ClusterClientOutcome,
-    ClusterLoadReport,
-    build_query_pool,
-    run_cluster_load,
-)
 from .merge import combine_shard_aggregates, user_aggregates_view, user_view
 from .partition import ClusterRegion, FieldPartition
 from .ring import DEFAULT_VNODES, HashRing
 from .supervisor import ShardIncident, ShardSupervisor, SupervisorConfig
 
 __all__ = [
-    "ClusterClientOutcome",
     "ClusterCoordinator",
     "ClusterDeployment",
     "ClusterExplainReport",
-    "ClusterLoadReport",
     "ClusterRegion",
     "ClusterScope",
     "ClusterStats",
@@ -55,9 +47,7 @@ __all__ = [
     "ShardIncident",
     "ShardSupervisor",
     "SupervisorConfig",
-    "build_query_pool",
     "combine_shard_aggregates",
-    "run_cluster_load",
     "user_aggregates_view",
     "user_view",
 ]

@@ -19,8 +19,8 @@ proportional and omitted (they are measured in the experiments instead).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from dataclasses import dataclass
+from typing import Mapping, Optional
 
 from ...queries.ast import Query
 from ...sensors.distributions import DistributionSet
@@ -97,11 +97,6 @@ class CostModel:
     def selectivity(self, query: Query) -> float:
         """``sel(q, N_k)``; one distribution serves all levels (Section 4.1)."""
         return query.predicates.selectivity(self.distributions)
-
-    def result_rate(self, query: Query, level: int) -> float:
-        """Result messages generated per ms by the level-``level`` nodes."""
-        size = self.profile.level_sizes.get(level, 0)
-        return self.selectivity(query) * size / query.epoch_ms
 
     # ------------------------------------------------------------------
     # Eq. (2) and the aggregation lower bound

@@ -20,15 +20,15 @@ is taken, so the hot path stays cheap.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, List, Set
 
 from ...obs import get_registry
 from ...queries.ast import QidAllocator, Query, query_from_dict, query_to_dict
 from ..qos import QoSClass, QoSRegistry
 from .cost_model import CostModel
 from .insertion import insert_query
-from .query_table import QueryTable, SyntheticQueryRecord, SyntheticStatus
+from .query_table import QueryTable, SyntheticStatus
 from .rewriter import new_synthetic_record
 from .termination import synthetic_benefit, terminate_query
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ...queries.ast import Query, gcd_epoch
 from ...sensors.field import SensorWorld
@@ -35,8 +35,6 @@ from ...sim.node import NodeApp
 from ...tinydb.aggregation import (
     grouped_partials_from_row,
     merge_grouped_maps,
-    merge_partial_maps,
-    partials_from_row,
 )
 from ...tinydb.basestation import TinyDBBaseStationApp
 from ...tinydb.epochs import SlotSchedule, next_boundary

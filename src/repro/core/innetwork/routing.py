@@ -10,7 +10,7 @@ station ignores it (everything that arrives there is final).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Mapping, Tuple
+from typing import FrozenSet, Mapping, Tuple
 
 from ...sim.messages import QID_BYTES, VALUE_BYTES
 from ...tinydb.payloads import AggGroup, AggResultPayload, RowResultPayload

@@ -21,8 +21,7 @@ version on top of the two tiers:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Set
+from typing import Dict, Iterable, Mapping, Optional, Set
 
 
 class QoSClass(enum.Enum):

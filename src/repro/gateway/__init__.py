@@ -15,11 +15,10 @@ growing server memory.
   (thread-hosted event loop, housekeeping tick/pump, result streaming,
   semi-synchronous replication acks);
 * :mod:`repro.gateway.client` — a small blocking :class:`GatewayClient`
-  for tests, benchmarks and ``python -m repro gateway --load``.
+  for tests, benchmarks and scripted clients.
 """
 
 from .client import GatewayClient, GatewayError, GatewayTimeout
-from .loadgen import SocketLoadReport, run_socket_load
 from .protocol import MAX_FRAME_BYTES, ProtocolError
 from .server import GatewayServer
 
@@ -30,6 +29,4 @@ __all__ = [
     "GatewayServer",
     "MAX_FRAME_BYTES",
     "ProtocolError",
-    "SocketLoadReport",
-    "run_socket_load",
 ]

@@ -1,8 +1,8 @@
 """A small blocking client for the gateway protocol.
 
-Used by tests, ``benchmarks/test_ext_gateway.py`` and ``python -m repro
-gateway --load``; application code embedding the service in-process
-should keep calling :class:`~repro.service.QueryService` directly.
+Used by tests and ``benchmarks/test_ext_gateway.py``; application code
+embedding the service in-process should keep calling
+:class:`~repro.service.QueryService` directly.
 
 One :class:`GatewayClient` wraps one TCP connection.  Requests carry a
 monotonically increasing correlation ``id``; :meth:`_call` reads frames

@@ -11,7 +11,7 @@ the base station).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..sim.network import Topology
 from ..sim.trace import EnergyModel, TraceCollector

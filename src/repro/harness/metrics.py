@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping
+from typing import Dict, List, Mapping
 
 from ..obs.registry import percentile
 from .runner import RunResult

@@ -35,9 +35,9 @@ import multiprocessing
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import repro
 
@@ -45,7 +45,6 @@ from .cells import (
     AnyCell,
     AnyResult,
     CellSpec,
-    Tier1CellSpec,
     canonical_cell_dict,
     cell_key,
 )

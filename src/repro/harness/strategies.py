@@ -13,8 +13,8 @@ workload against any strategy.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from ..core.basestation import (
     BaseStationOptimizer,

@@ -19,7 +19,6 @@ milliseconds, matching the paper's experimental design.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..core.basestation import BaseStationOptimizer, CostModel, NetworkProfile
 from ..sensors.distributions import DistributionSet

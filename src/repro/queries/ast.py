@@ -16,8 +16,8 @@ from __future__ import annotations
 import enum
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .predicates import PredicateSet
 

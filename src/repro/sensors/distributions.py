@@ -17,9 +17,8 @@ Two estimators are provided:
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Mapping
 
 from .field import AttributeSpec
 

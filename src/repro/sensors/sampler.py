@@ -10,7 +10,7 @@ queries costs one acquisition, while five unshared ones cost five.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 from .field import SensorWorld
 

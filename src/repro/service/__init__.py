@@ -14,7 +14,6 @@ from .durability import (
     SnapshotStore,
     WriteAheadLog,
 )
-from .load import ClientOutcome, LoadReport, run_scripted_load
 from .overload import BreakerState, CircuitBreaker, OverloadConfig
 from .planner import (
     AttributeHistogram,
@@ -54,11 +53,9 @@ __all__ = [
     "CircuitBreaker",
     "CacheEntry",
     "CanonicalQueryCache",
-    "ClientOutcome",
     "DEFAULT_TTL_MS",
     "DurabilityConfig",
     "ExplainReport",
-    "LoadReport",
     "OptimizerBackend",
     "OverloadConfig",
     "PendingAdmission",
@@ -88,5 +85,4 @@ __all__ = [
     "WriteAheadLog",
     "collect_statistics",
     "estimate_workload",
-    "run_scripted_load",
 ]

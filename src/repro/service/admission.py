@@ -15,7 +15,7 @@ under a single lock.  Two effects at scale:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from ..queries.ast import Query

@@ -16,7 +16,7 @@ when the last user holding it terminates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..queries.ast import Query

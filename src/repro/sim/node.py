@@ -10,7 +10,7 @@ predefined time", Section 3.2.2).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Optional, TYPE_CHECKING, Union
+from typing import Any, Callable, Iterable, Optional, TYPE_CHECKING, Union
 
 from .engine import Event, EventQueue, PeriodicTimer
 from .mac import MacLayer, MacParams

@@ -14,20 +14,18 @@ aggregates one slot before their parent (see :mod:`repro.tinydb.epochs`).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
 from ..queries.ast import Query
 from ..sensors.field import SensorWorld
 from ..sensors.sampler import Sampler
-from ..sim.engine import Event, PeriodicTimer
+from ..sim.engine import PeriodicTimer
 from ..sim.messages import MessageKind, Message
 from ..sim.node import NodeApp
 from .aggregation import (
     grouped_partials_from_row,
     merge_grouped_maps,
-    merge_partial_maps,
-    partials_from_row,
 )
 from .epochs import SlotSchedule, next_boundary
 from .payloads import (

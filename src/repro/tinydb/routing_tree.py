@@ -10,8 +10,8 @@ sets ``N_k`` parameterise the tier-1 cost model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, List, Set
 
 from ..sim.engine import SimulationError
 from ..sim.network import Topology

@@ -13,9 +13,8 @@ the requested average number of concurrent queries.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List
 
-from ..queries.ast import Query
 from .generator import QueryGenerator, QueryModel
 from .spec import EventKind, Workload, WorkloadEvent
 

@@ -15,8 +15,8 @@ range coverage equals selectivity.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from ..queries.ast import Aggregate, AggregateOp, Query
 from ..queries.predicates import Interval, PredicateSet

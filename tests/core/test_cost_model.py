@@ -41,25 +41,36 @@ class TestNetworkProfile:
         assert profile.average_depth() == pytest.approx((7 * 1 + 8 * 2) / 15)
 
 
+def _level_rate(model, query, level):
+    """Eq. (1) for one level: Eq. (2)'s sum over a profile holding only
+    that level's nodes, placed one hop out so the depth weight is 1."""
+    size = model.profile.level_sizes.get(level, 0)
+    one_level = CostModel(
+        NetworkProfile(level_sizes={1: size}, c_start=model.profile.c_start,
+                       c_trans=model.profile.c_trans),
+        model.distributions)
+    return one_level.transmissions_at(query, model.selectivity(query))
+
+
 class TestEq1ResultRate:
     def test_full_selectivity(self, model):
         q = Query.acquisition(["light"], epoch_ms=4096)
-        assert model.result_rate(q, 1) == pytest.approx(7 / 4096)
-        assert model.result_rate(q, 2) == pytest.approx(8 / 4096)
+        assert _level_rate(model, q, 1) == pytest.approx(7 / 4096)
+        assert _level_rate(model, q, 2) == pytest.approx(8 / 4096)
 
     def test_selectivity_scales_rate(self, model):
         q = Query.acquisition(["light"], _light(0, 250), epoch_ms=4096)
-        assert model.result_rate(q, 1) == pytest.approx(0.25 * 7 / 4096)
+        assert _level_rate(model, q, 1) == pytest.approx(0.25 * 7 / 4096)
 
     def test_unknown_level_is_zero(self, model):
         q = Query.acquisition(["light"], epoch_ms=4096)
-        assert model.result_rate(q, 9) == 0.0
+        assert _level_rate(model, q, 9) == 0.0
 
     def test_longer_epoch_lower_rate(self, model):
         fast = Query.acquisition(["light"], epoch_ms=4096)
         slow = Query.acquisition(["light"], epoch_ms=8192)
-        assert model.result_rate(slow, 1) == pytest.approx(
-            model.result_rate(fast, 1) / 2)
+        assert _level_rate(model, slow, 1) == pytest.approx(
+            _level_rate(model, fast, 1) / 2)
 
 
 class TestEq2Transmissions:

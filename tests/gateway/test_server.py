@@ -2,6 +2,7 @@
 
 import asyncio
 import queue as thread_queue
+import time
 
 import pytest
 
@@ -230,6 +231,81 @@ class TestResultWire:
             return conn.sendq.qsize()
 
         assert asyncio.run(run()) == 2  # 2 queued, 3 dropped and counted
+
+
+class TestClientResultStream:
+    """``GatewayClient``'s side of the result stream, against a live server
+    whose service hands out a stubbed subscriber queue."""
+
+    @pytest.fixture
+    def stream(self, monkeypatch):
+        service = make_service()
+        stubbed = thread_queue.Queue()
+        monkeypatch.setattr(service, "subscribe",
+                            lambda session_id, ticket_id: stubbed)
+        server = GatewayServer(service, housekeeping_interval_s=0.01).start()
+        host, port = server.address
+        try:
+            with GatewayClient(host, port, timeout_s=30.0) as client:
+                session = client.open("watcher")
+                ticket = client.submit(session, Q_LIGHT)["ticket"]
+                client.subscribe(session, ticket)
+                yield client, ticket, stubbed
+        finally:
+            server.stop()
+
+    @staticmethod
+    def _row(epoch_time):
+        from repro.core.basestation.result_mapper import MappedRow
+        return MappedRow(epoch_time=epoch_time, origin=3,
+                         values={"light": 512.0})
+
+    @staticmethod
+    def _until_streamed(stubbed):
+        deadline = time.monotonic() + 10.0
+        while not stubbed.empty():
+            assert time.monotonic() < deadline, "server never streamed"
+            time.sleep(0.005)
+
+    def test_wait_results_blocks_until_n_items(self, stream):
+        client, ticket, stubbed = stream
+        for epoch in range(3):
+            stubbed.put(self._row(float(epoch)))
+        items = client.wait_results(ticket, n=3, timeout_s=10.0)
+        assert [item["epoch_time"] for item in items] == [0.0, 1.0, 2.0]
+        assert items[0] == {"type": "row", "epoch_time": 0.0, "origin": 3,
+                            "values": {"light": 512.0}}
+        # wait_results hands the items over: nothing stays buffered.
+        assert client.drain_results(ticket) == []
+
+    def test_wait_results_times_out_when_nothing_streams(self, stream):
+        client, ticket, _ = stream
+        with pytest.raises(TimeoutError, match="0/1 results"):
+            client.wait_results(ticket, n=1, timeout_s=0.2)
+
+    def test_result_read_before_a_reply_is_buffered(self, stream):
+        client, ticket, stubbed = stream
+        stubbed.put(self._row(1.0))
+        self._until_streamed(stubbed)
+        # The result frame is queued ahead of the ping's reply, so the
+        # call reads it first and keeps it for the ticket.
+        assert client.ping() is True
+        assert [item["epoch_time"]
+                for item in client.drain_results(ticket)] == [1.0]
+        assert client.drain_results(ticket) == []
+
+    def test_drain_results_polls_without_blocking(self, stream):
+        client, ticket, stubbed = stream
+        assert client.drain_results(ticket) == []
+        stubbed.put(self._row(2.0))
+        self._until_streamed(stubbed)
+        deadline = time.monotonic() + 10.0
+        drained = []
+        while not drained:
+            assert time.monotonic() < deadline, "result never arrived"
+            time.sleep(0.005)
+            drained = client.drain_results(ticket)
+        assert [item["epoch_time"] for item in drained] == [2.0]
 
 
 class TestResilience:

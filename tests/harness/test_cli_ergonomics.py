@@ -1,5 +1,5 @@
 """CLI ergonomics: reproducible --seed runs, strategy error messages,
-and the serve command's wiring."""
+and the load-driver commands that are no longer part of the CLI."""
 
 import pytest
 
@@ -49,23 +49,11 @@ class TestStrategyErrors:
         assert args.strategy is Strategy.BS_ONLY
 
 
-class TestServeCommand:
-    def test_serve_parser_defaults(self):
-        args = build_parser().parse_args(["serve"])
-        assert args.clients == 60
-        assert args.unique == 6
-        assert args.batch_window == pytest.approx(0.5)
-
-    def test_serve_smoke(self, capsys):
-        code = main(["serve", "--clients", "10", "--unique", "2",
-                     "--side", "3", "--duration", "20", "--seed", "1"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "cache hit rate" in out
-        assert "absorbed arrivals" in out
-        assert "admission latency" in out
-
-    def test_serve_rejects_bad_unique(self, capsys):
-        code = main(["serve", "--clients", "4", "--unique", "999"])
-        assert code == 2
-        assert "n_unique" in capsys.readouterr().err
+class TestRemovedLoadCommands:
+    @pytest.mark.parametrize("argv", [["serve"], ["cluster"],
+                                      ["gateway", "--load", "4"]])
+    def test_load_driver_commands_are_argparse_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert "usage: repro" in capsys.readouterr().err

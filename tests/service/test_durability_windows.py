@@ -7,11 +7,6 @@ that window (skip, don't double-apply), the directory-metadata fsync
 sites added for power-loss safety, and the streaming torn-tail loader.
 """
 
-import os
-import threading
-
-import pytest
-
 from repro.core.basestation import BaseStationOptimizer
 from repro.harness.tier1_sim import default_cost_model
 from repro.service import (
@@ -282,55 +277,3 @@ class TestStreamingTornLoad:
         records, torn = WriteAheadLog.load(path)
         assert len(records) == 5
         assert torn == 0
-
-
-class TestOffMainThreadSignals:
-    """``run_scripted_load(handle_signals=True)`` off the main thread."""
-
-    def test_warns_instead_of_raising(self):
-        from repro.service import run_scripted_load
-        outcome = {}
-
-        def host():
-            with pytest.warns(RuntimeWarning,
-                              match="signal handlers not installed"):
-                outcome["report"] = run_scripted_load(
-                    n_clients=4, n_unique=2, side=3, duration_s=8.0,
-                    seed=1, batch_window_ms=256.0, handle_signals=True)
-
-        thread = threading.Thread(target=host)
-        thread.start()
-        thread.join(timeout=300)
-        assert not thread.is_alive()
-        assert outcome["report"].stats.admitted_total > 0
-        assert outcome["report"].interrupted is False
-
-    def test_stop_event_triggers_graceful_drain(self):
-        from repro.service import run_scripted_load
-        stop = threading.Event()
-        outcome = {}
-
-        def host():
-            stop.set()  # requested before the first housekeeping tick
-            outcome["report"] = run_scripted_load(
-                n_clients=4, n_unique=2, side=3, duration_s=20.0,
-                seed=1, batch_window_ms=256.0, handle_signals=False,
-                stop_event=stop)
-
-        thread = threading.Thread(target=host)
-        thread.start()
-        thread.join(timeout=300)
-        assert not thread.is_alive()
-        report = outcome["report"]
-        assert report.interrupted is True  # drained early, not at horizon
-
-    def test_main_thread_still_installs_handlers(self):
-        import signal
-        from repro.service import run_scripted_load
-        before = signal.getsignal(signal.SIGTERM)
-        report = run_scripted_load(
-            n_clients=4, n_unique=2, side=3, duration_s=8.0, seed=1,
-            batch_window_ms=256.0, handle_signals=True)
-        assert report.stats.admitted_total > 0
-        # Handlers restored on exit.
-        assert signal.getsignal(signal.SIGTERM) is before

@@ -1,14 +1,8 @@
-"""Graceful shutdown of the scripted load / ``repro serve`` path."""
+"""Graceful shutdown of a durable service over a simulated deployment."""
 
-import json
-import os
-import signal
-import sys
-import threading
-
-import pytest
-
-from repro.service import DurabilityConfig, SnapshotStore, run_scripted_load
+from repro.harness import Deployment, DeploymentConfig, Strategy
+from repro.service import DurabilityConfig, QueryService, SnapshotStore
+from repro.service.load import _QUERY_POOL
 
 TERMINAL = {"terminated", "expired", "failed", "shed"}
 
@@ -27,34 +21,36 @@ def _no_zombies(state_dir):
 
 class TestGracefulShutdown:
     def test_state_dir_run_ends_at_a_clean_recovery_point(self, tmp_path):
-        report = run_scripted_load(
-            n_clients=10, n_unique=4, side=3, duration_s=12.0,
-            seed=4, state_dir=str(tmp_path))
-        assert not report.interrupted
-        assert report.shutdown_terminated > 0
-        assert report.resilience is not None
-        assert report.resilience.wal_records > 0
-        assert report.resilience.snapshots >= 1
-        _no_zombies(tmp_path)
+        # Ten clients over four questions arrive through the run's first
+        # 40% while the batch window ticks; shutdown() then ends it.
+        deployment = Deployment(Strategy.TTMQO,
+                                DeploymentConfig(side=3, seed=4))
+        sim = deployment.sim
+        service = QueryService(
+            deployment, batch_window_ms=500.0, clock=lambda: sim.now,
+            durability=DurabilityConfig(directory=str(tmp_path),
+                                        snapshot_every_ops=32))
 
-    @pytest.mark.skipif(sys.platform == "win32",
-                        reason="POSIX signal delivery")
-    def test_sigint_mid_run_shuts_down_without_zombies(self, tmp_path):
-        # The handler only sets a flag; the next service tick performs
-        # the drain.  A big simulated horizon guarantees the run is
-        # still mid-flight when the wall-clock timer fires.
-        timer = threading.Timer(
-            0.5, lambda: os.kill(os.getpid(), signal.SIGINT))
-        timer.start()
+        def connect(index):
+            session_id = service.open_session(f"client-{index:03d}")
+            ticket = service.submit(session_id, _QUERY_POOL[index % 4])
+            service.subscribe(session_id, ticket.ticket_id)
+
+        for index in range(10):
+            sim.engine.schedule_at(1000.0 + index * 480.0, connect, index)
+        for step in range(22):
+            sim.engine.schedule_at(1499.5 + step * 500.0, service.tick)
         try:
-            report = run_scripted_load(
-                n_clients=120, n_unique=6, side=4, duration_s=900.0,
-                seed=4, state_dir=str(tmp_path), handle_signals=True)
+            sim.start()
+            sim.run_until(16000.0)
+            service.flush()
+            service.pump()
+            assert service.stats().live_tickets > 0
+            terminated = service.shutdown()
+            resilience = service.resilience_stats()
         finally:
-            timer.cancel()
-        assert report.interrupted
-        assert report.shutdown_terminated > 0
+            deployment.close()
+        assert len(terminated) > 0
+        assert resilience.wal_records > 0
+        assert resilience.snapshots >= 1
         _no_zombies(tmp_path)
-        # The run's handlers are gone: SIGINT behaves normally again.
-        assert signal.getsignal(signal.SIGINT) is not None
-        assert signal.getsignal(signal.SIGINT).__qualname__ != "_on_signal"

@@ -2,11 +2,22 @@
 demo: ≥50 clients with duplicate queries, ≥80% of arrivals absorbed, yet
 every subscribed client receives mapped results."""
 
+import runpy
+from pathlib import Path
+
 import pytest
 
 from repro.core.basestation.result_mapper import MappedAggregates, MappedRow
 from repro.harness import Deployment, DeploymentConfig, Strategy
-from repro.service import QueryService, run_scripted_load
+from repro.service import QueryService
+
+EXAMPLE = (Path(__file__).resolve().parents[2] / "examples"
+           / "service_gateway.py")
+
+
+def run_demo(**kwargs):
+    """The scripted-client loop of ``examples/service_gateway.py``."""
+    return runpy.run_path(str(EXAMPLE))["run_demo"](**kwargs)
 
 
 class TestSubscriptionsOverDeployment:
@@ -68,9 +79,8 @@ class TestSubscriptionsOverDeployment:
 @pytest.mark.slow
 def test_acceptance_demo_fifty_clients():
     """ISSUE acceptance: ≥50 clients, ≥80% absorbed, everyone served."""
-    report = run_scripted_load(n_clients=50, n_unique=5, side=4,
-                               duration_s=40.0, seed=3,
-                               batch_window_ms=500.0)
+    report = run_demo(n_clients=50, n_unique=5, side=4, duration_s=40.0,
+                      seed=3, batch_window_ms=500.0)
     stats = report.stats
     assert stats.admitted_total >= 50
     assert stats.absorbed_admission_rate >= 0.8
@@ -80,10 +90,9 @@ def test_acceptance_demo_fifty_clients():
 
 
 def test_small_load_report_shape():
-    """Fast smoke of the scripted load (the serve CLI's engine)."""
-    report = run_scripted_load(n_clients=12, n_unique=3, side=3,
-                               duration_s=20.0, seed=1,
-                               batch_window_ms=300.0)
+    """Fast smoke of the scripted load (the example's engine)."""
+    report = run_demo(n_clients=12, n_unique=3, side=3, duration_s=20.0,
+                      seed=1, batch_window_ms=300.0)
     stats = report.stats
     assert len(report.clients) == 12
     assert stats.admitted_total == 12
