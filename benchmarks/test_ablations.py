@@ -13,8 +13,6 @@ All three run as cell grids through the sweep executor
 across processes with bit-identical results.
 """
 
-import pytest
-
 from repro.core.innetwork import TTMQOParams
 from repro.harness import (
     CellSpec,

@@ -6,8 +6,6 @@ the contract — completeness bought per extra frame — under increasing link
 loss.
 """
 
-import pytest
-
 from repro.core.qos import QoSClass
 from repro.harness import DeploymentConfig, Strategy, print_table
 from repro.harness.failures import expected_rows, row_completeness

@@ -18,8 +18,6 @@ import json
 import os
 from pathlib import Path
 
-import pytest
-
 from repro.harness import (
     CellSpec,
     DeploymentConfig,

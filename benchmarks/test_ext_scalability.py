@@ -13,8 +13,6 @@ TTMQO's shared frames shrink exactly the relayed traffic that concentrates
 near the sink, so its lifetime advantage grows with network size.
 """
 
-import pytest
-
 from repro.harness import (
     DeploymentConfig,
     Strategy,

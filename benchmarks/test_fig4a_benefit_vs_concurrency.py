@@ -10,8 +10,6 @@ Paper: "the benefit ratio increases significantly from around 32% to 82%
 as the number of current queries increases from 8 to 48".
 """
 
-import pytest
-
 from repro.harness import print_table
 from repro.harness.experiments import fig4a_series
 

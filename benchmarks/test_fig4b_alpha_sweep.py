@@ -9,8 +9,6 @@ Paper: "when there are 8 simultaneous queries, the most benefit is obtained
 when alpha=0.6", with alpha mattering much less than concurrency.
 """
 
-import pytest
-
 from repro.harness import print_table
 from repro.harness.experiments import fig4b_series
 

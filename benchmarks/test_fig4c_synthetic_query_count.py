@@ -8,8 +8,6 @@ the number of concurrent queries reaches 48.  As the value of alpha
 increases, the average number of synthetic queries slightly decreases."
 """
 
-import pytest
-
 from repro.harness import print_table
 from repro.harness.experiments import fig4c_table
 

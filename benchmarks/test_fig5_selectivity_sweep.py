@@ -16,8 +16,6 @@ Paper's shapes:
   sharing helps, and it peaks when every query sees the same maximum.
 """
 
-import pytest
-
 from repro.harness import print_table
 from repro.harness.experiments import fig5_table
 

@@ -21,8 +21,6 @@ import os
 import time
 from pathlib import Path
 
-import pytest
-
 from repro.harness import print_table, run_sweep
 from repro.harness.experiments import fig3_grid
 

@@ -33,13 +33,16 @@ survives losing the primary's machine.  The wait is per-request and
 non-blocking for the loop — the replicator's ack listener resolves
 futures via ``call_soon_threadsafe``.
 
+asyncio, and the ``ssl`` module it pulls in, load when
+:meth:`GatewayServer.start` runs, not when this module is imported: a
+process that never serves never carries the event loop.
+
 Metric families (``gateway.*``) are documented in
 ``docs/observability.md``.
 """
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import queue as thread_queue
 import threading
@@ -52,6 +55,8 @@ from ..obs import get_registry
 from .protocol import ProtocolError, read_frame, write_frame
 
 if TYPE_CHECKING:  # repro.service imports this package's protocol module
+    import asyncio
+
     from ..service import SubscriberQueue
 
 
@@ -151,8 +156,20 @@ class GatewayServer:
         """Start the event-loop thread; returns once the socket listens."""
         if self._thread is not None:
             raise RuntimeError("gateway already started")
+        # Imported on the caller's thread, before the loop thread exists,
+        # so set-up pays for it and no import lock is handed across.
+        import asyncio
+
+        def serve() -> None:
+            try:
+                asyncio.run(self._main())
+            except BaseException as exc:  # startup failures included
+                self._startup_error = exc
+            finally:
+                self._ready.set()
+
         self._thread = threading.Thread(
-            target=self._thread_main, name="repro-gateway", daemon=True)
+            target=serve, name="repro-gateway", daemon=True)
         self._thread.start()
         if not self._ready.wait(timeout_s):
             raise RuntimeError("gateway failed to start in time")
@@ -179,15 +196,9 @@ class GatewayServer:
                 if self._stop_requested is not None else None)
         thread.join(timeout_s)
 
-    def _thread_main(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # startup failures included
-            self._startup_error = exc
-        finally:
-            self._ready.set()
-
     async def _main(self) -> None:
+        import asyncio
+
         self._loop = asyncio.get_running_loop()
         self._stop_requested = asyncio.Event()
         server = await asyncio.start_server(
@@ -236,6 +247,8 @@ class GatewayServer:
 
     async def _await_replicated(self, seq: int) -> bool:
         """True once the standby acked ``seq``; False on timeout."""
+        import asyncio
+
         if self.replicator.acked_seq >= seq:
             return True
         future = self._loop.create_future()
@@ -252,6 +265,8 @@ class GatewayServer:
     # Connections
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
+        import asyncio
+
         maxsize = self.service.overload_config.gateway_sendq_maxsize
         conn = _Connection(sendq=asyncio.Queue(maxsize=maxsize))
         self._connections.append(conn)
@@ -378,6 +393,8 @@ class GatewayServer:
     # Housekeeping: tick, pump, stream
     # ------------------------------------------------------------------
     async def _housekeeping(self) -> None:
+        import asyncio
+
         while True:
             await asyncio.sleep(self.housekeeping_interval_s)
             with contextlib.suppress(Exception):
@@ -388,6 +405,8 @@ class GatewayServer:
 
     def _stream_results(self) -> None:
         """Move pumped items from subscriber queues onto send queues."""
+        import asyncio
+
         for conn in list(self._connections):
             if conn.closed:
                 continue

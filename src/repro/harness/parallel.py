@@ -28,10 +28,8 @@ concurrent sweeps sharing a cache directory never read torn JSON.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
-import multiprocessing
 import os
 import tempfile
 import time
@@ -294,6 +292,10 @@ def run_sweep(
             result, duration, pid = _execute_cell(specs[index])
             _record_fresh(index, result, duration, pid)
     elif pending:
+        # Only a sweep that starts workers pays for the pool's imports.
+        import concurrent.futures
+        import multiprocessing
+
         context = multiprocessing.get_context(mp_context)
         max_workers = min(effective, len(pending))
         with concurrent.futures.ProcessPoolExecutor(

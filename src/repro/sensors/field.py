@@ -22,6 +22,7 @@ never depend on evaluation order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Tuple, TYPE_CHECKING
@@ -75,8 +76,9 @@ def position_attributes(topology: "Topology") -> Dict[str, AttributeSpec]:
     }
 
 
+@functools.lru_cache(maxsize=None)
 def _attr_salt(name: str) -> int:
-    """Stable per-attribute salt.
+    """Stable per-attribute salt, computed once per name (a world has a few).
 
     Built-in ``hash()`` of a *string* is randomized per process
     (PYTHONHASHSEED), which would make the same seed produce different

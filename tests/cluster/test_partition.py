@@ -4,7 +4,6 @@ import pytest
 
 from repro.cluster import FieldPartition
 from repro.sensors import SensorWorld
-from repro.sim import Topology
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from repro.core.innetwork import TTMQOBaseStationApp, TTMQONodeApp, TTMQOParams
 from repro.queries import parse_query
 from repro.sensors import SensorWorld
-from repro.sim import MessageKind, Simulation, Topology
+from repro.sim import Simulation
 from repro.tinydb import RoutingTree
 
 

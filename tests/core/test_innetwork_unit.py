@@ -1,8 +1,6 @@
 """Focused unit tests for tier-2 internals (routing payloads, reroute,
 sleep/wake interplay) that the end-to-end tests exercise only indirectly."""
 
-import pytest
-
 from repro.core.innetwork import TTMQOBaseStationApp, TTMQONodeApp, TTMQOParams
 from repro.core.innetwork.routing import (
     SharedAggPayload,
@@ -12,7 +10,7 @@ from repro.core.innetwork.routing import (
 )
 from repro.queries import parse_query
 from repro.sensors import SensorWorld
-from repro.sim import MessageKind, Simulation, Topology
+from repro.sim import Simulation, Topology
 from repro.tinydb import RoutingTree
 from repro.tinydb.aggregation import PartialAggregate
 from repro.queries.ast import AggregateOp

@@ -2,15 +2,12 @@
 
 import pytest
 
-from repro.core.basestation.cost_model import CostModel, NetworkProfile
 from repro.core.basestation.insertion import insert_query
 from repro.core.basestation.query_table import QueryTable
 from repro.core.basestation.rewriter import beneficial, new_synthetic_record
 from repro.queries.ast import Aggregate, AggregateOp, QidAllocator, Query
 from repro.queries.predicates import Interval, PredicateSet
 from repro.queries.semantics import covers
-from repro.sensors.distributions import DistributionSet
-from repro.sensors.field import standard_attributes
 
 
 #: Synthetic qids, clear of the user qids the tests build.

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.basestation import BaseStationOptimizer
-from repro.queries.ast import Aggregate, AggregateOp, Query
+from repro.queries.ast import Query
 from repro.queries.predicates import Interval, PredicateSet
 from repro.queries.semantics import covers
 from repro.workloads.generator import QueryGenerator, QueryModel

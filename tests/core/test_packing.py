@@ -1,7 +1,5 @@
 """Unit tests for shared-frame packing (rows and partial-aggregate groups)."""
 
-import pytest
-
 from repro.core.innetwork.packing import (
     group_equal_partials,
     satisfied_acquisitions,

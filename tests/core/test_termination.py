@@ -94,7 +94,6 @@ class TestAlphaBranch:
         old_qid = record.qid
 
         # keep: alpha slightly above the ratio
-        import copy
         keep_table = _setup(paper_cost_model, [_acq(100, 460, 4096), _acq(120, 600, 2048)])
         keep_ids = set(keep_table.synthetic)
         first_user = min(keep_table.user)

@@ -4,8 +4,6 @@ The benchmarks run these at paper scale; here we verify the plumbing with
 cheap parameters so `pytest tests/` stays quick.
 """
 
-import pytest
-
 from repro.harness import Strategy
 from repro.harness.experiments import (
     STRATEGY_ORDER,

@@ -26,7 +26,7 @@ from repro.harness import runner
 from repro.harness.cells import WorkloadSpec
 from repro.harness.experiments import STRATEGY_ORDER, fig3_cells
 from repro.harness.failures import FailureInjector
-from repro.harness.strategies import Deployment, Strategy
+from repro.harness.strategies import Deployment
 from repro.obs import scoped
 from repro.queries.ast import fresh_qids
 from repro.sim.radio import GilbertElliottParams, RadioParams

@@ -9,8 +9,6 @@ completed sweep without performing a single simulation.
 
 import dataclasses
 
-import pytest
-
 from repro.harness import (
     CellSpec,
     DeploymentConfig,

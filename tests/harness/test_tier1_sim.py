@@ -5,7 +5,7 @@ import pytest
 from repro.harness.tier1_sim import default_cost_model, flood_cost, run_tier1
 from repro.queries.ast import Query
 from repro.queries.predicates import Interval, PredicateSet
-from repro.workloads import QueryModel, dynamic_workload, fig4_query_model
+from repro.workloads import dynamic_workload, fig4_query_model
 from repro.workloads.spec import EventKind, Workload, WorkloadEvent
 
 

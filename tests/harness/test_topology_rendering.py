@@ -1,7 +1,5 @@
 """Tests for ASCII topology rendering and the topo CLI command."""
 
-import pytest
-
 from repro.cli import main
 from repro.harness.reporting import render_topology
 from repro.sim import Topology

@@ -6,14 +6,12 @@ partitions nodes into light buckets and aggregates temp per bucket, with
 partials merged per group in-network exactly like ungrouped partials.
 """
 
-import math
-
 import pytest
 
 from repro.core.basestation import ResultMapper
 from repro.harness import DeploymentConfig, Strategy, run_workload_live
 from repro.queries import parse_query
-from repro.queries.ast import Aggregate, AggregateOp, GroupBy, Query
+from repro.queries.ast import AggregateOp, GroupBy
 from repro.tinydb.aggregation import compute_grouped_aggregates
 from repro.workloads import Workload
 

@@ -14,7 +14,6 @@ from repro.queries.ast import (
     GroupBy,
     combined_epoch,
     gcd_epoch,
-    next_qid,
     query_to_dict,
 )
 from repro.queries.predicates import Interval, PredicateSet

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.queries import (
-    Query,
     QueryValidationError,
     canonical_key,
     canonicalize,

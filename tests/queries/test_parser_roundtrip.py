@@ -4,8 +4,6 @@
 query with finite predicate bounds must survive a round trip unchanged.
 """
 
-import math
-
 from hypothesis import given, strategies as st
 
 from repro.queries.ast import Aggregate, AggregateOp, Query

@@ -6,12 +6,9 @@ import pytest
 
 from repro.sensors.field import (
     AttributeSpec,
-    CorrelatedModel,
     SensorWorld,
-    UniformModel,
     standard_attributes,
 )
-from repro.sim.network import Topology
 
 
 class TestAttributeSpec:

@@ -11,8 +11,6 @@ own cache/refcount invariants) at every quiescent point and at the end.
 import random
 import threading
 
-import pytest
-
 from repro.core.basestation import BaseStationOptimizer
 from repro.harness.tier1_sim import default_cost_model
 from repro.queries import parse_query

@@ -22,7 +22,6 @@ own traffic, whatever else ran in the process-wide registry.
 import pytest
 
 from repro.core.basestation import BaseStationOptimizer
-from repro.core.qos import QoSClass
 from repro.harness import Strategy
 from repro.harness.experiments import fig3_cells
 from repro.harness.runner import run_workload_live

@@ -1,7 +1,5 @@
 """Unit tests for the CSMA MAC layer."""
 
-import pytest
-
 from repro.obs import MetricsRegistry, SimObs
 from repro.sim.engine import EventQueue
 from repro.sim.mac import MacLayer, MacParams

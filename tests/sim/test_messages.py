@@ -1,7 +1,5 @@
 """Unit tests for the frame/payload size model."""
 
-import pytest
-
 from repro.sim.messages import (
     BROADCAST,
     Broadcast,

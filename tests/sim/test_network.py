@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.sim.engine import SimulationError
-from repro.sim.network import GRID_SPACING_FT, RADIO_RANGE_FT, Topology
+from repro.sim.network import GRID_SPACING_FT, Topology
 
 
 class TestGridConstruction:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.messages import BROADCAST, MessageKind
+from repro.sim.messages import MessageKind
 from repro.sim.network import Topology
 from repro.sim.node import NodeApp
 from repro.sim.runtime import Simulation

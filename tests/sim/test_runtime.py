@@ -1,7 +1,5 @@
 """Unit tests for the Simulation assembly."""
 
-import pytest
-
 from repro.sim import Simulation, Topology
 from repro.sim.node import NodeApp
 

@@ -1,9 +1,11 @@
-"""Every name a module under ``src/`` imports is read somewhere.
+"""Every name a module under ``src/``, ``tests/`` or ``benchmarks/`` imports
+is read somewhere.
 
 An import that nothing reads costs an import-time lookup and tells a
 reader the module depends on something it does not use.  Deletions
 leave such imports behind, so this walks every module (package
 ``__init__`` files excepted: they import to re-export) with ``ast``.
+``bench/`` is left out: it changes only with the benchmark.
 
 A name imported inside a function must be read inside that function; a
 module-level import may be read anywhere in the module.  A name counts
@@ -17,7 +19,7 @@ import ast
 from pathlib import Path
 from typing import Iterator, List, Set, Tuple
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
@@ -105,12 +107,22 @@ def test_scanner_flags_an_unread_import_in_its_own_scope():
     assert _unused(tree) == [(1, "os"), (2, "List"), (4, "loads")]
 
 
-def test_no_module_under_src_imports_a_name_it_never_reads():
+def _unused_under(tree_root: Path) -> List[str]:
     found = []
-    for path in sorted(SRC.rglob("*.py")):
+    for path in sorted(tree_root.rglob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        found.extend(f"{path.relative_to(SRC)}:{line}: {name}"
+        found.extend(f"{path.relative_to(ROOT)}:{line}: {name}"
                      for line, name in _unused(tree))
+    return found
+
+
+def test_no_module_under_src_imports_a_name_it_never_reads():
+    found = _unused_under(ROOT / "src")
+    assert not found, "\n".join(found)
+
+
+def test_no_test_or_benchmark_module_imports_a_name_it_never_reads():
+    found = _unused_under(ROOT / "tests") + _unused_under(ROOT / "benchmarks")
     assert not found, "\n".join(found)

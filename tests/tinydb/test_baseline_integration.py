@@ -4,7 +4,7 @@ import pytest
 
 from repro.queries import parse_query
 from repro.sensors import SensorWorld
-from repro.sim import Simulation, Topology
+from repro.sim import Simulation
 from repro.tinydb import RoutingTree, TinyDBBaseStationApp, TinyDBNodeApp
 
 

@@ -1,8 +1,6 @@
 """Unit tests for application payload encoding sizes."""
 
-import pytest
-
-from repro.queries.ast import Aggregate, AggregateOp, Query
+from repro.queries.ast import AggregateOp, Query
 from repro.queries.predicates import Interval, PredicateSet
 from repro.tinydb.aggregation import PartialAggregate
 from repro.tinydb.payloads import (

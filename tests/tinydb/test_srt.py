@@ -3,9 +3,8 @@
 import pytest
 
 from repro.queries import parse_query
-from repro.queries.predicates import Interval
 from repro.sensors import SensorWorld
-from repro.sim import MessageKind, Simulation, Topology
+from repro.sim import MessageKind, Simulation
 from repro.tinydb import (
     RoutingTree,
     SemanticRoutingTree,

@@ -1,8 +1,6 @@
 """Tests that the Figure 3 workloads have the rewritability structure the
 paper's Section 4.2 narrative requires."""
 
-import pytest
-
 from repro.core.basestation import BaseStationOptimizer
 from repro.queries.semantics import mergeable
 from repro.workloads.static_workloads import (
