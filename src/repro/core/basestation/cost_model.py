@@ -139,3 +139,11 @@ class CostModel:
     def benefit(self, q1: Query, q2: Query, merged: Query) -> float:
         """``benefit(q1, q2) = cost(q1) + cost(q2) - cost(q12)``."""
         return self.cost(q1) + self.cost(q2) - self.cost(merged)
+
+    def flood_cost(self) -> float:
+        """One query abortion/injection flood (tx-ms): every node re-sends
+        the control frame once, ``N * (C_start + C_trans * len)``.  These
+        "costly operations" are what alpha weighs (Section 3.1.4)."""
+        frame_bytes = wire.HEADER_BYTES + wire.query_payload_bytes(2, 0, 1) + 2
+        return ((self.profile.n_sensors + 1)
+                * (self.profile.c_start + self.profile.c_trans * frame_bytes))

@@ -49,23 +49,6 @@ class Tier1RunStats:
         return self.absorbed_operations / total if total else 0.0
 
 
-def flood_cost(cost_model: CostModel) -> float:
-    """Modelled cost of one query abortion/injection flood (tx-ms).
-
-    Every node re-broadcasts the control frame once, so a flood costs
-    ``N * (C_start + C_trans * len)``.  Algorithm 2's alpha exists precisely
-    because "query abortion and injection to the sensor network ... are also
-    costly operations" (Section 3.1.4); charging them makes the Figure 4(b)
-    alpha trade-off observable.
-    """
-    profile = cost_model.profile
-    from ..sim import messages as wire
-
-    frame_bytes = wire.HEADER_BYTES + wire.query_payload_bytes(2, 0, 1) + 2
-    per_hop = profile.c_start + profile.c_trans * frame_bytes
-    return (profile.n_sensors + 1) * per_hop
-
-
 def default_cost_model(n_nodes: int, max_depth: int) -> CostModel:
     """Cost model over a synthetic uniform-depth profile (no network)."""
     profile = NetworkProfile.uniform_depth(n_nodes, max_depth)
@@ -100,10 +83,9 @@ def run_tier1(workload: Workload, cost_model: CostModel,
         else:
             optimizer.terminate(event.query.qid)
         max_synthetic = max(max_synthetic, optimizer.synthetic_count())
-        optimizer.table.validate()
 
     span = last_t - first_t
-    operations_cost = optimizer.network_operations * flood_cost(cost_model)
+    operations_cost = optimizer.network_operations * cost_model.flood_cost()
     benefit_ratio = (
         1.0 - (synthetic_cost_area + operations_cost) / user_cost_area
         if user_cost_area > 0 else 0.0)

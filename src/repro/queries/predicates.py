@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
-from ..sensors.distributions import DistributionSet
-
 
 @dataclass(frozen=True, order=True)
 class Interval:
@@ -217,8 +215,11 @@ class PredicateSet:
                 constraints[attr] = interval
         return PredicateSet(constraints)
 
-    def selectivity(self, distributions: DistributionSet) -> float:
-        """Estimated fraction of nodes whose readings match (Eq. 1's sel)."""
+    def selectivity(self, distributions) -> float:
+        """Estimated fraction of nodes whose readings match (Eq. 1's sel).
+
+        ``distributions`` has ``probability(attr, lo, hi)``: a
+        ``DistributionSet`` or the planner's ``StatisticsStore``."""
         sel = 1.0
         for attr, interval in self._intervals:
             sel *= distributions.probability(attr, interval.lo, interval.hi)

@@ -1,9 +1,9 @@
 """Synthetic sensed environment and data-distribution statistics (S2)."""
 
 from .distributions import (
+    AttributeHistogram,
     Distribution,
     DistributionSet,
-    HistogramDistribution,
     UniformDistribution,
 )
 from .field import (
@@ -18,11 +18,11 @@ from .field import (
 from .sampler import Sampler
 
 __all__ = [
+    "AttributeHistogram",
     "AttributeSpec",
     "CorrelatedModel",
     "Distribution",
     "DistributionSet",
-    "HistogramDistribution",
     "LIGHT_RANGE",
     "Sampler",
     "SensorWorld",

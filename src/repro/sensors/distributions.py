@@ -10,15 +10,16 @@ Two estimators are provided:
 
 * :class:`UniformDistribution` — closed-form selectivity under the uniform
   assumption of the paper's worked example;
-* :class:`HistogramDistribution` — an equi-width histogram maintained from
+* :class:`AttributeHistogram` — an equi-width histogram maintained from
   observed readings, the "independent problem studied in other literatures"
-  the paper defers to (e.g. model-driven acquisition [3]).
+  the paper defers to (e.g. model-driven acquisition [3]); the service
+  planner's mergeable statistics store keeps the same type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping
+from typing import Dict, List, Mapping
 
 from .field import AttributeSpec
 
@@ -53,50 +54,85 @@ class UniformDistribution(Distribution):
         return (clipped_hi - clipped_lo) / self.spec.span
 
 
-class HistogramDistribution(Distribution):
-    """Equi-width histogram over the attribute range, updated online.
+#: Default bucket count for learned and collected attribute histograms.
+DEFAULT_BUCKETS = 20
 
-    Starts uniform (one pseudo-count per bucket) so early estimates are
-    sane, then converges to the empirical distribution as readings arrive.
+
+@dataclass
+class AttributeHistogram(Distribution):
+    """Fixed-bucket equi-width histogram over one attribute's range.
+
+    Integer bucket counts make ``merge`` exact and order-independent.
+    ``probability`` smooths with one pseudo-count per bucket, so an empty
+    histogram is the uniform assumption.
     """
 
-    def __init__(self, spec: AttributeSpec, n_buckets: int = 20) -> None:
+    name: str
+    lo: float
+    hi: float
+    counts: List[int]
+
+    @classmethod
+    def from_spec(cls, spec: AttributeSpec,
+                  n_buckets: int = DEFAULT_BUCKETS) -> "AttributeHistogram":
         if n_buckets < 1:
             raise ValueError(f"need at least one bucket (got {n_buckets})")
-        self.spec = spec
-        self._counts = [1.0] * n_buckets
-        self._total = float(n_buckets)
-        self._width = spec.span / n_buckets if spec.span > 0 else 1.0
+        return cls(name=spec.name, lo=float(spec.lo), hi=float(spec.hi),
+                   counts=[0] * n_buckets)
 
     @property
     def n_buckets(self) -> int:
-        return len(self._counts)
+        return len(self.counts)
 
     def observe(self, value: float) -> bool:
-        idx = self._bucket(value)
-        self._counts[idx] += 1.0
-        self._total += 1.0
+        span = self.hi - self.lo
+        index = (int((value - self.lo) / span * self.n_buckets)
+                 if span > 0 else 0)
+        self.counts[max(0, min(index, self.n_buckets - 1))] += 1
         return True
 
     def probability(self, lo: float, hi: float) -> float:
-        clipped_lo = max(lo, self.spec.lo)
-        clipped_hi = min(hi, self.spec.hi)
-        if clipped_hi <= clipped_lo or self._total <= 0:
-            return 0.0
-        mass = 0.0
-        for idx, count in enumerate(self._counts):
-            b_lo = self.spec.lo + idx * self._width
-            b_hi = b_lo + self._width
-            overlap = min(clipped_hi, b_hi) - max(clipped_lo, b_lo)
-            if overlap > 0:
-                mass += count * (overlap / self._width)
-        return mass / self._total
+        """Estimated P(value in [lo, hi]) — monotone in the interval.
 
-    def _bucket(self, value: float) -> int:
-        if self.spec.span <= 0:
-            return 0
-        idx = int((value - self.spec.lo) / self._width)
-        return min(max(idx, 0), len(self._counts) - 1)
+        Each bucket contributes its (smoothed) mass times the fraction of
+        the bucket the interval overlaps; shrinking ``[lo, hi]`` can only
+        shrink every overlap term, so tighter predicates never get larger
+        estimates (the property test pins this).
+        """
+        span = self.hi - self.lo
+        if span <= 0:
+            return 1.0 if lo <= self.lo <= hi else 0.0
+        total = float(sum(self.counts) + self.n_buckets)
+        width = span / self.n_buckets
+        mass = 0.0
+        for j, count in enumerate(self.counts):
+            b_lo = self.lo + j * width
+            b_hi = self.lo + (j + 1) * width
+            overlap = min(hi, b_hi) - max(lo, b_lo)
+            if overlap > 0:
+                mass += (count + 1) * min(overlap / width, 1.0)
+        return min(mass / total, 1.0)
+
+    def merge(self, other: "AttributeHistogram") -> "AttributeHistogram":
+        if (self.name, self.lo, self.hi, self.n_buckets) != (
+                other.name, other.lo, other.hi, other.n_buckets):
+            raise ValueError(
+                f"histogram shape mismatch for {self.name!r}: "
+                f"[{self.lo}, {self.hi}]x{self.n_buckets} vs "
+                f"[{other.lo}, {other.hi}]x{other.n_buckets}")
+        return AttributeHistogram(
+            name=self.name, lo=self.lo, hi=self.hi,
+            counts=[a + b for a, b in zip(self.counts, other.counts)])
+
+    def to_dict(self) -> dict:
+        return {"name": self.name, "lo": self.lo, "hi": self.hi,
+                "counts": list(self.counts)}
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "AttributeHistogram":
+        return cls(name=payload["name"], lo=float(payload["lo"]),
+                   hi=float(payload["hi"]),
+                   counts=[int(c) for c in payload["counts"]])
 
 
 class DistributionSet:
@@ -121,8 +157,8 @@ class DistributionSet:
 
     @classmethod
     def histograms(cls, specs: Mapping[str, AttributeSpec],
-                   n_buckets: int = 20) -> "DistributionSet":
-        return cls({name: HistogramDistribution(spec, n_buckets)
+                   n_buckets: int = DEFAULT_BUCKETS) -> "DistributionSet":
+        return cls({name: AttributeHistogram.from_spec(spec, n_buckets)
                     for name, spec in specs.items()})
 
     def probability(self, attribute: str, lo: float, hi: float) -> float:

@@ -24,7 +24,6 @@ from .planner import (
     StatisticsStore,
     TenantQuotas,
     WorkloadEstimate,
-    collect_statistics,
     estimate_workload,
 )
 from .replication import (
@@ -83,6 +82,5 @@ __all__ = [
     "TicketStatus",
     "WorkloadEstimate",
     "WriteAheadLog",
-    "collect_statistics",
     "estimate_workload",
 ]

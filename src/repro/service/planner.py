@@ -1,16 +1,18 @@
 """Cost/statistics planner: EXPLAIN pricing, quotas, and run statistics.
 
-ROADMAP item 3: the tier-1 optimizer decides *how* to share queries but
-never prices them.  This module closes that gap with three pieces:
+The tier-1 optimizer decides *how* to share queries but never prices
+them.  This module closes that gap with three pieces:
 
-* :class:`StatisticsStore` — a mergeable store of statistics sampled from
-  running deployments (attribute histograms for selectivity, routing-tree
-  level sizes, per-kind frame/airtime accumulators, sleep duty cycle).
-  Every accumulator is an **integer** (counts, or microseconds rounded at
-  observation time), which makes :meth:`StatisticsStore.merge` exactly
-  commutative *and* associative — shard stores merged in any order at the
-  cluster root produce bit-identical results — and makes the JSON
-  serialization round-trip bit-identical.
+* :class:`StatisticsStore` — a mergeable store of the deployment
+  statistics it is fed (attribute histograms for selectivity — the
+  sensors layer's :class:`~repro.sensors.distributions.AttributeHistogram`
+  — routing-tree level sizes, per-kind frame/airtime accumulators, sleep
+  duty cycle).  Every accumulator is an **integer** (counts, or
+  microseconds rounded at observation time), which makes
+  :meth:`StatisticsStore.merge` exactly commutative *and* associative —
+  shard stores merged in any order at the cluster root produce
+  bit-identical results — and makes the JSON serialization round-trip
+  bit-identical.
 
 * :class:`QueryPlanner` — prices a canonical query in **radio-seconds per
   epoch** (Eq. 3's tx-ms per ms of network time, integrated over one
@@ -39,20 +41,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, Mapping, Optional
 
 from ..core.basestation import BaseStationOptimizer, CostModel
 from ..obs import get_registry, scoped
 from ..queries.ast import Query
 from ..queries.predicates import PredicateSet
+from ..sensors.distributions import DEFAULT_BUCKETS, AttributeHistogram
 from ..sensors.field import AttributeSpec
-from ..sim import messages as wire
 from ..sim.trace import EnergyModel
 from ..workloads.spec import EventKind, Workload
-
-#: Default bucket count for collected attribute histograms (matches
-#: ``HistogramDistribution``).
-DEFAULT_BUCKETS = 20
 
 _US_PER_MS = 1000.0
 
@@ -71,88 +69,6 @@ def _sample_counter(kind: str):
 # ----------------------------------------------------------------------
 # Statistics
 # ----------------------------------------------------------------------
-@dataclass
-class AttributeHistogram:
-    """Fixed-bucket equi-width histogram over one attribute's range.
-
-    Bucket counts are integers, so merging two histograms of identical
-    shape is exact integer addition: order-independent and lossless.
-    ``probability`` smooths with one pseudo-count per bucket (the same
-    prior :class:`~repro.sensors.distributions.HistogramDistribution`
-    uses), so an empty histogram degrades to the uniform assumption.
-    """
-
-    name: str
-    lo: float
-    hi: float
-    counts: List[int]
-
-    @classmethod
-    def from_spec(cls, spec: AttributeSpec,
-                  n_buckets: int = DEFAULT_BUCKETS) -> "AttributeHistogram":
-        return cls(name=spec.name, lo=float(spec.lo), hi=float(spec.hi),
-                   counts=[0] * n_buckets)
-
-    @property
-    def n_buckets(self) -> int:
-        return len(self.counts)
-
-    @property
-    def observations(self) -> int:
-        return sum(self.counts)
-
-    def observe(self, value: float) -> None:
-        span = self.hi - self.lo
-        if span <= 0:
-            self.counts[0] += 1
-            return
-        index = int((value - self.lo) / span * self.n_buckets)
-        self.counts[max(0, min(index, self.n_buckets - 1))] += 1
-
-    def probability(self, lo: float, hi: float) -> float:
-        """Estimated P(value in [lo, hi]) — monotone in the interval.
-
-        Each bucket contributes its (smoothed) mass times the fraction of
-        the bucket the interval overlaps; shrinking ``[lo, hi]`` can only
-        shrink every overlap term, so tighter predicates never get larger
-        estimates (the property test pins this).
-        """
-        span = self.hi - self.lo
-        if span <= 0:
-            return 1.0 if lo <= self.lo <= hi else 0.0
-        total = float(self.observations + self.n_buckets)
-        width = span / self.n_buckets
-        mass = 0.0
-        for j, count in enumerate(self.counts):
-            b_lo = self.lo + j * width
-            b_hi = self.lo + (j + 1) * width
-            overlap = min(hi, b_hi) - max(lo, b_lo)
-            if overlap > 0:
-                mass += (count + 1) * min(overlap / width, 1.0)
-        return min(mass / total, 1.0)
-
-    def merge(self, other: "AttributeHistogram") -> "AttributeHistogram":
-        if (self.name, self.lo, self.hi, self.n_buckets) != (
-                other.name, other.lo, other.hi, other.n_buckets):
-            raise ValueError(
-                f"histogram shape mismatch for {self.name!r}: "
-                f"[{self.lo}, {self.hi}]x{self.n_buckets} vs "
-                f"[{other.lo}, {other.hi}]x{other.n_buckets}")
-        return AttributeHistogram(
-            name=self.name, lo=self.lo, hi=self.hi,
-            counts=[a + b for a, b in zip(self.counts, other.counts)])
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "lo": self.lo, "hi": self.hi,
-                "counts": list(self.counts)}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "AttributeHistogram":
-        return cls(name=payload["name"], lo=float(payload["lo"]),
-                   hi=float(payload["hi"]),
-                   counts=[int(c) for c in payload["counts"]])
-
-
 STATS_FORMAT_VERSION = 1
 
 
@@ -240,19 +156,19 @@ class StatisticsStore:
         return merged
 
     # -- estimates -----------------------------------------------------
-    def selectivity(self, predicates: PredicateSet) -> float:
-        """Product of per-attribute histogram probabilities (Eq. 1's sel).
+    def probability(self, attribute: str, lo: float, hi: float) -> float:
+        """Histogram P(value in [lo, hi]) for one attribute.
 
-        Attributes without a collected histogram contribute 1.0 (no
+        An attribute without a collected histogram gives 1.0 (no
         information, no constraint on the estimate) — the estimate stays
         monotone under predicate tightening either way.
         """
-        sel = 1.0
-        for attr, lo, hi in predicates.to_triples():
-            histogram = self.attributes.get(attr)
-            if histogram is not None:
-                sel *= histogram.probability(lo, hi)
-        return sel
+        histogram = self.attributes.get(attribute)
+        return 1.0 if histogram is None else histogram.probability(lo, hi)
+
+    def selectivity(self, predicates: PredicateSet) -> float:
+        """Eq. 1's sel from the collected histograms."""
+        return predicates.selectivity(self)
 
     def total_airtime_ms(self) -> float:
         return sum(self.airtime_us.values()) / _US_PER_MS
@@ -322,46 +238,6 @@ class StatisticsStore:
     @classmethod
     def from_json(cls, text: str) -> "StatisticsStore":
         return cls.from_dict(json.loads(text))
-
-
-def collect_statistics(deployment, *, n_buckets: int = DEFAULT_BUCKETS,
-                       samples_per_node: int = 4) -> StatisticsStore:
-    """Sample a (finished or running) deployment into a statistics store.
-
-    Reads the topology's level sizes, this simulation's radio ledger
-    (``deployment.sim.trace``: per-kind frames and airtime, per-node
-    radio-off time), and samples the sensor world at ``samples_per_node``
-    evenly spaced virtual times per node to populate the attribute
-    histograms — the Section 3.1.2 "statistics maintenance" loop, done
-    from the simulator's own accounting instead of extra network traffic.
-    """
-    topology = deployment.topology
-    world = deployment.world
-    store = StatisticsStore.from_specs(
-        (world.specs[name] for name in sorted(world.specs)), n_buckets)
-    store.level_sizes = {k: n for k, n in topology.level_sizes().items()
-                         if k >= 1}
-    store.nodes = sum(store.level_sizes.values())
-    trace = deployment.sim.trace
-    elapsed_ms = max(trace.elapsed_ms, 0.0)
-    store.node_time_us = store.nodes * _us(elapsed_ms)
-    store.sleep_us = sum(
-        _us(min(trace.node_stats(node).sleep_ms, elapsed_ms))
-        for node in topology.node_ids if node != topology.base_station)
-    airtime_ms = trace.airtime_by_kind()
-    for kind, frames in trace.messages_by_kind().items():
-        store.observe_frames(kind.value, frames, airtime_ms[kind])
-    times = ([elapsed_ms * (i + 1) / (samples_per_node + 1)
-              for i in range(samples_per_node)]
-             if elapsed_ms > 0 else [0.0])
-    names = sorted(world.specs)
-    for node in topology.node_ids:
-        if node == topology.base_station:
-            continue
-        for t in times:
-            store.observe_row(
-                {name: world.sample(node, name, t) for name in names})
-    return store
 
 
 # ----------------------------------------------------------------------
@@ -457,14 +333,6 @@ class QueryPlanner:
         return (self.cost_model.cost(query) * query.epoch_ms / 1000.0
                 * self.scale())
 
-    def flood_radio_ms(self) -> float:
-        """One query injection/abort flood in radio-ms (tier-1 sim's
-        flood cost: every node rebroadcasts the control frame once)."""
-        profile = self.cost_model.profile
-        frame = wire.HEADER_BYTES + wire.query_payload_bytes(2, 0, 1) + 2
-        return ((profile.n_sensors + 1)
-                * (profile.c_start + profile.c_trans * frame))
-
 
 # ----------------------------------------------------------------------
 # Whole-workload estimation (the differential accuracy test's estimator)
@@ -525,7 +393,7 @@ def estimate_workload(workload: Workload, planner: QueryPlanner, *,
         if horizon > last_t:
             results_radio_s += rate * (horizon - last_t)
         operations = optimizer.network_operations
-    floods_radio_s = (operations * planner.flood_radio_ms() / 1000.0
+    floods_radio_s = (operations * planner.cost_model.flood_cost() / 1000.0
                       * planner.calibration)
     radio_s = results_radio_s + floods_radio_s
     n = planner.cost_model.profile.n_sensors

@@ -18,15 +18,11 @@ drift fails loudly and forces a deliberate regeneration:
 
     PYTHONPATH=src python -m tests.harness.test_explain_accuracy
 
-``REPRO_PLANNER_SMOKE=1`` restricts the grid to one cell per domain
-(the CI ``planner-smoke`` job); the full grid is ``slow``.
+The whole grid runs in about half a second.
 """
 
 import json
-import os
 from pathlib import Path
-
-import pytest
 
 from repro.harness import Strategy
 from repro.harness.cells import WorkloadSpec
@@ -34,12 +30,8 @@ from repro.harness.runner import run_workload_live
 from repro.harness.strategies import DeploymentConfig
 from repro.obs import scoped
 from repro.queries import fresh_qids
-from repro.service import (
-    QueryPlanner,
-    StatisticsStore,
-    collect_statistics,
-    estimate_workload,
-)
+from repro.service import QueryPlanner, StatisticsStore, estimate_workload
+from tests.service.sampled_statistics import collect_statistics
 
 GOLDEN_PATH = (Path(__file__).resolve().parent.parent
                / "data" / "golden_planner_accuracy.json")
@@ -74,9 +66,6 @@ GRID = (
         kind="dynamic", n_nodes=16, n_queries=6, concurrency=3.0, seed=29)),
 )
 CALIBRATION_CELLS = {"static": "fig3_A", "dynamic": "fig4_dyn_s7"}
-SMOKE_CELLS = ("fig3_B", "fig4_dyn_s29")
-
-SMOKE = os.environ.get("REPRO_PLANNER_SMOKE", "") == "1"
 
 
 def _spec_for(name):
@@ -122,17 +111,6 @@ def _golden():
     return json.loads(GOLDEN_PATH.read_text())
 
 
-def _selected_cells():
-    return SMOKE_CELLS if SMOKE else tuple(name for name, _, _ in GRID)
-
-
-@pytest.mark.skipif(not SMOKE, reason="full grid runs under -m slow; "
-                    "set REPRO_PLANNER_SMOKE=1 for the reduced grid")
-def test_explain_accuracy_smoke_grid():
-    _check_cells(SMOKE_CELLS)
-
-
-@pytest.mark.slow
 def test_explain_accuracy_full_grid():
     _check_cells(tuple(name for name, _, _ in GRID))
 

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.harness.tier1_sim import default_cost_model, flood_cost, run_tier1
+from repro.core.basestation import BaseStationOptimizer
+from repro.harness.tier1_sim import default_cost_model, run_tier1
+from repro.queries import fresh_qids
 from repro.queries.ast import Query
 from repro.queries.predicates import Interval, PredicateSet
 from repro.workloads import dynamic_workload, fig4_query_model
@@ -60,12 +62,38 @@ class TestRunTier1:
         wl = dynamic_workload(fig4_query_model(), 64, 200, concurrency=8, seed=3)
         stats = run_tier1(wl, cm, alpha=0.6)
         assert stats.operations_cost == pytest.approx(
-            stats.network_operations * flood_cost(cm))
+            stats.network_operations * cm.flood_cost())
         assert 0.0 <= stats.absorption_rate <= 1.0
         assert stats.final_synthetic_count == 0  # workload fully terminates
         assert stats.user_cost_area > stats.synthetic_cost_area
 
     def test_flood_cost_positive_and_scales(self):
-        small = flood_cost(default_cost_model(16, 3))
-        large = flood_cost(default_cost_model(64, 5))
+        small = default_cost_model(16, 3).flood_cost()
+        large = default_cost_model(64, 5).flood_cost()
         assert 0 < small < large
+
+
+def test_query_table_stays_consistent_through_a_fig4_replay():
+    """The table's incremental counts match a full recount after every event.
+
+    ``run_tier1`` trusts the counts the query table keeps as each event is
+    applied; this replays Figure 4(a)'s busiest cell (64 nodes, 500
+    queries, concurrency 48, alpha 0.6) and recounts the whole table after
+    every arrival and departure, then checks the replay reached the same
+    end state ``run_tier1`` reports.
+    """
+    with fresh_qids():
+        workload = dynamic_workload(fig4_query_model(), 64, n_queries=500,
+                                    concurrency=48, seed=1)
+        cm = default_cost_model(64, 5)
+        optimizer = BaseStationOptimizer(cm, alpha=0.6)
+        optimizer.qids.claim(workload.max_qid())
+        for event in workload.events:
+            if event.kind is EventKind.ARRIVE:
+                optimizer.register(event.query)
+            else:
+                optimizer.terminate(event.query.qid)
+            optimizer.table.validate()
+        stats = run_tier1(workload, cm, alpha=0.6)
+    assert optimizer.network_operations == stats.network_operations
+    assert optimizer.synthetic_count() == stats.final_synthetic_count

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from repro.sensors.distributions import (
+    AttributeHistogram,
     DistributionSet,
-    HistogramDistribution,
     UniformDistribution,
 )
 from repro.sensors.field import AttributeSpec, standard_attributes
@@ -48,11 +48,11 @@ class TestUniformDistribution:
 
 class TestHistogramDistribution:
     def test_starts_uniform(self, light_spec):
-        dist = HistogramDistribution(light_spec, n_buckets=10)
+        dist = AttributeHistogram.from_spec(light_spec, n_buckets=10)
         assert dist.probability(0.0, 500.0) == pytest.approx(0.5)
 
     def test_converges_to_observations(self, light_spec):
-        dist = HistogramDistribution(light_spec, n_buckets=10)
+        dist = AttributeHistogram.from_spec(light_spec, n_buckets=10)
         rng = random.Random(3)
         for _ in range(5000):
             dist.observe(rng.uniform(0.0, 200.0))  # all mass in [0, 200]
@@ -60,19 +60,19 @@ class TestHistogramDistribution:
         assert dist.probability(500.0, 1000.0) < 0.05
 
     def test_partial_bucket_overlap_interpolates(self, light_spec):
-        dist = HistogramDistribution(light_spec, n_buckets=10)
+        dist = AttributeHistogram.from_spec(light_spec, n_buckets=10)
         # uniform prior: [0, 50] covers half of the first 100-wide bucket
         assert dist.probability(0.0, 50.0) == pytest.approx(0.05)
 
     def test_out_of_range_observation_clamped(self, light_spec):
-        dist = HistogramDistribution(light_spec, n_buckets=10)
+        dist = AttributeHistogram.from_spec(light_spec, n_buckets=10)
         dist.observe(-50.0)
         dist.observe(5000.0)  # lands in last bucket
         assert dist.probability(0.0, 1000.0) == pytest.approx(1.0)
 
     def test_invalid_bucket_count(self, light_spec):
         with pytest.raises(ValueError):
-            HistogramDistribution(light_spec, n_buckets=0)
+            AttributeHistogram.from_spec(light_spec, n_buckets=0)
 
 
 class TestDistributionSet:
@@ -86,6 +86,14 @@ class TestDistributionSet:
         for _ in range(1000):
             ds.observe("temp", 10.0)
         assert ds.probability("temp", 0.0, 20.0) > 0.9
+
+    def test_constant_attribute_agrees_with_uniform(self):
+        """A zero-width range is a point mass under either estimator."""
+        specs = {"k": AttributeSpec("k", 5.0, 5.0)}
+        for ds in (DistributionSet.uniform(specs),
+                   DistributionSet.histograms(specs)):
+            assert ds.probability("k", 0.0, 10.0) == 1.0
+            assert ds.probability("k", 6.0, 10.0) == 0.0
 
     def test_unknown_attribute_raises(self):
         ds = DistributionSet.uniform(standard_attributes(16))

@@ -34,8 +34,9 @@ from repro.service import (
     QueryService,
     TenantQuotas,
     TicketStatus,
-    collect_statistics,
 )
+
+from .sampled_statistics import collect_statistics
 
 Q_LIGHT = "SELECT light FROM sensors WHERE light > 300 EPOCH DURATION 4096"
 Q_LIGHT_VARIANT = "select LIGHT from sensors where 300 < light " \
