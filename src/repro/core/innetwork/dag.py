@@ -54,6 +54,11 @@ class UpperNeighborView:
                  evict_after: int = 4,
                  max_backoff_ms: float = 65536.0) -> None:
         self._info: Dict[int, _NeighborInfo] = {u: _NeighborInfo() for u in uppers}
+        #: The neighbours with a delivery-failure streak (``failures > 0``;
+        #: an evicted one has one too).  Hearing anyone else changes
+        #: nothing, so a receiver probes this set before it calls
+        #: :meth:`note_heard`.
+        self.streaks: Set[int] = set()
         self._quality = dict(link_quality)
         self._freshness = freshness_ms
         #: Consecutive failures before a neighbour is evicted (0 disables).
@@ -78,11 +83,12 @@ class UpperNeighborView:
         now) when this call re-admits an evicted neighbour — the recovery
         latency — and ``None`` otherwise.
         """
-        info = self._info.get(neighbor)
-        if info is None or not (info.failures or info.evicted):
+        if neighbor not in self.streaks:
             # No streak to clear: ``note_unreachable`` is the only writer
             # of the backoff and the streak, and it counts a failure.
             return None
+        self.streaks.discard(neighbor)
+        info = self._info[neighbor]
         info.unavailable_until = float("-inf")
         recovery: Optional[float] = None
         if info.evicted and info.first_failure_at is not None:
@@ -108,6 +114,7 @@ class UpperNeighborView:
         if info is None:
             return False
         info.failures += 1
+        self.streaks.add(neighbor)
         if info.first_failure_at is None:
             info.first_failure_at = now
         backoff = min(backoff_ms * (2.0 ** (info.failures - 1)),

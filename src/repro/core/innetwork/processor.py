@@ -21,7 +21,6 @@ after a global tick, when every node is guaranteed awake.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
@@ -192,15 +191,8 @@ class TTMQONodeApp(NodeApp):
                 or src in self.node.topology.upper_neighbors(self.node.node_id))
 
     def on_message(self, msg: Message) -> None:
-        now = self.node.engine.now
-        recovery = self.view.note_heard(msg.src, now)
-        if recovery is not None:
-            self._count_recovery(
-                "recovery.readmissions_total",
-                "evicted DAG parents re-admitted on being heard")
-            self._observe("recovery.latency_ms",
-                          "first delivery failure to re-admission per "
-                          "evicted parent", recovery, unit="ms")
+        if msg.src in self.view.streaks:
+            self._heard_after_failures(msg.src)
         if msg.kind is MessageKind.QUERY:
             self._handle_query(msg.payload)
         elif msg.kind is MessageKind.ABORT:
@@ -213,6 +205,17 @@ class TTMQONodeApp(NodeApp):
                     return  # duplicate delivery from a multicast retransmission
                 self._processed_results.add(msg.msg_id)
                 self._handle_result(msg.payload)
+
+    def _heard_after_failures(self, neighbor: int) -> None:
+        """A neighbour with a delivery-failure streak was heard: clear it."""
+        recovery = self.view.note_heard(neighbor, self.node.engine.now)
+        if recovery is not None:
+            self._count_recovery(
+                "recovery.readmissions_total",
+                "evicted DAG parents re-admitted on being heard")
+            self._observe("recovery.latency_ms",
+                          "first delivery failure to re-admission per "
+                          "evicted parent", recovery, unit="ms")
 
     def on_send_failed(self, msg: Message, failed: Set[int]) -> None:
         """Retransmit a failed result frame around (or back to) its parents.
@@ -241,8 +244,9 @@ class TTMQONodeApp(NodeApp):
             lost = frozenset().union(*(payload.subset_for(f) for f in failed)) \
                 if failed else frozenset()
             if lost:
-                replacement = dataclasses.replace(payload, qids=lost,
-                                                  responsibilities=())
+                replacement = SharedRowPayload(payload.origin,
+                                               payload.epoch_time,
+                                               payload.values, lost)
                 self._count_recovery(
                     "recovery.app_retries_total",
                     "app-level retransmissions after MAC give-up",
@@ -270,10 +274,10 @@ class TTMQONodeApp(NodeApp):
         now = self.node.engine.now
         if payload.sender_has_data:
             self.view.note_has_data(payload.sender, query.qid, now)
-        if query.qid in self._seen_aborts:
-            return
+        # Most copies are duplicates of a generation already relayed, so
+        # that test comes first: a duplicate costs one set probe.
         key = (query.qid, payload.generation)
-        if key in self._seen_query_keys:
+        if key in self._seen_query_keys or query.qid in self._seen_aborts:
             return
         self._seen_query_keys.add(key)
         if query.qid not in self._seen_queries:
@@ -432,8 +436,9 @@ class TTMQONodeApp(NodeApp):
                 self._count("recovery.fallback_multicasts_total",
                             "row frames widened to a second parent because "
                             "every parent was suspect")
-        routed = dataclasses.replace(
-            payload, responsibilities=encode_responsibilities(assignment))
+        routed = SharedRowPayload(payload.origin, payload.epoch_time,
+                                  payload.values, payload.qids,
+                                  encode_responsibilities(assignment))
         msg = self.node.send(MessageKind.RESULT, frozenset(assignment), routed,
                              routed.payload_bytes())
         if msg is not None and attempts:
@@ -460,9 +465,9 @@ class TTMQONodeApp(NodeApp):
             reliable, self.node.engine.now, exclude=primary | excluded)
         if not alternates:
             return
-        duplicate = dataclasses.replace(
-            payload, qids=reliable,
-            responsibilities=encode_responsibilities(alternates))
+        duplicate = SharedRowPayload(payload.origin, payload.epoch_time,
+                                     payload.values, reliable,
+                                     encode_responsibilities(alternates))
         self.node.send(MessageKind.RESULT, frozenset(alternates), duplicate,
                        duplicate.payload_bytes())
 
@@ -611,7 +616,7 @@ class TTMQOBaseStationApp(TinyDBBaseStationApp):
         pending = self._pending_injects.pop(qid, None)
         if pending is not None:
             # The query never reached the network; cancel silently.
-            pending.cancel()
+            self.node.engine.cancel(pending)
             return
         delay = self._defer_delay()
         if delay <= 0:

@@ -29,7 +29,7 @@ def responsibilities_bytes(responsibilities: Responsibilities) -> int:
                for _, qids in responsibilities)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SharedRowPayload(RowResultPayload):
     """A shared acquisition row with its DAG forwarding assignments."""
 
@@ -49,7 +49,7 @@ class SharedRowPayload(RowResultPayload):
         return frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SharedAggPayload(AggResultPayload):
     """Shared partial aggregates with DAG forwarding assignments."""
 

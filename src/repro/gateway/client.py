@@ -10,16 +10,21 @@ until the matching reply arrives, buffering any ``result`` frames that
 interleave (the server streams subscribed results on the same socket).
 Buffered results are retrieved with :meth:`drain_results` /
 :meth:`wait_results`.
+
+``socket`` and ``select`` are imported by the methods that use them, so
+importing the package (which ``repro.service`` does, for the frame
+codec) loads neither.
 """
 
 from __future__ import annotations
 
-import select
-import socket
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from .protocol import ProtocolError, recv_frame, send_frame
+
+if TYPE_CHECKING:  # pragma: no cover
+    import socket
 
 
 class GatewayError(RuntimeError):
@@ -72,6 +77,8 @@ class GatewayClient:
         self._results: Dict[int, List[dict]] = {}
 
     def _connect(self) -> socket.socket:
+        import socket
+
         sock = socket.create_connection(
             (self._host, self._port), timeout=self._connect_timeout_s)
         sock.settimeout(self._timeout_s)
@@ -84,6 +91,8 @@ class GatewayClient:
         self.close()
 
     def close(self) -> None:
+        import socket
+
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -117,6 +126,8 @@ class GatewayClient:
             f"{self._max_reconnects} reconnect attempts") from last_error
 
     def _call(self, op: str, **fields) -> dict:
+        import select
+
         if self._dead and self._max_reconnects > 0:
             self._reconnect()
         self._next_id += 1
@@ -204,6 +215,8 @@ class GatewayClient:
     def wait_results(self, ticket: int, n: int = 1,
                      timeout_s: float = 30.0) -> List[dict]:
         """Block until ``ticket`` has at least ``n`` buffered items."""
+        import select
+
         deadline = time.monotonic() + timeout_s
         collected = self._results.setdefault(ticket, [])
         while len(collected) < n:
@@ -229,6 +242,8 @@ class GatewayClient:
         half-read (the server writes each frame in one piece, so a
         readable header means the rest follows promptly).
         """
+        import select
+
         while select.select([self._sock], [], [], 0)[0]:
             frame = recv_frame(self._sock)
             if frame is None:

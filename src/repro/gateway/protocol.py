@@ -24,9 +24,11 @@ hostile length prefix from allocating unbounded memory.
 from __future__ import annotations
 
 import json
-import socket
 import struct
-from typing import Optional
+from typing import Optional, TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only; callers own sockets
+    import socket
 
 #: Hard upper bound on one frame's JSON payload (snapshots included).
 MAX_FRAME_BYTES = 64 * 1024 * 1024

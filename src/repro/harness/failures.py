@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..queries.ast import Query
 from ..sensors.field import SensorWorld
@@ -150,20 +150,56 @@ def expected_rows(
     cannot be expected to report, so completeness measures *routing* loss,
     not source loss.
     """
-    if not query.is_acquisition:
-        raise ValueError("expected_rows only applies to acquisition queries")
-    outages = merge_outages(down or ())
-    pairs: List[Tuple[float, int]] = []
-    for t in epochs:
-        for node in topology.node_ids:
-            if node == topology.base_station:
+    return expected_rows_by_query([(query, epochs)], world, topology, down)[0]
+
+
+def expected_rows_by_query(
+    work: Sequence[Tuple[Query, Iterable[float]]],
+    world: SensorWorld,
+    topology: Topology,
+    down: Optional[Iterable[Outage]] = None,
+) -> List[List[Tuple[float, int]]]:
+    """:func:`expected_rows` for each ``(query, epochs)`` of ``work``.
+
+    Each epoch any query observes is visited once, in first-seen order,
+    and each (node, attribute) reading it needs is sampled once however
+    many queries read it; only one node's readings at one epoch are held
+    at a time.  The world is deterministic, so a shared reading is the
+    reading each query would have sampled.
+    """
+    observers: Dict[float, List[int]] = {}
+    prepared = []
+    for index, (query, epochs) in enumerate(work):
+        if not query.is_acquisition:
+            raise ValueError("expected_rows only applies to acquisition queries")
+        prepared.append((tuple(query.requested_attributes()),
+                         query.predicates.matches))
+        for t in epochs:
+            observers.setdefault(t, []).append(index)
+    down_by_node: Dict[int, List[Outage]] = {}
+    for outage in merge_outages(down or ()):
+        down_by_node.setdefault(outage.node_id, []).append(outage)
+    nodes = [node for node in topology.node_ids
+             if node != topology.base_station]
+    sample = world.sample
+    expected: List[List[Tuple[float, int]]] = [[] for _ in work]
+    for t, indices in observers.items():
+        for node in nodes:
+            outages = down_by_node.get(node)
+            if outages and any(o.covers(t) for o in outages):
                 continue
-            if any(o.node_id == node and o.covers(t) for o in outages):
-                continue
-            row = world.sample_many(node, query.requested_attributes(), t)
-            if query.predicates.matches(row):
-                pairs.append((t, node))
-    return pairs
+            readings: Dict[str, float] = {}
+            for index in indices:
+                attributes, matches = prepared[index]
+                row = {}
+                for attribute in attributes:
+                    value = readings.get(attribute)
+                    if value is None:
+                        value = readings[attribute] = sample(node, attribute, t)
+                    row[attribute] = value
+                if matches(row):
+                    expected[index].append((t, node))
+    return expected
 
 
 def row_completeness(

@@ -298,8 +298,9 @@ class Deployment:
         measure the score is 1.0 — lossless runs report perfect
         completeness by construction.
         """
-        from .failures import expected_rows, row_completeness as _score
-        scores = []
+        from .failures import expected_rows_by_query, row_completeness as _score
+        work = []
+        now = self.sim.engine.now
         for user_qid in sorted(self.user_queries):
             user = self.user_queries[user_qid]
             if not user.is_acquisition:
@@ -314,13 +315,17 @@ class Deployment:
             # The final epoch is excluded unless a whole further epoch has
             # elapsed — its rows may legitimately still be in flight, and
             # counting them would report routing loss that never happened.
-            now = self.sim.engine.now
             epochs = [t for t in self.results.row_epochs(network.qid)
                       if user.fires_at(t) and t + user.epoch_ms <= now]
-            if not epochs:
-                continue
-            expected = expected_rows(user, self.world, self.topology, epochs,
-                                     outages)
+            if epochs:
+                work.append((user_qid, user, epochs))
+        # One pass over the epochs for every query: each reading is
+        # sampled once, however many queries observe it.
+        expected_by_query = expected_rows_by_query(
+            [(user, epochs) for _, user, epochs in work], self.world,
+            self.topology, outages)
+        scores = []
+        for (user_qid, _, _), expected in zip(work, expected_by_query):
             if not expected:
                 continue
             received = [(row.epoch_time, row.origin)

@@ -58,20 +58,22 @@ class FrameRing:
 
     ``node`` is a 64-bit integer, ``kind`` a one-byte code (the writer
     interns each kind once, with :meth:`code`), and ``start``/``end``
-    are doubles: 25 bytes a frame.  The columns grow to ``cap`` (at
-    least 1) frames; after that each push overwrites the oldest in
-    place, at the write index (frames pushed modulo ``cap``), so a
-    further frame allocates nothing.
+    are doubles: 25 bytes a frame.  The radio ledger
+    (``TraceCollector.record_transmission``) is the one writer, and it
+    writes in place, in the same method as its other per-frame totals:
+    the ``columns`` grow to ``cap`` (at least 1) frames, after that each
+    frame overwrites the oldest at ``pushed % cap``, so a further frame
+    allocates nothing.  ``pushed`` counts every frame written.
     """
 
-    __slots__ = ("cap", "_pushed", "_kinds", "_codes", "_columns")
+    __slots__ = ("cap", "pushed", "_kinds", "_codes", "columns")
 
     def __init__(self, cap: int) -> None:
         self.cap = cap
-        self._pushed = 0
+        self.pushed = 0
         self._kinds: List[object] = []
         self._codes: Dict[object, int] = {}
-        self._columns = (array("q"), array("B"), array("d"), array("d"))
+        self.columns = (array("q"), array("B"), array("d"), array("d"))
 
     def code(self, kind: object) -> int:
         """``kind``'s one-byte code in this ring, interned on first use."""
@@ -81,32 +83,15 @@ class FrameRing:
             self._kinds.append(kind)
         return code
 
-    def push(self, node: int, code: int, start: float, end: float) -> None:
-        """Record a frame whose kind :meth:`code` interned as ``code``."""
-        nodes, codes, starts, ends = self._columns
-        index = self._pushed
-        self._pushed = index + 1
-        if index < self.cap:
-            nodes.append(node)
-            codes.append(code)
-            starts.append(start)
-            ends.append(end)
-        else:
-            index %= self.cap
-            nodes[index] = node
-            codes[index] = code
-            starts[index] = start
-            ends[index] = end
-
     def __len__(self) -> int:
-        return len(self._columns[0])
+        return len(self.columns[0])
 
     def __iter__(self) -> Iterator[Tuple[int, object, float, float]]:
         """The retained frames, oldest first."""
-        split, kinds = self._pushed % self.cap, self._kinds
+        split, kinds = self.pushed % self.cap, self._kinds
         for node, code, start, end in zip(
                 *(column[split:] + column[:split]
-                  for column in self._columns)):
+                  for column in self.columns)):
             yield node, kinds[code], start, end
 
 
@@ -121,7 +106,7 @@ class SimObs:
 
     The radio ledger appends every frame's span duration to
     ``radio_tx_ms`` (the samples of ``span.radio.tx.duration_ms``, an
-    ``array('d')`` at 8 bytes a frame) and pushes its ``(node, kind,
+    ``array('d')`` at 8 bytes a frame) and writes its ``(node, kind,
     start, end)`` into ``radio_tx``, a :class:`FrameRing` of the last
     ``DEFAULT_SPAN_CAP`` frames.  The node processors count their
     ``recovery.*`` events with :meth:`count_recovery` into ``recovery``,

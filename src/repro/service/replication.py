@@ -53,16 +53,18 @@ Metric families (``replication.*``) are documented in
 
 from __future__ import annotations
 
-import socket
 import threading
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Tuple, TYPE_CHECKING
 
 from ..gateway.protocol import ProtocolError, recv_frame, send_frame
 from ..obs import get_registry
 from .durability import FORMAT_VERSION, DurabilityConfig, Journal
+
+if TYPE_CHECKING:  # pragma: no cover
+    import socket
 
 
 @dataclass(frozen=True)
@@ -221,6 +223,8 @@ class PrimaryReplicator:
 
     # -- shipper thread --------------------------------------------------
     def _connect(self) -> Optional[socket.socket]:
+        import socket
+
         sock = socket.create_connection(
             (self.config.host, self.config.port),
             timeout=self.config.connect_timeout_s)
@@ -339,6 +343,8 @@ class StandbyServer:
             "replication.applied_seq",
             help="highest replication sequence number applied"
         ).set_fn(lambda: float(self._applied))
+        import socket
+
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
@@ -430,6 +436,8 @@ class StandbyServer:
     # -- lifecycle ---------------------------------------------------------
     def stop(self) -> None:
         """Stop following and release the directory (keeps its contents)."""
+        import socket
+
         with self._lock:
             if self._closing:
                 return

@@ -28,6 +28,13 @@ Two hot-path mechanics matter for throughput (see ``docs/performance.md``):
   rebuilds the heap once cancelled entries dominate (see
   ``COMPACT_MIN_CANCELLED``), bounding memory by the pending-event count.
 
+A pending event is one heap entry, the list ``[time, seq, fn, args]``.
+:meth:`EventQueue.schedule` returns it and :meth:`EventQueue.cancel` takes
+it back.  The unique sequence number orders same-time entries, so heap
+comparisons never reach ``fn``.  Cancelling sets ``fn`` to ``None`` in
+place, and whoever pops the entry skips it.  There is no event object and
+no wrapping tuple: one list is all a pending event allocates.
+
 A pending event holds a bound method of whatever scheduled it (a node, a
 MAC, an application, a timer), and each of those holds the queue, so a
 simulation is one reference cycle while anything is pending.
@@ -49,58 +56,20 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 #: Compaction fires only once at least this many cancelled entries are
 #: resident *and* they outnumber live entries — small queues never pay
 #: the rebuild, unbounded cancel-heavy runs stay O(live).
 COMPACT_MIN_CANCELLED = 512
 
+#: A pending event: ``[time, seq, fn, args]``; ``fn`` is ``None`` once
+#: the event is cancelled (or its queue closed).
+Event = List[Any]
+
 
 class SimulationError(RuntimeError):
     """Raised when the engine is used inconsistently (e.g. time travel)."""
-
-
-def _dropped() -> None:
-    """The callback of an event its queue dropped on closing."""
-
-
-class Event:
-    """A scheduled callback.
-
-    Instances are returned by :meth:`EventQueue.schedule` and can be used to
-    cancel the event before it fires.  Events are lightweight: cancellation
-    is lazy (the queue skips cancelled entries when they are popped), but
-    the owning queue is notified so it can compact once dead entries
-    dominate the heap.
-    """
-
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_queue")
-
-    def __init__(self, time: float, seq: int, fn: Callable[..., Any],
-                 args: Tuple[Any, ...],
-                 queue: Optional["EventQueue"] = None):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        self._queue = queue
-
-    def cancel(self) -> None:
-        """Prevent the event from firing.  Idempotent."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self._queue is not None:
-            self._queue._note_cancelled()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"Event(t={self.time:.3f}, fn={getattr(self.fn, '__name__', self.fn)}, {state})"
 
 
 class EventQueue:
@@ -109,24 +78,16 @@ class EventQueue:
     Time is a monotonically non-decreasing ``float`` in milliseconds.  Events
     scheduled for the same instant fire in the order they were scheduled,
     which keeps runs reproducible.
-
-    Internally the heap stores ``(time, seq, event)`` tuples: the unique
-    sequence number fully orders same-time entries, so heap comparisons
-    never fall through to Python-level ``Event.__lt__`` calls.
     """
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, Event]] = []
+        self._heap: List[Event] = []
         self._seq = itertools.count()
-        self._now = 0.0
+        #: Current virtual time in milliseconds.  Only the queue writes it.
+        self.now = 0.0
         self._events_processed = 0
         self._cancelled = 0
         self._closed = False
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in milliseconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -139,32 +100,47 @@ class EventQueue:
         return len(self._heap)
 
     def __len__(self) -> int:
-        return sum(1 for _, _, e in self._heap if not e.cancelled)
+        return sum(1 for entry in self._heap if entry[2] is not None)
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` ms from now.
 
-        ``delay`` must be non-negative.  Returns the :class:`Event`, which may
-        be cancelled.
+        ``delay`` must be non-negative.  Returns the heap entry, which
+        :meth:`cancel` accepts.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + delay
-        seq = next(self._seq)
-        event = Event(time, seq, fn, args, queue=self)
-        heapq.heappush(self._heap, (time, seq, event))
-        return event
+        entry = [self.now + delay, next(self._seq), fn, args]
+        heapq.heappush(self._heap, entry)
+        return entry
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute virtual time ``time`` (ms)."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} before current time t={self._now}"
+                f"cannot schedule at t={time} before current time t={self.now}"
             )
-        seq = next(self._seq)
-        event = Event(time, seq, fn, args, queue=self)
-        heapq.heappush(self._heap, (time, seq, event))
-        return event
+        entry = [time, next(self._seq), fn, args]
+        heapq.heappush(self._heap, entry)
+        return entry
+
+    def cancel(self, entry: Event) -> None:
+        """Prevent a scheduled event from firing.  Idempotent.
+
+        Cancellation is lazy: the entry stays in the heap with ``fn`` set
+        to ``None`` and is skipped when popped, but the queue counts it so
+        it can compact once dead entries dominate.  Cancelling an event
+        that already fired counts too; the count only decides when to
+        compact.
+        """
+        if entry[2] is None:
+            return
+        entry[2] = None
+        entry[3] = ()
+        self._cancelled += 1
+        if (self._cancelled >= COMPACT_MIN_CANCELLED
+                and self._cancelled * 2 > len(self._heap)):
+            self._compact()
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or ``None`` if the queue is empty."""
@@ -174,17 +150,16 @@ class EventQueue:
     def close(self) -> None:
         """Drop every pending event and its callback.  Idempotent.
 
-        The dropped events are marked cancelled and lose ``fn`` and
-        ``args``, so an owner still holding one (a timer, a sleeping
-        node's wake-up) no longer reaches back through it.  A closed queue
-        runs nothing: :meth:`step` and :meth:`run_until` raise
+        The dropped entries lose ``fn`` and ``args``, as cancelled ones
+        do, so an owner still holding one (a timer, a sleeping node's
+        wake-up) no longer reaches back through it.  A closed queue runs
+        nothing: :meth:`step` and :meth:`run_until` raise
         :class:`SimulationError`.  :meth:`schedule` does not check (it is
         the hot path); what it adds after closing never runs.
         """
-        for _, _, event in self._heap:
-            event.cancelled = True
-            event.fn = _dropped
-            event.args = ()
+        for entry in self._heap:
+            entry[2] = None
+            entry[3] = ()
         self._heap = []
         self._cancelled = 0
         self._closed = True
@@ -203,10 +178,10 @@ class EventQueue:
         self._drop_cancelled()
         if not self._heap:
             return False
-        _, _, event = heapq.heappop(self._heap)
-        self._now = event.time
+        time, _, fn, args = heapq.heappop(self._heap)
+        self.now = time
         self._events_processed += 1
-        event.fn(*event.args)
+        fn(*args)
         return True
 
     def run_until(self, t_end: float) -> None:
@@ -221,8 +196,8 @@ class EventQueue:
         pop = heapq.heappop
         while heap:
             head = heap[0]
-            event = head[2]
-            if event.cancelled:
+            fn = head[2]
+            if fn is None:
                 pop(heap)
                 if self._cancelled:
                     self._cancelled -= 1
@@ -230,26 +205,26 @@ class EventQueue:
             t = head[0]
             if t > t_end:
                 break
-            self._now = t
+            self.now = t
             pop(heap)
             self._events_processed += 1
-            event.fn(*event.args)
+            fn(*head[3])
             # Drain the rest of the cohort at time t without re-checking
             # the horizon or re-storing the clock.  Events scheduled
             # *during* the drain at the same timestamp carry higher seq
             # numbers, so the heap feeds them to this loop in exactly the
             # order serial popping would have — FIFO tie-break preserved.
             while heap and heap[0][0] == t:
-                event = pop(heap)[2]
+                _, _, fn, args = pop(heap)
                 # A cohort member may cancel a later member; honour it.
-                if event.cancelled:
+                if fn is None:
                     if self._cancelled:
                         self._cancelled -= 1
                     continue
                 self._events_processed += 1
-                event.fn(*event.args)
-        if t_end > self._now:
-            self._now = t_end
+                fn(*args)
+        if t_end > self.now:
+            self.now = t_end
 
     def run(self, max_events: Optional[int] = None) -> None:
         """Run until the queue drains (or ``max_events`` events executed)."""
@@ -261,29 +236,19 @@ class EventQueue:
 
     def _drop_cancelled(self) -> None:
         heap = self._heap
-        while heap and heap[0][2].cancelled:
+        while heap and heap[0][2] is None:
             heapq.heappop(heap)
             if self._cancelled:
                 self._cancelled -= 1
 
-    def _note_cancelled(self) -> None:
-        """An event on (or recently popped from) this queue was cancelled.
-
-        Once cancelled entries pass the compaction threshold *and* make up
-        the majority of the heap, rebuild it without them — otherwise a
-        long quiescent run that keeps scheduling-and-cancelling far-future
-        timers grows the heap unboundedly (dead entries only leave the old
-        lazy scheme when their timestamp is finally reached).
-        """
-        self._cancelled += 1
-        if (self._cancelled >= COMPACT_MIN_CANCELLED
-                and self._cancelled * 2 > len(self._heap)):
-            self._compact()
-
     def _compact(self) -> None:
-        """Drop every cancelled entry and re-heapify the survivors."""
-        self._heap = [entry for entry in self._heap
-                      if not entry[2].cancelled]
+        """Drop every cancelled entry and re-heapify the survivors.
+
+        Without it a long quiescent run that keeps scheduling-and-cancelling
+        far-future timers grows the heap unboundedly (dead entries only
+        leave the lazy scheme when their timestamp is finally reached).
+        """
+        self._heap = [entry for entry in self._heap if entry[2] is not None]
         heapq.heapify(self._heap)
         self._cancelled = 0
 
@@ -331,7 +296,7 @@ class PeriodicTimer:
         """Cancel all future firings.  Idempotent."""
         self._stopped = True
         if self._event is not None:
-            self._event.cancel()
+            self._queue.cancel(self._event)
             self._event = None
 
     @property

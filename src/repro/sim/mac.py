@@ -65,8 +65,15 @@ class MacLayer:
         self.node_id = node_id
         self._engine = engine
         self._channel = channel
-        self.params = params or MacParams()
+        self.params = params = params or MacParams()
         self._rng = random.Random((seed << 20) ^ (node_id * 0x9E3779B1) ^ 0xC0FFEE)
+        # Read once per attempt: the bound method and the backoff bounds
+        # are fixed for the MAC's life (``MacParams`` is frozen).
+        self._attempt_cb = self._attempt
+        self._initial_bounds = (params.initial_backoff_min,
+                                params.initial_backoff_max)
+        self._congestion_bounds = (params.congestion_backoff_min,
+                                   params.congestion_backoff_max)
         self._queue: Deque[Message] = deque()
         self._current: Optional[Message] = None
         self._retries_left = 0
@@ -93,8 +100,10 @@ class MacLayer:
         return True
 
     def close(self) -> None:
-        """Forget the give-up hook (it holds the node; see ``Simulation.close``)."""
+        """Forget the give-up hook (it holds the node; see ``Simulation.close``)
+        and the cached bound ``_attempt`` (it holds this MAC)."""
         self._on_drop = None
+        self._attempt_cb = None
 
     def set_enabled(self, enabled: bool) -> None:
         """Power the radio up/down.  A sleeping node neither sends nor senses.
@@ -106,7 +115,7 @@ class MacLayer:
         self._enabled = enabled
         if not enabled:
             if self._pending_event is not None:
-                self._pending_event.cancel()
+                self._engine.cancel(self._pending_event)
                 self._pending_event = None
         elif self._current is None:
             self._maybe_start()
@@ -127,7 +136,7 @@ class MacLayer:
         self._schedule_attempt(self._initial_backoff())
 
     def _schedule_attempt(self, delay: float) -> None:
-        self._pending_event = self._engine.schedule(delay, self._attempt)
+        self._pending_event = self._engine.schedule(delay, self._attempt_cb)
 
     def _attempt(self) -> None:
         self._pending_event = None
@@ -163,8 +172,7 @@ class MacLayer:
             self._on_drop(msg, failed)
 
     def _initial_backoff(self) -> float:
-        return self._rng.uniform(self.params.initial_backoff_min,
-                                 self.params.initial_backoff_max)
+        return self._rng.uniform(*self._initial_bounds)
 
     def _congestion_backoff(self) -> float:
         """Retry backoff, widening with each failed attempt.
@@ -174,6 +182,5 @@ class MacLayer:
         attempt multiplier is the standard CSMA escape hatch.
         """
         attempt = self.params.max_retries - self._retries_left + 1
-        window = self._rng.uniform(self.params.congestion_backoff_min,
-                                   self.params.congestion_backoff_max)
+        window = self._rng.uniform(*self._congestion_bounds)
         return window * attempt

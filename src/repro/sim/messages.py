@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, FrozenSet, Optional, Union
 
 #: Link-layer header size in bytes (TinyOS AM header: dest, type, group, len).
@@ -69,7 +68,6 @@ BROADCAST = Broadcast()
 LinkDestination = Union[Broadcast, int, FrozenSet[int]]
 
 
-@dataclass
 class Message:
     """A single radio frame.
 
@@ -88,28 +86,38 @@ class Message:
     payload_bytes:
         Application payload size.  Total frame length is
         ``HEADER_BYTES + payload_bytes``.
+    msg_id:
+        Process-unique frame id, drawn from a counter.
+    retransmissions:
+        Number of times this frame has been retransmitted (filled by the
+        MAC).
+
+    The addressing mode and frame length are pure functions of the
+    constructor arguments, but the radio/MAC/node hot path reads them
+    hundreds of thousands of times per cell — so they are materialised
+    once here instead of being recomputed per read (``link_dst`` is never
+    mutated after construction).  A frame is a ``__slots__`` object built
+    by one plain ``__init__``, since every send makes one; frames compare
+    by identity.
     """
 
-    kind: MessageKind
-    src: int
-    link_dst: LinkDestination
-    payload: Any
-    payload_bytes: int
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
-    #: Number of times this frame has been retransmitted (filled by the MAC).
-    retransmissions: int = 0
+    __slots__ = ("kind", "src", "link_dst", "payload", "payload_bytes",
+                 "msg_id", "retransmissions", "length_bytes", "is_broadcast",
+                 "is_unicast", "is_multicast", "_destinations")
 
-    # The addressing mode and frame length are pure functions of the
-    # constructor fields, but the radio/MAC/node hot path reads them
-    # hundreds of thousands of times per cell — so they are materialised
-    # once here instead of being recomputed per read (``link_dst`` is
-    # never mutated after construction).
-    def __post_init__(self) -> None:
-        link_dst = self.link_dst
-        self.length_bytes: int = HEADER_BYTES + self.payload_bytes
-        self.is_broadcast: bool = isinstance(link_dst, Broadcast)
-        self.is_unicast: bool = isinstance(link_dst, int)
-        self.is_multicast: bool = isinstance(link_dst, frozenset)
+    def __init__(self, kind: MessageKind, src: int, link_dst: LinkDestination,
+                 payload: Any, payload_bytes: int) -> None:
+        self.kind = kind
+        self.src = src
+        self.link_dst = link_dst
+        self.payload = payload
+        self.payload_bytes = payload_bytes
+        self.msg_id = next(_message_ids)
+        self.retransmissions = 0
+        self.length_bytes = HEADER_BYTES + payload_bytes
+        self.is_broadcast = isinstance(link_dst, Broadcast)
+        self.is_unicast = isinstance(link_dst, int)
+        self.is_multicast = isinstance(link_dst, frozenset)
         if self.is_broadcast:
             self._destinations: Optional[FrozenSet[int]] = None
         elif self.is_unicast:

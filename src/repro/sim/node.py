@@ -14,7 +14,8 @@ from typing import Any, Callable, Iterable, Optional, TYPE_CHECKING, Union
 
 from .engine import Event, EventQueue, PeriodicTimer
 from .mac import MacLayer, MacParams
-from .messages import BROADCAST, LinkDestination, Message, MessageKind
+from .messages import BROADCAST, Broadcast, LinkDestination, Message, \
+    MessageKind
 from .radio import Channel
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -170,12 +171,11 @@ class SensorNode:
         """
         if self._failed:
             return None
-        if not isinstance(link_dst, (int, type(BROADCAST), frozenset)):
+        if not isinstance(link_dst, (int, Broadcast, frozenset)):
             link_dst = frozenset(link_dst)
         if isinstance(link_dst, frozenset) and len(link_dst) == 1:
             link_dst = next(iter(link_dst))
-        msg = Message(kind=kind, src=self.node_id, link_dst=link_dst,
-                      payload=payload, payload_bytes=payload_bytes)
+        msg = Message(kind, self.node_id, link_dst, payload, payload_bytes)
         self.mac.enqueue(msg)
         return msg
 
@@ -211,7 +211,7 @@ class SensorNode:
             if self._sleep_until is not None and deadline <= self._sleep_until:
                 return
             if self._wake_event is not None:
-                self._wake_event.cancel()
+                self.engine.cancel(self._wake_event)
         self._sleep_until = self.engine.now + duration
         self._set_radio(False)
         self.trace.record_sleep(self.node_id, duration)
@@ -220,7 +220,7 @@ class SensorNode:
     def wake(self) -> None:
         """Power the radio up immediately (cancels any pending wake event)."""
         if self._wake_event is not None:
-            self._wake_event.cancel()
+            self.engine.cancel(self._wake_event)
             self._wake_event = None
         self._wake()
 
@@ -263,11 +263,11 @@ class SensorNode:
                 return  # fully covered by the outage already in force
             off_ms = deadline - self._failed_until
             if self._recover_event is not None:
-                self._recover_event.cancel()
+                self.engine.cancel(self._recover_event)
         else:
             off_ms = duration
         if self._wake_event is not None:
-            self._wake_event.cancel()
+            self.engine.cancel(self._wake_event)
             self._wake_event = None
             self._sleep_until = None
         self._failed = True

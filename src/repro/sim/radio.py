@@ -138,19 +138,27 @@ def ge_link_seed(seed: int, src: int, dst: int) -> int:
     return (seed << 16) ^ (src * 0x1F123BB5) ^ (dst * 0x9E3779B1) ^ 0x6E110B
 
 
-@dataclass
 class _Transmission:
-    src: int
-    msg: Message
-    end: float
-    #: The sender's own bit and the bits of the nodes in range of it.
-    bit: int
-    adj: int
-    #: Bitsets accumulated while the frame is on the air: the union of the
-    #: overlapping transmitters' ``bit`` (``overlap_self``) and of their
-    #: ``adj`` (``overlap_adj``).  See ``Channel.transmit``.
-    overlap_adj: int = 0
-    overlap_self: int = 0
+    """One frame on the air.
+
+    ``bit`` is the sender's own bit and ``adj`` the bits of the nodes in
+    range of it.  ``overlap_self`` and ``overlap_adj`` accumulate while the
+    frame is on the air: the union of the overlapping transmitters' ``bit``
+    and of their ``adj``.  See ``Channel.transmit``.
+    """
+
+    __slots__ = ("src", "msg", "end", "bit", "adj", "overlap_adj",
+                 "overlap_self")
+
+    def __init__(self, src: int, msg: Message, end: float, bit: int,
+                 adj: int) -> None:
+        self.src = src
+        self.msg = msg
+        self.end = end
+        self.bit = bit
+        self.adj = adj
+        self.overlap_adj = 0
+        self.overlap_self = 0
 
 
 def _set_bits(bits: int) -> Iterator[int]:
@@ -349,8 +357,7 @@ class Channel:
         now = self._engine.now
         bit = self._bit[src]
         adj = self._adj_bits[src]
-        record = _Transmission(src=src, msg=msg, end=now + duration,
-                               bit=bit, adj=adj)
+        record = _Transmission(src, msg, now + duration, bit, adj)
         # Two frames overlap iff the earlier one is still on the air when
         # the later starts, so updating both records here sees exactly the
         # pairs whose intervals intersect.  A record whose ``end == now``

@@ -63,13 +63,6 @@ class NodeStats:
     sleep_ms: float = 0.0
     by_kind: Dict[MessageKind, int] = field(default_factory=dict)
 
-    def record(self, msg: Message, duration: float) -> None:
-        """Charge one transmitted frame to this node's totals."""
-        self.tx_busy_ms += duration
-        self.tx_count += 1
-        self.tx_bytes += msg.length_bytes
-        self.by_kind[msg.kind] = self.by_kind.get(msg.kind, 0) + 1
-
 
 @dataclass
 class LinkStats:
@@ -147,24 +140,47 @@ class TraceCollector:
         return stats
 
     def record_transmission(self, src: int, msg: Message, duration: float) -> None:
-        """One frame on air: Eq. 3 charges its sender ``duration`` ms."""
+        """One frame on air: Eq. 3 charges its sender ``duration`` ms.
+
+        Every per-frame write is made here, in one call: the sender's
+        ``NodeStats``, the kind's totals, then the span sample and the
+        span ring (see :class:`repro.obs.accounting.FrameRing`).
+        """
+        kind = msg.kind
+        length = msg.length_bytes
         stats = self._nodes.get(src)
         if stats is None or not stats.tx_count:
             stats = self._first_transmission(src)
-        stats.record(msg, duration)
-        kind = msg.kind
+        stats.tx_busy_ms += duration
+        stats.tx_count += 1
+        stats.tx_bytes += length
+        by_kind = stats.by_kind
+        by_kind[kind] = by_kind.get(kind, 0) + 1
         totals = self._kinds.get(kind)
         if totals is None:
             totals = self._first_of_kind(kind)
         totals[0] += 1
-        totals[1] += msg.length_bytes
+        totals[1] += length
         totals[2] += duration
-        samples = self._span_samples
-        if samples is not None:
+        ring = self._span_ring
+        if ring is not None:
             start = self._engine.now
             end = start + duration
-            samples.append(end - start)
-            self._span_ring.push(src, totals[3], start, end)
+            self._span_samples.append(end - start)
+            nodes, codes, starts, ends = ring.columns
+            index = ring.pushed
+            ring.pushed = index + 1
+            if index < ring.cap:
+                nodes.append(src)
+                codes.append(totals[3])
+                starts.append(start)
+                ends.append(end)
+            else:
+                index %= ring.cap
+                nodes[index] = src
+                codes[index] = totals[3]
+                starts[index] = start
+                ends[index] = end
 
     def _first_transmission(self, src: int) -> NodeStats:
         stats = self.node_stats(src)

@@ -21,9 +21,13 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 from ..queries.ast import Aggregate, AggregateOp
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class PartialAggregate:
-    """Mergeable partial state of one ``op(attribute)`` aggregate."""
+    """Mergeable partial state of one ``op(attribute)`` aggregate.
+
+    A value like the frame payloads that carry it: see
+    :mod:`repro.tinydb.payloads` for why it is not a frozen dataclass.
+    """
 
     op: AggregateOp
     attribute: str

@@ -169,10 +169,10 @@ class TinyDBNodeApp(NodeApp):
     # ------------------------------------------------------------------
     def _handle_query(self, payload: QueryPayload) -> None:
         query = payload.query
-        if query.qid in self._seen_aborts:
-            return
+        # Most copies are duplicates of a generation already relayed, so
+        # that test comes first: a duplicate costs one set probe.
         key = (query.qid, payload.generation)
-        if key in self._seen_query_keys:
+        if key in self._seen_query_keys or query.qid in self._seen_aborts:
             return
         self._seen_query_keys.add(key)
         if query.qid not in self._seen_queries:

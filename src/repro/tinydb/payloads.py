@@ -3,6 +3,13 @@
 Shared by the TinyDB baseline processor and the TTMQO in-network processor
 (the paper implements TTMQO "on top of TinyDB").  Each payload computes its
 own encoded size, which the radio layer turns into airtime.
+
+Payloads are values: they compare and hash on their fields, and nothing
+changes one once it is on the air.  They are plain (not frozen)
+dataclasses with ``unsafe_hash=True`` because a frozen dataclass pays an
+``object.__setattr__`` call per field on construction, and the simulator
+builds one or more payloads per frame; ``tests/sim/test_frame_objects.py``
+checks the no-mutation rule instead.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from ..sim import messages as wire
 from .aggregation import PartialAggregate
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class QueryPayload:
     """Query propagation (flooding) frame.
 
@@ -51,7 +58,7 @@ class QueryPayload:
                             self.generation, self.reliable)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class AbortPayload:
     """Query abortion frame."""
 
@@ -61,7 +68,7 @@ class AbortPayload:
         return wire.abort_payload_bytes()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RowResultPayload:
     """A (possibly shared) acquisition result: one origin node's readings.
 
@@ -87,7 +94,7 @@ class RowResultPayload:
         return wire.result_payload_bytes(len(self.values), len(self.qids))
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class AggGroup:
     """Partial aggregates shared by a set of queries.
 
@@ -104,7 +111,7 @@ class AggGroup:
     group_key: Tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class AggResultPayload:
     """A partial-aggregate frame flowing up toward the base station."""
 
@@ -120,7 +127,7 @@ class AggResultPayload:
                 + n_key_values * wire.VALUE_BYTES)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class BeaconPayload:
     """Periodic network-maintenance beacon."""
 

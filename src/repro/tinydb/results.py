@@ -16,12 +16,14 @@ from ..queries.ast import Aggregate
 from .aggregation import PartialAggregate, merge_partial_maps
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ResultRow:
     """One detail row received for an acquisition query.
 
     ``received_at`` is the virtual time the row reached the base station;
-    ``received_at - epoch_time`` is the end-to-end result latency.
+    ``received_at - epoch_time`` is the end-to-end result latency.  A
+    value like the frame payloads: see :mod:`repro.tinydb.payloads` for
+    why it is not a frozen dataclass.
     """
 
     epoch_time: float

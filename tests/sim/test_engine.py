@@ -73,15 +73,15 @@ class TestEventQueue:
         eq = EventQueue()
         fired = []
         event = eq.schedule(1.0, fired.append, "x")
-        event.cancel()
+        eq.cancel(event)
         eq.run_until(5.0)
         assert fired == []
 
     def test_cancel_is_idempotent(self):
         eq = EventQueue()
         event = eq.schedule(1.0, lambda: None)
-        event.cancel()
-        event.cancel()
+        eq.cancel(event)
+        eq.cancel(event)
         eq.run_until(5.0)
 
     def test_events_scheduled_during_execution_are_honoured(self):
@@ -101,14 +101,14 @@ class TestEventQueue:
         eq = EventQueue()
         e1 = eq.schedule(1.0, lambda: None)
         eq.schedule(2.0, lambda: None)
-        e1.cancel()
+        eq.cancel(e1)
         assert len(eq) == 1
 
     def test_peek_time_skips_cancelled(self):
         eq = EventQueue()
         e1 = eq.schedule(1.0, lambda: None)
         eq.schedule(2.0, lambda: None)
-        e1.cancel()
+        eq.cancel(e1)
         assert eq.peek_time() == 2.0
 
     def test_step_returns_false_on_empty_queue(self):
@@ -158,7 +158,7 @@ class TestCohortDrain:
         eq = EventQueue()
         fired = []
         holder = {}
-        eq.schedule(1.0, lambda: holder["victim"].cancel())
+        eq.schedule(1.0, lambda: eq.cancel(holder["victim"]))
         holder["victim"] = eq.schedule(1.0, fired.append, "victim")
         eq.schedule(1.0, fired.append, "after")
         eq.run_until(2.0)
@@ -179,7 +179,7 @@ class TestCohortDrain:
         eq = EventQueue()
         event = eq.schedule(50.0, lambda: None)
         eq.schedule(60.0, lambda: None)
-        event.cancel()
+        eq.cancel(event)
         assert eq.heap_size == 2  # still resident
         eq.run_until(100.0)
         assert eq.heap_size == 0
@@ -197,21 +197,21 @@ class TestHeapCompaction:
         # Schedule-and-cancel far-future timers, as a retransmission or
         # watchdog layer does; the heap must stay bounded by live count.
         for _ in range(20 * COMPACT_MIN_CANCELLED):
-            eq.schedule(1e9, lambda: None).cancel()
+            eq.cancel(eq.schedule(1e9, lambda: None))
         assert eq.heap_size < 2 * COMPACT_MIN_CANCELLED
         assert len(eq) == 1
-        assert not live.cancelled
+        assert live[2] is not None  # its callback: not cancelled
 
     def test_compaction_keeps_order_and_pending_events(self):
         eq = EventQueue()
         fired = []
         keep = [eq.schedule(float(i + 1), fired.append, i) for i in range(5)]
         for _ in range(3 * COMPACT_MIN_CANCELLED):
-            eq.schedule(1e9, lambda: None).cancel()
+            eq.cancel(eq.schedule(1e9, lambda: None))
         assert eq.heap_size < 2 * COMPACT_MIN_CANCELLED
         eq.run_until(10.0)
         assert fired == [0, 1, 2, 3, 4]
-        assert keep[0].time == 1.0
+        assert keep[0][0] == 1.0  # the entry's time
 
     def test_small_queues_never_pay_compaction(self):
         """Below COMPACT_MIN_CANCELLED cancelled entries stay lazily
@@ -220,7 +220,7 @@ class TestHeapCompaction:
         events = [eq.schedule(1e9, lambda: None)
                   for _ in range(COMPACT_MIN_CANCELLED - 2)]
         for event in events:
-            event.cancel()
+            eq.cancel(event)
         assert eq.heap_size == COMPACT_MIN_CANCELLED - 2
 
 

@@ -4,7 +4,9 @@ The gateway's event loop (``asyncio``, which pulls in ``ssl``) and the
 sweep's process pool (``multiprocessing``, ``concurrent.futures``) are
 imported by the one entry point that uses each: ``GatewayServer.start``
 and the pool branch of ``run_sweep``.  A simulation, a library-call
-service or a serial sweep therefore never carries them.  Each case runs
+service or a serial sweep therefore never carries them.  Nor does it
+carry ``socket``, ``select`` or ``selectors``: the gateway client and
+WAL replication import them where they open a socket.  Each case runs
 in a fresh interpreter, since this test process has loaded them already.
 """
 
@@ -19,6 +21,7 @@ import repro
 SRC_ROOT = Path(repro.__file__).resolve().parent.parent
 
 HEAVY = ("asyncio", "ssl", "multiprocessing", "concurrent.futures")
+SOCKETS = ("socket", "select", "selectors")
 
 PRELUDE = """
 import json
@@ -42,7 +45,7 @@ def make_service():
 
 def report():
     print(json.dumps({name: name in sys.modules for name in %r}))
-""" % (HEAVY,)
+""" % (HEAVY + SOCKETS,)
 
 WITHOUT_SERVING = PRELUDE + """
 spec = CellSpec(strategy=Strategy.TTMQO,
